@@ -6,12 +6,10 @@ relating all three on finite parameter grids with certified truncation error.
 
 from .characters import (
     CharacterGroup,
-    CharConvSeq,
     DirichletCharacter,
     bounded_composition_sums,
     build_character_group,
     conv_power,
-    eval_char,
 )
 from .errors import (
     BudgetExceeded,
@@ -25,6 +23,7 @@ from .errors import (
     UsageError,
 )
 from .identities import (
+    IDENTITY_IDS,
     SweepGrid,
     SymmetryInstance,
     eq12_bridge,
@@ -53,14 +52,13 @@ from .qnum import (
     q_bracket_two_pow,
     q_number,
 )
-from .report import IDENTITY_IDS, IdentityReport, reports_to_json_lines, suite_passed
+from .report import IdentityReport, reports_to_json_lines, suite_passed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded",
     "CharacterGroup",
-    "CharConvSeq",
     "DEFAULT_EPSILON",
     "DEFAULT_MAX_TERMS",
     "DirichletCharacter",
@@ -85,7 +83,6 @@ __all__ = [
     "conv_power",
     "eq12_bridge",
     "eq15_sides",
-    "eval_char",
     "lfun_eval",
     "lfun_value",
     "plan_truncation",

@@ -93,9 +93,6 @@ class DirichletCharacter:
             raise NegativeArgument(f"character argument must be nonnegative, got {m}")
         return complex(self.values[m % self.modulus_d])
 
-    def is_real(self) -> bool:
-        return bool(np.all(self.values.imag == 0.0))
-
     def is_principal(self) -> bool:
         return self.label == 0
 
@@ -112,11 +109,6 @@ class DirichletCharacter:
             "label": self.label,
             "values": [[float(v.real), float(v.imag)] for v in self.values],
         }
-
-
-def eval_char(chi: DirichletCharacter, m: int) -> complex:
-    """Evaluate chi at any nonnegative integer (periodic extension mod d)."""
-    return chi(m)
 
 
 @dataclass(eq=False)
@@ -140,10 +132,6 @@ class CharacterGroup:
 
     def __iter__(self):
         return iter(self.characters)
-
-    @property
-    def principal(self) -> DirichletCharacter:
-        return self.characters[0]
 
 
 def build_character_group(d: int, max_modulus: int = DEFAULT_MODULUS_BOUND) -> CharacterGroup:
@@ -199,29 +187,14 @@ def build_character_group(d: int, max_modulus: int = DEFAULT_MODULUS_BOUND) -> C
     return CharacterGroup(d, characters, structure)
 
 
-@dataclass(eq=False)
-class CharConvSeq:
-    """Truncated composition-sum coefficients of a character at order r.
-
-    coeffs[m] = sum over (m_1, ..., m_r) with m_1 + ... + m_r = m of
-    chi(m_1) ... chi(m_r); exact for every m < cutoff_M because each part of
-    such a composition is itself below cutoff_M.
-    """
-
-    r: int
-    cutoff_M: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        self.coeffs.setflags(write=False)
-
-
-def conv_power(chi: DirichletCharacter, r: int, M: int) -> CharConvSeq:
+def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     """Order-r composition sums c_0, ..., c_{M-1} of chi.
 
-    Computed as r-1 successive direct linear convolutions of the periodic
-    value sequence chi(0..M-1), truncated back to length M after each fold.
+    c_m = sum over (m_1, ..., m_r) with m_1 + ... + m_r = m of
+    chi(m_1) ... chi(m_r); exact for every m < M because each part of such a
+    composition is itself below M.  Computed as r-1 successive direct linear
+    convolutions of the periodic value sequence chi(0..M-1), truncated back
+    to length M after each fold.
     """
     if r < 1:
         raise DomainError(f"order r must be a positive integer, got {r}")
@@ -231,7 +204,7 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> CharConvSeq:
     coeffs = base.copy()
     for _ in range(r - 1):
         coeffs = np.convolve(coeffs, base)[:M]
-    return CharConvSeq(r, M, coeffs)
+    return coeffs
 
 
 def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.ndarray:

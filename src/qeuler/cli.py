@@ -7,6 +7,12 @@ Commands
     eval-powersum  evaluate one alternating character power sum
     verify         sweep one identity over a parameter grid
 
+verify checks one identity (T1 T2 T3 EQ4 EQ5 EQ9 EQ12 EQ13 EQ15) at every
+grid point its flags define: an instance passes when |lhs - rhs| <= tol *
+max(|lhs|, |rhs|, 1), tol being --tolerance or the identity's default (1e-7;
+1e-8 for EQ4, EQ12, EQ13), with both sides evaluated at series budget
+--epsilon.  --s takes 're' or 're,im'; --s -0.5,0.5 equals --s=-0.5,0.5.
+
 Exit codes: 0 success or all instances passed, 1 at least one identity
 instance failed, 2 invalid usage, 3 numeric infeasibility (no certified
 truncation within the term budget, or an enumeration budget overrun).
@@ -35,11 +41,11 @@ from .errors import (
     PlanInfeasible,
     UsageError,
 )
-from .identities import SweepGrid, power_sum, run_suite
+from .identities import IDENTITY_IDS, SweepGrid, power_sum, run_suite
 from .lfun import lfun_value
 from .polynomials import qeuler_value
 from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
-from .report import IDENTITY_IDS, suite_passed
+from .report import reports_to_json_lines, suite_passed
 
 OUTPUT_FORMATS = ("pretty", "json", "csv")
 
@@ -64,11 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_char: bool = True) -> None:
-        if with_char:
-            p.add_argument("--d", type=int, required=True, help="odd character modulus")
-            p.add_argument("--chi", type=int, default=None,
-                           help="character label (default: principal for eval, all for verify)")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--d", type=int, required=True, help="odd character modulus")
+        p.add_argument("--chi", type=int, default=None,
+                       help="character label (default: principal for eval, all for verify)")
         p.add_argument("--output", choices=OUTPUT_FORMATS, default="pretty")
         p.add_argument("--out", dest="out_path", default=None,
                        help="write records to this file instead of stdout")
@@ -112,12 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--x", type=float, default=1.0)
     p_v.add_argument("--y", type=float, default=0.0)
     p_v.add_argument("--tolerance", type=float, default=None,
-                     help="override the identity tolerance")
+                     help="relative tolerance (default: the identity's own)")
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse and validate; raises UsageError on any out-of-range value."""
+    argv = list(argv)
+    # argparse takes a separate "-0.5,0.5" for an option: glue it to --s
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--s":
+            argv[i - 1:i + 1] = [f"--s={argv[i]}"]
     args = build_parser().parse_args(argv)
 
     if getattr(args, "d", None) is not None:
@@ -175,24 +185,22 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _resolve_chi(args: argparse.Namespace):
+def _resolve_group(args: argparse.Namespace):
+    """The character group modulo --d, once --chi is checked against its size."""
     group = build_character_group(args.d)
-    label = args.chi if args.chi is not None else 0
-    if label >= len(group):
+    if args.chi is not None and args.chi >= len(group):
         raise UsageError(f"--chi must be below the group size {len(group)}")
-    return group[label]
+    return group
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    if text and not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
-            if text and not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _eval_record(args: argparse.Namespace, params: dict, value: complex) -> str:
@@ -212,9 +220,7 @@ def _eval_record(args: argparse.Namespace, params: dict, value: complex) -> str:
 
 
 def _run_char_list(args: argparse.Namespace) -> int:
-    group = build_character_group(args.d)
-    if args.chi is not None and args.chi >= len(group):
-        raise UsageError(f"--chi must be below the group size {len(group)}")
+    group = _resolve_group(args)
     chars = group.characters if args.chi is None else [group[args.chi]]
     if args.output == "json":
         text = "\n".join(json.dumps(c.to_json_dict()) for c in chars)
@@ -237,9 +243,7 @@ def _run_char_list(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    group = build_character_group(args.d)
-    if args.chi is not None and args.chi >= len(group):
-        raise UsageError(f"--chi must be below the group size {len(group)}")
+    _resolve_group(args)
     grid = SweepGrid(
         d_values=(args.d,),
         q_values=(args.q,),
@@ -256,7 +260,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.identity, grid, args.epsilon, args.max_terms,
                         rel_tol=args.tolerance, workers=workers)
     if args.output == "json":
-        text = "\n".join(r.to_json_line() for r in reports)
+        text = reports_to_json_lines(reports)
     elif args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -304,7 +308,7 @@ def run(args: argparse.Namespace) -> int:
         return _run_verify(args)
 
     ctx = QContext(args.q)
-    chi = _resolve_chi(args)
+    chi = _resolve_group(args)[args.chi or 0]
     if args.command == "eval-qeuler":
         value = qeuler_value(chi, args.r, args.n, args.x, ctx,
                              args.epsilon, args.max_terms)

@@ -19,16 +19,22 @@ the arguments, so instances with a = b agree bit for bit.
 The bridge check compares the polynomial form against the power-sum form in
 the same orientation; it isolates the shift-expansion rearrangement that
 turns the j-sum of polynomial values into power sums.
+
+Every identity is one row of the table IDENTITIES: the grid axes it reads,
+its two sides, and its default relative tolerance.  check() validates an
+instance against the row, evaluates both sides and builds the report;
+run_suite() sweeps a row's axes over a SweepGrid.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -39,10 +45,11 @@ from .characters import (
     build_character_group,
 )
 from .errors import BudgetExceeded, DomainError, ParityViolation
-from .lfun import LfunSpec, lfun_eval, verify_interpolation
+from .lfun import DEFAULT_INTERPOLATION_TOL, LfunSpec, lfun_eval, lfun_value
 from .polynomials import (
     TUPLE_BUDGET,
     QEulerSpec,
+    binomial_shift_sum,
     char_tuple_sum,
     qeuler_addition,
     qeuler_poly,
@@ -127,73 +134,47 @@ def _check_side_budget(d: int, first: int, r: int) -> None:
 
 
 def _role_argument(second: int, x: float, first: int, t: int) -> float:
-    # b*x + (b/a)*t held as an exact rational until the final conversion
-    return float(Fraction(x) * second + Fraction(second * t, first))
+    # b*x + (b/a)*t as one exact integer ratio; int true division rounds once
+    num, den = x.as_integer_ratio()
+    return second * (num * first + t * den) / (first * den)
 
 
-def _lfun_side(
-    chi: DirichletCharacter,
-    r: int,
-    s: complex,
-    x: float,
-    ctx: QContext,
-    first: int,
-    second: int,
-    epsilon: float,
-    max_terms: int,
-) -> complex:
+def _shifted_sum(inst: SymmetryInstance, first: int, second: int, prefactor: complex,
+                 term: Callable[[float, QContext], complex]) -> complex:
+    """[2]_{q^second}^r * prefactor * sum over totals t of the j-tuples below
+    d*first of w_t (-1)^t q^(second t) term(second x + (second/first) t, q^first)."""
+    chi, r, ctx = inst.chi, inst.r, inst.ctx
+    d = chi.modulus_d
+    _check_side_budget(d, first, r)
+    ctx_first = ctx.power(first)
+    weights = bounded_composition_sums(chi, r, d * first)
+    total = 0j
+    for t, w_t in enumerate(weights):
+        arg = _role_argument(second, inst.x, first, t)
+        total += w_t * (-1.0) ** t * ctx.q ** (second * t) * term(arg, ctx_first)
+    return q_bracket_two_pow(r, ctx.power(second)) * prefactor * total
+
+
+def _lfun_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
+               max_terms: int) -> complex:
     """One side of the l-function symmetry in roles (first, second)."""
-    d = chi.modulus_d
-    _check_side_budget(d, first, r)
-    ctx_first = ctx.power(first)
-    ctx_second = ctx.power(second)
-    weights = bounded_composition_sums(chi, r, d * first)
-    total = 0j
-    for t, w_t in enumerate(weights):
-        arg = _role_argument(second, x, first, t)
-        spec = LfunSpec.create(chi, r, s, arg, ctx_first, epsilon, max_terms)
-        total += w_t * (-1.0) ** t * ctx.q ** (second * t) * lfun_eval(spec)
-    bracket_pow = cmath.exp(complex(s) * math.log(q_number(second, ctx)))
-    return q_bracket_two_pow(r, ctx_second) * bracket_pow * total
+    bracket_pow = cmath.exp(complex(inst.s) * math.log(q_number(second, inst.ctx)))
+    return _shifted_sum(inst, first, second, bracket_pow, lambda arg, ctx_first: lfun_eval(
+        LfunSpec.create(inst.chi, inst.r, inst.s, arg, ctx_first, epsilon, max_terms)))
 
 
-def _poly_side(
-    chi: DirichletCharacter,
-    r: int,
-    n: int,
-    x: float,
-    ctx: QContext,
-    first: int,
-    second: int,
-    epsilon: float,
-    max_terms: int,
-) -> complex:
+def _poly_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
+               max_terms: int) -> complex:
     """One side of the polynomial symmetry in roles (first, second)."""
-    d = chi.modulus_d
-    _check_side_budget(d, first, r)
-    ctx_first = ctx.power(first)
-    ctx_second = ctx.power(second)
-    weights = bounded_composition_sums(chi, r, d * first)
-    total = 0j
-    for t, w_t in enumerate(weights):
-        arg = _role_argument(second, x, first, t)
-        spec = QEulerSpec.create(chi, r, n, arg, ctx_first, epsilon, max_terms)
-        total += w_t * (-1.0) ** t * ctx.q ** (second * t) * qeuler_poly(spec)
-    return q_bracket_two_pow(r, ctx_second) * q_number(first, ctx) ** n * total
+    bracket_pow = q_number(first, inst.ctx) ** inst.n
+    return _shifted_sum(inst, first, second, bracket_pow, lambda arg, ctx_first: qeuler_poly(
+        QEulerSpec.create(inst.chi, inst.r, inst.n, arg, ctx_first, epsilon, max_terms)))
 
 
-def _power_sum_side(
-    chi: DirichletCharacter,
-    r: int,
-    n: int,
-    x: float,
-    ctx: QContext,
-    first: int,
-    second: int,
-    epsilon: float,
-    max_terms: int,
-) -> complex:
+def _power_sum_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
+                    max_terms: int) -> complex:
     """One side of the power-sum expansion in roles (first, second)."""
+    chi, r, n, ctx = inst.chi, inst.r, inst.n, inst.ctx
     d = chi.modulus_d
     ctx_first = ctx.power(first)
     ctx_second = ctx.power(second)
@@ -201,7 +182,7 @@ def _power_sum_side(
     bracket_second = q_number(second, ctx)
     total = 0j
     for i in range(n + 1):
-        e_val = qeuler_value(chi, r, n - i, second * x, ctx_first, epsilon, max_terms)
+        e_val = qeuler_value(chi, r, n - i, second * inst.x, ctx_first, epsilon, max_terms)
         s_val = power_sum(chi, r, n, i, first * d, ctx_second)
         total += (
             comb(n, i)
@@ -213,8 +194,101 @@ def _power_sum_side(
     return q_bracket_two_pow(r, ctx_second) * total
 
 
-def _tolerance(rel_tol: float, lhs: complex, rhs: complex) -> float:
-    return rel_tol * max(abs(lhs), abs(rhs), 1.0)
+def _roles(side, mirrored: bool = False) -> Callable:
+    """A role-taking side evaluator in roles (a, b), or (b, a) when mirrored."""
+    if mirrored:
+        return lambda inst, epsilon, max_terms: side(inst, inst.b, inst.a, epsilon, max_terms)
+    return lambda inst, epsilon, max_terms: side(inst, inst.a, inst.b, epsilon, max_terms)
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One row of the identity table: the grid axes read after d, chi, r, q in
+    enumeration order ("ab" is the odd pair, the rest name SymmetryInstance
+    fields), the two sides as (inst, epsilon, max_terms) -> complex, and the
+    default relative tolerance."""
+
+    axes: tuple[str, ...]
+    lhs: Callable[[SymmetryInstance, float, int], complex]
+    rhs: Callable[[SymmetryInstance, float, int], complex]
+    rel_tol: float
+
+
+IDENTITIES = {
+    # l-function symmetry, x > 0 and complex exponent s
+    "T1": Identity(("ab", "s", "x"), _roles(_lfun_side), _roles(_lfun_side, True),
+                   DEFAULT_REL_TOL),
+    # polynomial symmetry at integer degree n
+    "T2": Identity(("ab", "n", "x"), _roles(_poly_side), _roles(_poly_side, True),
+                   DEFAULT_REL_TOL),
+    # power-sum symmetry: both orientations of the binomial expansion
+    "T3": Identity(("ab", "n", "x"), _roles(_power_sum_side),
+                   _roles(_power_sum_side, True), DEFAULT_REL_TOL),
+    # interpolation l(-n, x) = E_n(x)
+    "EQ4": Identity(("n", "x"),
+                    lambda i, eps, M: lfun_value(i.chi, i.r, complex(-i.n), i.x, i.ctx, eps, M),
+                    lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
+                    DEFAULT_INTERPOLATION_TOL),
+    # expansion of E_n(x) through the q-Euler numbers E_i(0)
+    "EQ5": Identity(("n", "x"),
+                    lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, 0.0, eps, M),
+                    lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
+                    DEFAULT_REL_TOL),
+    # shift expansion of E_n(x + y)
+    "EQ9": Identity(("n", "x", "y"),
+                    lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, i.y, eps, M),
+                    lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x + i.y, i.ctx, eps, M),
+                    DEFAULT_REL_TOL),
+    # bridge: polynomial form against power-sum form, roles (a, b) then (b, a)
+    "EQ12": Identity(("ab", "n", "x"), _roles(_poly_side), _roles(_power_sum_side),
+                     BRIDGE_REL_TOL),
+    "EQ13": Identity(("ab", "n", "x"), _roles(_poly_side, True),
+                     _roles(_power_sum_side, True), BRIDGE_REL_TOL),
+    # two-index shift symmetry between degrees m and n
+    "EQ15": Identity(("m", "n", "x", "y"),
+                     lambda i, eps, M: binomial_shift_sum(i.chi, i.r, i.ctx, i.m, i.n, i.x,
+                                                          i.y, eps, M),
+                     lambda i, eps, M: binomial_shift_sum(i.chi, i.r, i.ctx, i.n, i.m, -i.x,
+                                                          i.x + i.y, eps, M),
+                     DEFAULT_REL_TOL),
+}
+
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
+def _row(identity_id: str) -> Identity:
+    try:
+        return IDENTITIES[identity_id]
+    except KeyError:
+        raise DomainError(f"unknown identity id {identity_id!r}") from None
+
+
+def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
+          max_terms: int = DEFAULT_MAX_TERMS, rel_tol: float | None = None) -> IdentityReport:
+    """Check one identity at one instance: validate the axes its row reads,
+    evaluate both sides with series budget epsilon, and report them against
+    rel_tol (the row's default when None)."""
+    row = _row(identity_id)
+    if "ab" in row.axes:
+        inst.require_odd_pair()
+    if "s" in row.axes and inst.s is None:
+        raise DomainError(f"{identity_id} needs the exponent s")
+    for name in ("m", "n", "x", "y"):
+        value = getattr(inst, name)
+        if name in row.axes and (value is None or value < 0):
+            raise DomainError(f"{identity_id} needs a nonnegative {name}, got {value}")
+    lhs = row.lhs(inst, epsilon, max_terms)
+    rhs = row.rhs(inst, epsilon, max_terms)
+    record = inst.base_record()
+    for axis in row.axes:
+        if axis == "ab":
+            record |= {"a": inst.a, "b": inst.b}
+        elif axis == "s":
+            record["s"] = complex(inst.s)
+        else:
+            record[axis] = getattr(inst, axis)
+    rel = row.rel_tol if rel_tol is None else rel_tol
+    return make_report(identity_id, record, lhs, rhs, rel)
 
 
 def theorem1_sides(
@@ -224,21 +298,7 @@ def theorem1_sides(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> IdentityReport:
     """l-function symmetry: both sides at complex exponent inst.s, x > 0."""
-    inst.require_odd_pair()
-    if inst.s is None:
-        raise DomainError("theorem1_sides needs the exponent s")
-    if inst.x <= 0.0:
-        raise DomainError(f"x must be strictly positive, got {inst.x}")
-    start = time.perf_counter()
-    lhs = _lfun_side(inst.chi, inst.r, inst.s, inst.x, inst.ctx,
-                     inst.a, inst.b, epsilon, max_terms)
-    rhs = _lfun_side(inst.chi, inst.r, inst.s, inst.x, inst.ctx,
-                     inst.b, inst.a, epsilon, max_terms)
-    elapsed = time.perf_counter() - start
-    instance = inst.base_record() | {
-        "a": inst.a, "b": inst.b, "s": complex(inst.s), "x": inst.x,
-    }
-    return make_report("T1", instance, lhs, rhs, _tolerance(rel_tol, lhs, rhs), elapsed)
+    return check("T1", inst, epsilon, max_terms, rel_tol)
 
 
 def theorem2_sides(
@@ -248,19 +308,7 @@ def theorem2_sides(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> IdentityReport:
     """Polynomial symmetry at integer degree inst.n, x >= 0."""
-    inst.require_odd_pair()
-    if inst.n is None or inst.n < 0:
-        raise DomainError(f"theorem2_sides needs a nonnegative degree, got {inst.n}")
-    start = time.perf_counter()
-    lhs = _poly_side(inst.chi, inst.r, inst.n, inst.x, inst.ctx,
-                     inst.a, inst.b, epsilon, max_terms)
-    rhs = _poly_side(inst.chi, inst.r, inst.n, inst.x, inst.ctx,
-                     inst.b, inst.a, epsilon, max_terms)
-    elapsed = time.perf_counter() - start
-    instance = inst.base_record() | {
-        "a": inst.a, "b": inst.b, "n": inst.n, "x": inst.x,
-    }
-    return make_report("T2", instance, lhs, rhs, _tolerance(rel_tol, lhs, rhs), elapsed)
+    return check("T2", inst, epsilon, max_terms, rel_tol)
 
 
 def theorem3_sides(
@@ -270,19 +318,7 @@ def theorem3_sides(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> IdentityReport:
     """Power-sum symmetry: both orientations of the binomial expansion."""
-    inst.require_odd_pair()
-    if inst.n is None or inst.n < 0:
-        raise DomainError(f"theorem3_sides needs a nonnegative degree, got {inst.n}")
-    start = time.perf_counter()
-    lhs = _power_sum_side(inst.chi, inst.r, inst.n, inst.x, inst.ctx,
-                          inst.a, inst.b, epsilon, max_terms)
-    rhs = _power_sum_side(inst.chi, inst.r, inst.n, inst.x, inst.ctx,
-                          inst.b, inst.a, epsilon, max_terms)
-    elapsed = time.perf_counter() - start
-    instance = inst.base_record() | {
-        "a": inst.a, "b": inst.b, "n": inst.n, "x": inst.x,
-    }
-    return make_report("T3", instance, lhs, rhs, _tolerance(rel_tol, lhs, rhs), elapsed)
+    return check("T3", inst, epsilon, max_terms, rel_tol)
 
 
 def eq12_bridge(
@@ -298,22 +334,7 @@ def eq12_bridge(
     polynomial values into binomially weighted power sums.  With
     mirrored=True the roles of a and b are exchanged first, giving the
     mirror-orientation check."""
-    inst.require_odd_pair()
-    if inst.n is None or inst.n < 0:
-        raise DomainError(f"eq12_bridge needs a nonnegative degree, got {inst.n}")
-    first, second = (inst.b, inst.a) if mirrored else (inst.a, inst.b)
-    start = time.perf_counter()
-    lhs = _poly_side(inst.chi, inst.r, inst.n, inst.x, inst.ctx,
-                     first, second, epsilon, max_terms)
-    rhs = _power_sum_side(inst.chi, inst.r, inst.n, inst.x, inst.ctx,
-                          first, second, epsilon, max_terms)
-    elapsed = time.perf_counter() - start
-    instance = inst.base_record() | {
-        "a": inst.a, "b": inst.b, "n": inst.n, "x": inst.x,
-    }
-    identity_id = "EQ13" if mirrored else "EQ12"
-    return make_report(identity_id, instance, lhs, rhs,
-                       _tolerance(rel_tol, lhs, rhs), elapsed)
+    return check("EQ13" if mirrored else "EQ12", inst, epsilon, max_terms, rel_tol)
 
 
 def eq15_sides(
@@ -335,53 +356,8 @@ def eq15_sides(
 
     At x = 0 both sides collapse to E_{m+n}(y) through the same evaluation,
     so the residual vanishes identically."""
-    if m < 0 or n < 0:
-        raise DomainError(f"degrees must be nonnegative, got m={m}, n={n}")
-    if x < 0.0 or y < 0.0:
-        raise DomainError(f"arguments must be nonnegative, got x={x}, y={y}")
-    start = time.perf_counter()
-    bracket_x = q_number(x, ctx)
-    bracket_neg_x = q_number(-x, ctx)
-    lhs = 0j
-    for k in range(m + 1):
-        e_val = qeuler_value(chi, r, n + k, y, ctx, epsilon, max_terms)
-        lhs += comb(m, k) * ctx.q ** (k * x) * e_val * bracket_x ** (m - k)
-    rhs = 0j
-    for k in range(n + 1):
-        e_val = qeuler_value(chi, r, m + k, x + y, ctx, epsilon, max_terms)
-        rhs += comb(n, k) * ctx.q ** (-k * x) * e_val * bracket_neg_x ** (n - k)
-    elapsed = time.perf_counter() - start
-    instance = {
-        "d": chi.modulus_d, "chi": chi.label, "r": r, "q": ctx.q,
-        "m": m, "n": n, "x": x, "y": y,
-    }
-    return make_report("EQ15", instance, lhs, rhs,
-                       _tolerance(rel_tol, lhs, rhs), elapsed)
-
-
-def _addition_report(
-    inst: SymmetryInstance,
-    identity_id: str,
-    epsilon: float,
-    max_terms: int,
-    rel_tol: float,
-) -> IdentityReport:
-    """Shift expansion against direct evaluation; y = 0 gives the expansion
-    through the q-Euler numbers."""
-    if inst.n is None or inst.n < 0:
-        raise DomainError(f"{identity_id} needs a nonnegative degree, got {inst.n}")
-    y = 0.0 if identity_id == "EQ5" else inst.y
-    start = time.perf_counter()
-    lhs = qeuler_addition(inst.chi, inst.r, inst.n, inst.ctx, inst.x, y,
-                          epsilon, max_terms)
-    rhs = qeuler_value(inst.chi, inst.r, inst.n, inst.x + y, inst.ctx,
-                       epsilon, max_terms)
-    elapsed = time.perf_counter() - start
-    instance = inst.base_record() | {"n": inst.n, "x": inst.x}
-    if identity_id == "EQ9":
-        instance["y"] = y
-    return make_report(identity_id, instance, lhs, rhs,
-                       _tolerance(rel_tol, lhs, rhs), elapsed)
+    inst = SymmetryInstance(chi=chi, r=r, ctx=ctx, m=m, n=n, x=x, y=y)
+    return check("EQ15", inst, epsilon, max_terms, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -399,76 +375,29 @@ class SweepGrid:
     m_values: tuple[int, ...] = (0,)
     x_values: tuple[float, ...] = (1.0,)
     y_values: tuple[float, ...] = (0.0,)
-    tol: float = 1e-9
 
 
-def _grid_instances(identity_id: str, grid: SweepGrid):
-    """Deterministic enumeration: d, chi, r, q, (a, b), degree axes, x, y."""
-    uses_ab = identity_id in ("T1", "T2", "T3", "EQ12", "EQ13")
-    uses_y = identity_id in ("EQ9", "EQ15")
+def _grid_instances(row: Identity, grid: SweepGrid):
+    """Deterministic enumeration: d, chi, r, q, then the row's axes in order."""
+    values = {"ab": grid.ab_pairs, "s": grid.s_values, "m": grid.m_values,
+              "n": grid.n_values, "x": grid.x_values, "y": grid.y_values}
     for d in grid.d_values:
         group = build_character_group(d)
         labels = grid.chi_labels if grid.chi_labels is not None else range(len(group))
-        for label in labels:
-            chi = group[label]
-            for r in grid.r_values:
-                for q in grid.q_values:
-                    ctx = QContext(q, grid.tol)
-                    ab_list = grid.ab_pairs if uses_ab else ((1, 1),)
-                    for a, b in ab_list:
-                        if identity_id == "T1":
-                            degree_axis = [("s", s) for s in grid.s_values]
-                        elif identity_id == "EQ15":
-                            degree_axis = [("mn", (m, n)) for m in grid.m_values
-                                           for n in grid.n_values]
-                        else:
-                            degree_axis = [("n", n) for n in grid.n_values]
-                        for kind, value in degree_axis:
-                            for x in grid.x_values:
-                                y_list = grid.y_values if uses_y else (0.0,)
-                                for y in y_list:
-                                    kwargs = dict(chi=chi, r=r, ctx=ctx,
-                                                  a=a, b=b, x=x, y=y)
-                                    if kind == "s":
-                                        kwargs["s"] = complex(value)
-                                    elif kind == "mn":
-                                        kwargs["m"], kwargs["n"] = value
-                                    else:
-                                        kwargs["n"] = value
-                                    yield SymmetryInstance(**kwargs)
+        contexts = [QContext(q) for q in grid.q_values]
+        for label, r, ctx, *point in itertools.product(
+            labels, grid.r_values, contexts, *(values[axis] for axis in row.axes)
+        ):
+            fields = dict(zip(row.axes, point))
+            if "ab" in fields:
+                fields["a"], fields["b"] = fields.pop("ab")
+            yield SymmetryInstance(chi=group[label], r=r, ctx=ctx, **fields)
 
 
-def _evaluate_instance(
-    identity_id: str,
-    inst: SymmetryInstance,
-    epsilon: float,
-    max_terms: int,
-    rel_tol: float | None,
-) -> IdentityReport:
-    rel = rel_tol if rel_tol is not None else (
-        BRIDGE_REL_TOL if identity_id in ("EQ12", "EQ13") else DEFAULT_REL_TOL
-    )
+def _evaluate_instance(identity_id: str, inst: SymmetryInstance, epsilon: float,
+                       max_terms: int, rel_tol: float | None) -> IdentityReport:
     try:
-        if identity_id == "T1":
-            return theorem1_sides(inst, epsilon, max_terms, rel)
-        if identity_id == "T2":
-            return theorem2_sides(inst, epsilon, max_terms, rel)
-        if identity_id == "T3":
-            return theorem3_sides(inst, epsilon, max_terms, rel)
-        if identity_id == "EQ12":
-            return eq12_bridge(inst, epsilon, max_terms, rel, mirrored=False)
-        if identity_id == "EQ13":
-            return eq12_bridge(inst, epsilon, max_terms, rel, mirrored=True)
-        if identity_id == "EQ4":
-            tol = rel_tol if rel_tol is not None else 1e-8
-            return verify_interpolation(inst.chi, inst.r, inst.n, inst.x,
-                                        inst.ctx, tol, max_terms)
-        if identity_id in ("EQ5", "EQ9"):
-            return _addition_report(inst, identity_id, epsilon, max_terms, rel)
-        if identity_id == "EQ15":
-            return eq15_sides(inst.chi, inst.r, inst.m, inst.n, inst.x, inst.y,
-                              inst.ctx, epsilon, max_terms, rel)
-        raise DomainError(f"unknown identity id {identity_id!r}")
+        return check(identity_id, inst, epsilon, max_terms, rel_tol)
     except (DomainError, ParityViolation, BudgetExceeded) as exc:
         record = inst.base_record() | {"a": inst.a, "b": inst.b}
         if inst.n is not None:
@@ -478,7 +407,7 @@ def _evaluate_instance(
         if inst.m is not None:
             record["m"] = inst.m
         record["x"] = inst.x
-        return make_error_report(identity_id, record, 0.0, exc)
+        return make_error_report(identity_id, record, exc)
 
 
 def run_suite(
@@ -493,16 +422,12 @@ def run_suite(
 
     Instances are independent pure evaluations, so they may run on several
     threads; reports always come back in enumeration order and per-instance
-    errors are recorded in place rather than aborting the sweep."""
-    instances = list(_grid_instances(identity_id, grid))
+    errors are recorded in place rather than aborting the sweep.  An unknown
+    identity id raises DomainError before anything is enumerated."""
+    instances = list(_grid_instances(_row(identity_id), grid))
+    evaluate = partial(_evaluate_instance, identity_id, epsilon=epsilon,
+                       max_terms=max_terms, rel_tol=rel_tol)
     if workers > 1 and len(instances) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda inst: _evaluate_instance(identity_id, inst, epsilon,
-                                                max_terms, rel_tol),
-                instances,
-            ))
-    return [
-        _evaluate_instance(identity_id, inst, epsilon, max_terms, rel_tol)
-        for inst in instances
-    ]
+            return list(pool.map(evaluate, instances))
+    return [evaluate(inst) for inst in instances]

@@ -16,14 +16,12 @@ polynomials: l_r(-n, x | chi) = E_n(x).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import DirichletCharacter, conv_power
 from .errors import DomainError
-from .polynomials import QEulerSpec, qeuler_poly
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
@@ -34,7 +32,7 @@ from .qnum import (
     q_bracket_two_pow,
     q_number,
 )
-from .report import IdentityReport, make_report
+from .report import IdentityReport
 
 DEFAULT_INTERPOLATION_TOL = 1e-8
 
@@ -91,7 +89,7 @@ def lfun_eval(spec: LfunSpec) -> complex:
     M = spec.plan.cutoff_M
     if M == 0:
         return 0j
-    coeffs = conv_power(spec.chi, spec.r, M).coeffs
+    coeffs = conv_power(spec.chi, spec.r, M)
     log_brackets = np.log(q_number(np.arange(M) + spec.x, spec.ctx))
     weights = np.exp(-spec.s * log_brackets)
     series = alternating_weighted_sum(coeffs, weights, spec.ctx)
@@ -120,21 +118,10 @@ def verify_interpolation(
     epsilon: float = DEFAULT_INTERPOLATION_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> IdentityReport:
-    """Check l_r(-n, x | chi) against E_n(x); passes when the absolute gap is
-    at most epsilon.  Both sides use series budgets well below epsilon."""
-    if n < 0:
-        raise DomainError(f"degree n must be nonnegative, got {n}")
-    series_eps = min(DEFAULT_EPSILON, epsilon / 10.0)
-    start = time.perf_counter()
-    lhs = lfun_value(chi, r, complex(-n), x, ctx, series_eps, max_terms)
-    rhs = qeuler_poly(QEulerSpec.create(chi, r, n, x, ctx, series_eps, max_terms))
-    elapsed = time.perf_counter() - start
-    instance = {
-        "d": chi.modulus_d,
-        "chi": chi.label,
-        "r": r,
-        "q": ctx.q,
-        "n": n,
-        "x": x,
-    }
-    return make_report("EQ4", instance, lhs, rhs, epsilon, elapsed)
+    """Check l_r(-n, x | chi) against E_n(x); passes when the gap is at most
+    epsilon * max(|l|, |E|, 1).  Both sides use series budgets well below
+    epsilon.  This is identity EQ4 of the identity table at one instance."""
+    from .identities import SymmetryInstance, check  # identities imports this module
+
+    inst = SymmetryInstance(chi=chi, r=r, ctx=ctx, n=n, x=x)
+    return check("EQ4", inst, min(DEFAULT_EPSILON, epsilon / 10.0), max_terms, epsilon)

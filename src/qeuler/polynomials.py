@@ -79,7 +79,7 @@ def qeuler_poly(spec: QEulerSpec) -> complex:
     M = spec.plan.cutoff_M
     if M == 0:
         return 0j
-    coeffs = conv_power(spec.chi, spec.r, M).coeffs
+    coeffs = conv_power(spec.chi, spec.r, M)
     brackets = q_number(np.arange(M) + spec.x, spec.ctx)
     series = alternating_weighted_sum(coeffs, brackets ** spec.n, spec.ctx)
     return q_bracket_two_pow(spec.r, spec.ctx) * series
@@ -168,9 +168,17 @@ def qeuler_addition(
     """
     if x < 0.0 or y < 0.0:
         raise DomainError(f"arguments must be nonnegative, got x={x}, y={y}")
-    bracket_x = q_number(x, ctx)
+    return binomial_shift_sum(chi, r, ctx, n, 0, x, y, epsilon, max_terms)
+
+
+def binomial_shift_sum(chi: DirichletCharacter, r: int, ctx: QContext, top: int, base: int,
+                       shift: float, arg: float, epsilon: float = DEFAULT_EPSILON,
+                       max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+    """sum_{k<=top} binom(top,k) q^(k shift) E_{base+k}(arg) [shift]_q^(top-k),
+    the sum behind the shift expansion and the two-index symmetry."""
+    bracket = q_number(shift, ctx)
     total = 0j
-    for i in range(n + 1):
-        term = qeuler_value(chi, r, i, y, ctx, epsilon, max_terms)
-        total += comb(n, i) * ctx.q ** (x * i) * term * bracket_x ** (n - i)
+    for k in range(top + 1):
+        term = qeuler_value(chi, r, base + k, arg, ctx, epsilon, max_terms)
+        total += comb(top, k) * ctx.q ** (k * shift) * term * bracket ** (top - k)
     return total

@@ -19,14 +19,13 @@ import numpy as np
 
 from .errors import DomainError, PlanInfeasible
 
-DEFAULT_TOL = 1e-9
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
 
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameter q strictly inside (0,1) plus a comparison tolerance.
+    """Deformation parameter q strictly inside (0,1).
 
     q is kept real: principal powers q^x are then unambiguous for every real x
     and the bracket [m+x]_q stays positive for m + x > 0, so no branch choices
@@ -34,19 +33,16 @@ class QContext:
     """
 
     q: float
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must lie strictly inside (0,1), got {self.q}")
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
 
     def power(self, a: int) -> QContext:
         """Derived context with q replaced by q^a (a positive integer)."""
         if a < 1:
             raise DomainError(f"deformation exponent must be a positive integer, got {a}")
-        return QContext(self.q ** a, self.tol)
+        return QContext(self.q ** a)
 
 
 def q_number(x, ctx: QContext):

@@ -4,16 +4,13 @@ A report captures one identity checked at one parameter point: both evaluated
 sides, the absolute residual, the tolerance in force, and the verdict.  JSON
 output is reproducible byte for byte: fields appear in fixed order, floats use
 shortest round-trip formatting (at most 17 significant digits), and complex
-numbers are emitted as [re, im] pairs.  Wall-clock timings stay in memory
-only, never in the serialized form.
+numbers are emitted as [re, im] pairs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-IDENTITY_IDS = ("T1", "T2", "T3", "EQ4", "EQ5", "EQ9", "EQ12", "EQ13", "EQ15")
 
 
 def _encode(value):
@@ -33,7 +30,6 @@ class IdentityReport:
     residual: float | None
     tolerance: float
     passed: bool
-    elapsed: float = 0.0
     error: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -53,10 +49,13 @@ class IdentityReport:
 
 
 def make_report(identity_id: str, instance: dict, lhs: complex, rhs: complex,
-                tolerance: float, elapsed: float = 0.0) -> IdentityReport:
+                rel_tol: float) -> IdentityReport:
     """Assemble a report from two evaluated sides (coerced to plain Python
-    scalars so serialization never sees numpy types)."""
-    lhs, rhs, tolerance = complex(lhs), complex(rhs), float(tolerance)
+    scalars so serialization never sees numpy types).  The tolerance is
+    rel_tol * max(|lhs|, |rhs|, 1): relative for large sides, absolute below
+    magnitude one."""
+    lhs, rhs = complex(lhs), complex(rhs)
+    tolerance = float(rel_tol * max(abs(lhs), abs(rhs), 1.0))
     residual = abs(lhs - rhs)
     return IdentityReport(
         identity_id=identity_id,
@@ -66,12 +65,11 @@ def make_report(identity_id: str, instance: dict, lhs: complex, rhs: complex,
         residual=residual,
         tolerance=tolerance,
         passed=bool(residual <= tolerance),
-        elapsed=elapsed,
     )
 
 
-def make_error_report(identity_id: str, instance: dict, tolerance: float,
-                      error: Exception, elapsed: float = 0.0) -> IdentityReport:
+def make_error_report(identity_id: str, instance: dict,
+                      error: Exception) -> IdentityReport:
     """Record a per-instance failure without aborting the surrounding sweep."""
     return IdentityReport(
         identity_id=identity_id,
@@ -79,20 +77,14 @@ def make_error_report(identity_id: str, instance: dict, tolerance: float,
         lhs=None,
         rhs=None,
         residual=None,
-        tolerance=tolerance,
+        tolerance=0.0,
         passed=False,
-        elapsed=elapsed,
         error=f"{type(error).__name__}: {error}",
     )
 
 
 def reports_to_json_lines(reports: list[IdentityReport]) -> str:
     return "\n".join(r.to_json_line() for r in reports)
-
-
-def parse_json_line(line: str) -> dict:
-    """Inverse of to_json_line at the dict level (complex stays [re, im])."""
-    return json.loads(line)
 
 
 def suite_passed(reports: list[IdentityReport]) -> bool:

@@ -76,24 +76,38 @@ def test_eval_qeuler_value(capsys):
 
 
 def test_eval_lfun_accepts_complex_exponent(capsys):
+    # a negative real part works as a separate value as well as with "="
+    for s_args, expected in ((["--s", "1,1"], [1.0, 1.0]),
+                             (["--s", "-0.5,0.5"], [-0.5, 0.5]),
+                             (["--s=-0.5,0.5"], [-0.5, 0.5])):
+        code, out, _ = run_cli(capsys, [
+            "eval-lfun", "--d", "3", "--chi", "1", "--r", "1", "--q", "0.5",
+            *s_args, "--x", "1", "--output", "json",
+        ])
+        assert code == 0, s_args
+        record = json.loads(out)
+        assert record["s"] == expected
     code, out, _ = run_cli(capsys, [
-        "eval-lfun", "--d", "3", "--chi", "1", "--r", "1", "--q", "0.5",
-        "--s", "1,1", "--x", "1", "--output", "json",
+        "verify", "--identity", "T1", "--d", "3", "--chi", "1", "--q", "0.5",
+        "--a", "1", "--b", "3", "--s", "-1.5,0.5", "--x", "1", "--output", "json",
     ])
     assert code == 0
-    record = json.loads(out)
-    assert record["s"] == [1.0, 1.0]
+    assert json.loads(out)["instance"]["s"] == [-1.5, 0.5]
 
 
 def test_verify_interpolation_passes(capsys):
-    code, out, _ = run_cli(capsys, [
-        "verify", "--identity", "EQ4", "--d", "1", "--r", "1", "--q", "0.5",
-        "--n-max", "8", "--x", "1", "--output", "json",
-    ])
-    assert code == 0
-    reports = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(reports) == 9
-    assert all(r["pass"] for r in reports)
+    # the second call has sides far above one: the tolerance scales with them
+    for argv, count in ((["--d", "1", "--r", "1", "--q", "0.5", "--n-max", "8",
+                          "--x", "1"], 9),
+                        (["--d", "45", "--r", "3", "--q", "0.9", "--n-max", "9",
+                          "--x", "1.5", "--chi", "0"], 10)):
+        code, out, _ = run_cli(capsys, [
+            "verify", "--identity", "EQ4", *argv, "--output", "json",
+        ])
+        assert code == 0, argv
+        reports = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(reports) == count
+        assert all(r["pass"] for r in reports)
 
 
 def test_verify_failure_exits_1(capsys):

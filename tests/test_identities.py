@@ -1,8 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qeuler import (
     BudgetExceeded,
@@ -23,6 +26,7 @@ from qeuler import (
     theorem3_sides,
 )
 from qeuler.characters import bounded_composition_sums
+from qeuler.identities import _role_argument
 from qeuler.report import reports_to_json_lines
 
 
@@ -83,6 +87,17 @@ def test_power_sum_validation(groups, ctx):
         power_sum(chi, 1, 2, 1, 0, ctx)
     with pytest.raises(BudgetExceeded):
         power_sum(chi, 3, 2, 1, 10 ** 4, ctx)
+
+
+@given(
+    x=st.floats(min_value=0.0, max_value=1e6),
+    a=st.integers(min_value=0, max_value=7).map(lambda k: 2 * k + 1),
+    b=st.integers(min_value=0, max_value=7).map(lambda k: 2 * k + 1),
+    t=st.integers(min_value=0, max_value=500),
+)
+def test_role_argument_is_the_correctly_rounded_rational(x, a, b, t):
+    # b*x + (b/a)*t computed exactly, then rounded once
+    assert _role_argument(b, x, a, t) == float(Fraction(x) * b + Fraction(b * t, a))
 
 
 def test_equal_parameters_are_bitwise_exact(groups, ctx):
@@ -260,6 +275,10 @@ def test_run_suite_dispatches_every_identity(groups):
         assert len(reports) == 2, identity_id
         assert suite_passed(reports), (identity_id, [r.residual for r in reports])
         assert all(r.identity_id == identity_id for r in reports)
+    # an unknown id is refused before the grid is enumerated (d = 4 would
+    # raise NotOdd, which is not a DomainError)
+    with pytest.raises(DomainError, match="unknown identity"):
+        run_suite("EQ99", SweepGrid(d_values=(4,), q_values=(0.5,)))
 
 
 def test_residuals_do_not_degrade_with_tighter_budgets(groups, ctx):
