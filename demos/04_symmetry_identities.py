@@ -48,7 +48,7 @@ grid = SweepGrid(
 
 print("\nsweeps:")
 for identity in ("T1", "T2", "T3", "EQ12", "EQ13", "EQ4", "EQ5", "EQ9", "EQ15"):
-    reports = run_suite(identity, grid, workers=4)
+    reports = run_suite(identity, grid)
     worst = max((r.residual for r in reports if r.residual is not None), default=0.0)
     status = "all passed" if suite_passed(reports) else "FAILURES"
     print(f"  {identity:<5} {len(reports):>4} instances  worst residual {worst:.2e}  {status}")

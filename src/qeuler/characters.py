@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NegativeArgument, NotOdd, Overflow
+from .errors import BudgetExceeded, DomainError, NegativeArgument, NotOdd, Overflow
 
 DEFAULT_MODULUS_BOUND = 10 ** 6
+CONVOLUTION_BUDGET = 10 ** 8
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -212,12 +213,21 @@ def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.
 
     Returns the full coefficient vector of (sum_{j < upper} chi(j) z^j)^r,
     length r*(upper-1) + 1; entry t aggregates chi(j_1)...chi(j_r) over all
-    r-tuples with j_1 + ... + j_r = t and 0 <= j_l < upper.
+    r-tuples with j_1 + ... + j_r = t and 0 <= j_l < upper.  Raises
+    BudgetExceeded when the r-1 direct convolutions would take more than
+    CONVOLUTION_BUDGET multiply-adds.
     """
     if r < 1:
         raise DomainError(f"order r must be a positive integer, got {r}")
     if upper < 1:
         raise DomainError(f"upper limit must be positive, got {upper}")
+    # fold i convolves a length i*(upper-1)+1 vector with one of length upper
+    macs = sum((i * (upper - 1) + 1) * upper for i in range(1, r))
+    if macs > CONVOLUTION_BUDGET:
+        raise BudgetExceeded(
+            f"{r}-part composition sums below {upper} take {macs:g} multiply-adds, "
+            f"over the budget {CONVOLUTION_BUDGET:g}"
+        )
     base = chi.periodic_values(upper)
     out = base.copy()
     for _ in range(r - 1):

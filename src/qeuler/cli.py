@@ -15,12 +15,13 @@ max(|lhs|, |rhs|, 1), tol being --tolerance or the identity's default (1e-7;
 
 Exit codes: 0 success or all instances passed, 1 at least one identity
 instance failed, 2 invalid usage, 3 numeric infeasibility (no certified
-truncation within the term budget, or an enumeration budget overrun).
+truncation within the term budget, a weight bound that is not a finite
+double, or a work budget overrun).
 
 Output is reproducible byte for byte for a fixed argv: JSON uses shortest
-round-trip float formatting and fixed field order.  QEULER_THREADS caps the
-number of worker threads used by verify sweeps (default: machine parallelism);
-the report order never depends on scheduling.
+round-trip float formatting and fixed field order.  verify runs on one
+thread; QEULER_THREADS is still validated (a positive integer, else exit 2)
+but no longer read.
 """
 
 from __future__ import annotations
@@ -256,9 +257,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         x_values=(args.x,),
         y_values=(args.y,),
     )
-    workers = _worker_count()
+    _check_thread_env()
     reports = run_suite(args.identity, grid, args.epsilon, args.max_terms,
-                        rel_tol=args.tolerance, workers=workers)
+                        rel_tol=args.tolerance)
     if args.output == "json":
         text = reports_to_json_lines(reports)
     elif args.output == "csv":
@@ -288,17 +289,18 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if suite_passed(reports) else 1
 
 
-def _worker_count() -> int:
+def _check_thread_env() -> None:
+    """QEULER_THREADS, when set, must be a positive integer; verify runs on
+    one thread whatever its value."""
     raw = os.environ.get("QEULER_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return
     try:
         count = int(raw)
     except ValueError:
         raise UsageError(f"QEULER_THREADS must be an integer, got {raw!r}")
     if count < 1:
         raise UsageError(f"QEULER_THREADS must be at least 1, got {count}")
-    return count
 
 
 def run(args: argparse.Namespace) -> int:

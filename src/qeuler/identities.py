@@ -32,9 +32,7 @@ import cmath
 import itertools
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 
 import numpy as np
@@ -45,20 +43,19 @@ from .characters import (
     build_character_group,
 )
 from .errors import BudgetExceeded, DomainError, ParityViolation
-from .lfun import DEFAULT_INTERPOLATION_TOL, LfunSpec, lfun_eval, lfun_value
+from .lfun import DEFAULT_INTERPOLATION_TOL, lfun_value, lfun_values
 from .polynomials import (
-    TUPLE_BUDGET,
-    QEulerSpec,
     binomial_shift_sum,
     char_tuple_sum,
     qeuler_addition,
-    qeuler_poly,
+    qeuler_table,
     qeuler_value,
 )
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
     QContext,
+    check_series_budget,
     q_bracket_two_pow,
     q_number,
 )
@@ -68,14 +65,8 @@ DEFAULT_REL_TOL = 1e-7
 BRIDGE_REL_TOL = 1e-8
 
 
-def power_sum(
-    chi: DirichletCharacter,
-    r: int,
-    n: int,
-    i: int,
-    upper_a: int,
-    ctx: QContext,
-) -> complex:
+def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
+              ctx: QContext) -> complex:
     """Alternating character power sum
 
         S_{n,i}(upper_a | chi) = sum over r-tuples j in [0, upper_a)^r of
@@ -85,13 +76,20 @@ def power_sum(
     at |j| = 0, i = 0.  Requires 0 <= i <= n."""
     if not 0 <= i <= n:
         raise DomainError(f"need 0 <= i <= n, got i={i}, n={n}")
+    return _power_sums(chi, r, n, [i], upper_a, ctx)[0]
+
+
+def _power_sums(chi: DirichletCharacter, r: int, n: int, indices, upper_a: int,
+                ctx: QContext) -> list[complex]:
+    """S_{n,i}(upper_a | chi) for every i in indices, one enumeration for all."""
     if upper_a < 1:
         raise DomainError(f"upper limit must be positive, got {upper_a}")
     totals = np.arange(r * (upper_a - 1) + 1)
     signs = 1.0 - 2.0 * (totals % 2)
-    weights = signs * ctx.q ** ((n - i + 1) * totals) * q_number(totals, ctx) ** i
-    chiv = chi.periodic_values(upper_a)
-    return char_tuple_sum(chiv, weights, r)
+    brackets = q_number(totals, ctx)
+    weights = np.array([signs * ctx.q ** ((n - i + 1) * totals) * brackets ** i
+                        for i in indices])
+    return char_tuple_sum(chi.periodic_values(upper_a), weights, r)
 
 
 @dataclass(frozen=True)
@@ -126,13 +124,6 @@ class SymmetryInstance:
         }
 
 
-def _check_side_budget(d: int, first: int, r: int) -> None:
-    if (d * first) ** r > TUPLE_BUDGET:
-        raise BudgetExceeded(
-            f"side evaluation over ({d}*{first})^{r} tuples exceeds the budget"
-        )
-
-
 def _role_argument(second: int, x: float, first: int, t: int) -> float:
     # b*x + (b/a)*t as one exact integer ratio; int true division rounds once
     num, den = x.as_integer_ratio()
@@ -140,18 +131,18 @@ def _role_argument(second: int, x: float, first: int, t: int) -> float:
 
 
 def _shifted_sum(inst: SymmetryInstance, first: int, second: int, prefactor: complex,
-                 term: Callable[[float, QContext], complex]) -> complex:
+                 terms: Callable[[list[float], QContext], list[complex]]) -> complex:
     """[2]_{q^second}^r * prefactor * sum over totals t of the j-tuples below
-    d*first of w_t (-1)^t q^(second t) term(second x + (second/first) t, q^first)."""
+    d*first of w_t (-1)^t q^(second t) T_t, where terms evaluates every
+    T_t = term(second x + (second/first) t) at q^first in one batch."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
-    d = chi.modulus_d
-    _check_side_budget(d, first, r)
-    ctx_first = ctx.power(first)
-    weights = bounded_composition_sums(chi, r, d * first)
+    upper = chi.modulus_d * first
+    check_series_budget(r * (upper - 1) + 1, 1)  # each total t is a row of the batch
+    weights = bounded_composition_sums(chi, r, upper)
+    args = [_role_argument(second, inst.x, first, t) for t in range(len(weights))]
     total = 0j
-    for t, w_t in enumerate(weights):
-        arg = _role_argument(second, inst.x, first, t)
-        total += w_t * (-1.0) ** t * ctx.q ** (second * t) * term(arg, ctx_first)
+    for t, (w_t, term) in enumerate(zip(weights, terms(args, ctx.power(first)))):
+        total += w_t * (-1.0) ** t * ctx.q ** (second * t) * term
     return q_bracket_two_pow(r, ctx.power(second)) * prefactor * total
 
 
@@ -159,31 +150,31 @@ def _lfun_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
                max_terms: int) -> complex:
     """One side of the l-function symmetry in roles (first, second)."""
     bracket_pow = cmath.exp(complex(inst.s) * math.log(q_number(second, inst.ctx)))
-    return _shifted_sum(inst, first, second, bracket_pow, lambda arg, ctx_first: lfun_eval(
-        LfunSpec.create(inst.chi, inst.r, inst.s, arg, ctx_first, epsilon, max_terms)))
+    return _shifted_sum(inst, first, second, bracket_pow, lambda args, ctx_first: lfun_values(
+        inst.chi, inst.r, inst.s, args, ctx_first, epsilon, max_terms))
 
 
 def _poly_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
                max_terms: int) -> complex:
     """One side of the polynomial symmetry in roles (first, second)."""
     bracket_pow = q_number(first, inst.ctx) ** inst.n
-    return _shifted_sum(inst, first, second, bracket_pow, lambda arg, ctx_first: qeuler_poly(
-        QEulerSpec.create(inst.chi, inst.r, inst.n, arg, ctx_first, epsilon, max_terms)))
+    return _shifted_sum(inst, first, second, bracket_pow, lambda args, ctx_first: [
+        row[0] for row in qeuler_table(inst.chi, inst.r, args, [inst.n], ctx_first, epsilon,
+                                       max_terms)])
 
 
 def _power_sum_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
                     max_terms: int) -> complex:
     """One side of the power-sum expansion in roles (first, second)."""
     chi, r, n, ctx = inst.chi, inst.r, inst.n, inst.ctx
-    d = chi.modulus_d
-    ctx_first = ctx.power(first)
     ctx_second = ctx.power(second)
     bracket_first = q_number(first, ctx)
     bracket_second = q_number(second, ctx)
+    e_vals = qeuler_table(chi, r, [second * inst.x], range(n, -1, -1), ctx.power(first),
+                          epsilon, max_terms)[0]
+    s_vals = _power_sums(chi, r, n, range(n + 1), first * chi.modulus_d, ctx_second)
     total = 0j
-    for i in range(n + 1):
-        e_val = qeuler_value(chi, r, n - i, second * inst.x, ctx_first, epsilon, max_terms)
-        s_val = power_sum(chi, r, n, i, first * d, ctx_second)
+    for i, (e_val, s_val) in enumerate(zip(e_vals, s_vals)):
         total += (
             comb(n, i)
             * bracket_first ** (n - i)
@@ -291,43 +282,30 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
     return make_report(identity_id, record, lhs, rhs, rel)
 
 
-def theorem1_sides(
-    inst: SymmetryInstance,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> IdentityReport:
+def theorem1_sides(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
+                   max_terms: int = DEFAULT_MAX_TERMS,
+                   rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """l-function symmetry: both sides at complex exponent inst.s, x > 0."""
     return check("T1", inst, epsilon, max_terms, rel_tol)
 
 
-def theorem2_sides(
-    inst: SymmetryInstance,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> IdentityReport:
+def theorem2_sides(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
+                   max_terms: int = DEFAULT_MAX_TERMS,
+                   rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """Polynomial symmetry at integer degree inst.n, x >= 0."""
     return check("T2", inst, epsilon, max_terms, rel_tol)
 
 
-def theorem3_sides(
-    inst: SymmetryInstance,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> IdentityReport:
+def theorem3_sides(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
+                   max_terms: int = DEFAULT_MAX_TERMS,
+                   rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """Power-sum symmetry: both orientations of the binomial expansion."""
     return check("T3", inst, epsilon, max_terms, rel_tol)
 
 
-def eq12_bridge(
-    inst: SymmetryInstance,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    rel_tol: float = BRIDGE_REL_TOL,
-    mirrored: bool = False,
-) -> IdentityReport:
+def eq12_bridge(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
+                max_terms: int = DEFAULT_MAX_TERMS, rel_tol: float = BRIDGE_REL_TOL,
+                mirrored: bool = False) -> IdentityReport:
     """Polynomial form against power-sum form in one orientation.
 
     This validates the rearrangement that converts the j-sum of shifted
@@ -337,18 +315,10 @@ def eq12_bridge(
     return check("EQ13" if mirrored else "EQ12", inst, epsilon, max_terms, rel_tol)
 
 
-def eq15_sides(
-    chi: DirichletCharacter,
-    r: int,
-    m: int,
-    n: int,
-    x: float,
-    y: float,
-    ctx: QContext,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> IdentityReport:
+def eq15_sides(chi: DirichletCharacter, r: int, m: int, n: int, x: float, y: float,
+               ctx: QContext, epsilon: float = DEFAULT_EPSILON,
+               max_terms: int = DEFAULT_MAX_TERMS,
+               rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """Two-index shift symmetry between degrees m and n:
 
         sum_{k<=m} binom(m,k) q^(kx) E_{n+k}(y) [x]_q^(m-k)
@@ -410,24 +380,14 @@ def _evaluate_instance(identity_id: str, inst: SymmetryInstance, epsilon: float,
         return make_error_report(identity_id, record, exc)
 
 
-def run_suite(
-    identity_id: str,
-    grid: SweepGrid,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    rel_tol: float | None = None,
-    workers: int = 1,
-) -> list[IdentityReport]:
-    """Evaluate one identity over the whole grid.
+def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILON,
+              max_terms: int = DEFAULT_MAX_TERMS,
+              rel_tol: float | None = None) -> list[IdentityReport]:
+    """Evaluate one identity over the whole grid, one instance after another.
 
-    Instances are independent pure evaluations, so they may run on several
-    threads; reports always come back in enumeration order and per-instance
-    errors are recorded in place rather than aborting the sweep.  An unknown
-    identity id raises DomainError before anything is enumerated."""
-    instances = list(_grid_instances(_row(identity_id), grid))
-    evaluate = partial(_evaluate_instance, identity_id, epsilon=epsilon,
-                       max_terms=max_terms, rel_tol=rel_tol)
-    if workers > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, instances))
-    return [evaluate(inst) for inst in instances]
+    Reports come back in enumeration order and per-instance errors are
+    recorded in place rather than aborting the sweep.  An unknown identity id
+    raises DomainError before anything is enumerated."""
+    row = _row(identity_id)
+    return [_evaluate_instance(identity_id, inst, epsilon, max_terms, rel_tol)
+            for inst in _grid_instances(row, grid)]

@@ -20,16 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import DirichletCharacter, conv_power
-from .errors import DomainError
+from .characters import DirichletCharacter
+from .errors import DomainError, PlanInfeasible
+from .polynomials import series_table
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
     QContext,
     TruncationPlan,
-    alternating_weighted_sum,
+    plan_cutoffs,
     plan_truncation_weighted,
-    q_bracket_two_pow,
     q_number,
 )
 from .report import IdentityReport
@@ -43,13 +43,22 @@ def power_weight_bound(ctx: QContext, x: float, s: complex) -> float:
     With L = ln [m+x]_q confined to [ln [x]_q, ln (1/(1-q))],
 
         |[m+x]_q^(-s)| = exp(-Re(s) L) <= exp(|Re s| max|L| + |Im s| pi).
+
+    Raises PlanInfeasible when the bound is not a finite double: [x]_q
+    underflows to zero, or the exponential overflows.
     """
     if x <= 0.0:
         raise DomainError(f"x must be strictly positive, got {x}")
-    log_low = math.log(q_number(x, ctx))
-    log_high = math.log(1.0 / (1.0 - ctx.q))
-    log_mag = max(abs(log_low), abs(log_high))
-    return math.exp(abs(s.real) * log_mag + abs(s.imag) * math.pi)
+    bracket = q_number(x, ctx)
+    if bracket <= 0.0:
+        raise PlanInfeasible(f"[x]_q underflows to zero at x={x:g} (q={ctx.q:g})")
+    log_mag = max(abs(math.log(bracket)), abs(math.log(1.0 / (1.0 - ctx.q))))
+    try:
+        return math.exp(abs(s.real) * log_mag + abs(s.imag) * math.pi)
+    except OverflowError:
+        raise PlanInfeasible(
+            f"weight bound overflows at s={s}, x={x:g} (q={ctx.q:g})"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -64,60 +73,48 @@ class LfunSpec:
     plan: TruncationPlan
 
     @classmethod
-    def create(
-        cls,
-        chi: DirichletCharacter,
-        r: int,
-        s: complex,
-        x: float,
-        ctx: QContext,
-        epsilon: float = DEFAULT_EPSILON,
-        max_terms: int = DEFAULT_MAX_TERMS,
-    ) -> LfunSpec:
-        if r < 1:
-            raise DomainError(f"order r must be a positive integer, got {r}")
-        if x <= 0.0:
-            raise DomainError(f"x must be strictly positive, got {x}")
+    def create(cls, chi: DirichletCharacter, r: int, s: complex, x: float, ctx: QContext,
+               epsilon: float = DEFAULT_EPSILON,
+               max_terms: int = DEFAULT_MAX_TERMS) -> LfunSpec:
+        """Build the truncation plan, which validates r and x."""
         s = complex(s)
         weight = power_weight_bound(ctx, x, s)
         plan = plan_truncation_weighted(ctx, r, weight, epsilon, max_terms)
         return cls(chi, r, s, float(x), ctx, plan)
 
 
+def _bracket_power(s: complex):
+    return lambda brackets: np.exp(-s * np.log(brackets))
+
+
+def lfun_values(chi: DirichletCharacter, r: int, s: complex, xs, ctx: QContext,
+                epsilon: float = DEFAULT_EPSILON,
+                max_terms: int = DEFAULT_MAX_TERMS) -> list[complex]:
+    """l_r(s, x) for every x in xs, each truncated exactly where lfun_value
+    would truncate it: one column of polynomials.series_table."""
+    s = complex(s)
+    cutoffs = plan_cutoffs(ctx, r, [[power_weight_bound(ctx, x, s)] for x in xs], epsilon,
+                           max_terms)
+    return [row[0] for row in series_table(chi, r, ctx, xs, [_bracket_power(s)], cutoffs)]
+
+
 def lfun_eval(spec: LfunSpec) -> complex:
-    """Evaluate the truncated grouped series; error is below plan.tail_bound."""
-    M = spec.plan.cutoff_M
-    if M == 0:
-        return 0j
-    coeffs = conv_power(spec.chi, spec.r, M)
-    log_brackets = np.log(q_number(np.arange(M) + spec.x, spec.ctx))
-    weights = np.exp(-spec.s * log_brackets)
-    series = alternating_weighted_sum(coeffs, weights, spec.ctx)
-    return q_bracket_two_pow(spec.r, spec.ctx) * series
+    """Evaluate the truncated grouped series, one cell of series_table; the
+    error is below plan.tail_bound."""
+    return series_table(spec.chi, spec.r, spec.ctx, [spec.x], [_bracket_power(spec.s)],
+                        [spec.plan.cutoff_M])[0][0]
 
 
-def lfun_value(
-    chi: DirichletCharacter,
-    r: int,
-    s: complex,
-    x: float,
-    ctx: QContext,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> complex:
+def lfun_value(chi: DirichletCharacter, r: int, s: complex, x: float, ctx: QContext,
+               epsilon: float = DEFAULT_EPSILON,
+               max_terms: int = DEFAULT_MAX_TERMS) -> complex:
     """Convenience wrapper: plan and evaluate in one call."""
     return lfun_eval(LfunSpec.create(chi, r, s, x, ctx, epsilon, max_terms))
 
 
-def verify_interpolation(
-    chi: DirichletCharacter,
-    r: int,
-    n: int,
-    x: float,
-    ctx: QContext,
-    epsilon: float = DEFAULT_INTERPOLATION_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> IdentityReport:
+def verify_interpolation(chi: DirichletCharacter, r: int, n: int, x: float, ctx: QContext,
+                         epsilon: float = DEFAULT_INTERPOLATION_TOL,
+                         max_terms: int = DEFAULT_MAX_TERMS) -> IdentityReport:
     """Check l_r(-n, x | chi) against E_n(x); passes when the gap is at most
     epsilon * max(|l|, |E|, 1).  Both sides use series budgets well below
     epsilon.  This is identity EQ4 of the identity table at one instance."""

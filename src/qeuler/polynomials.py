@@ -28,12 +28,15 @@ from .qnum import (
     QContext,
     TruncationPlan,
     alternating_weighted_sum,
+    degree_weight_bound,
+    plan_cutoffs,
     plan_truncation,
     q_bracket_two_pow,
     q_number,
 )
 
 TUPLE_BUDGET = 10 ** 8
+TUPLE_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -49,49 +52,80 @@ class QEulerSpec:
     plan: TruncationPlan
 
     @classmethod
-    def create(
-        cls,
-        chi: DirichletCharacter,
-        r: int,
-        n: int,
-        x: float,
-        ctx: QContext,
-        epsilon: float = DEFAULT_EPSILON,
-        max_terms: int = DEFAULT_MAX_TERMS,
-    ) -> QEulerSpec:
-        """Validate parameters and build the matching truncation plan."""
-        if r < 1:
-            raise DomainError(f"order r must be a positive integer, got {r}")
-        if n < 0:
-            raise DomainError(f"degree n must be nonnegative, got {n}")
-        if x < 0.0:
-            raise DomainError(f"argument x must be nonnegative, got {x}")
+    def create(cls, chi: DirichletCharacter, r: int, n: int, x: float, ctx: QContext,
+               epsilon: float = DEFAULT_EPSILON,
+               max_terms: int = DEFAULT_MAX_TERMS) -> QEulerSpec:
+        """Build the truncation plan, which validates r, n and x."""
         plan = plan_truncation(ctx, x, n, r, epsilon, max_terms)
         return cls(chi, r, n, float(x), ctx, plan)
 
 
+def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers,
+                 cutoffs) -> list[list[complex]]:
+    """The series kernel: for every argument xs[i] and bracket weight
+    weighers[j] (a map from the bracket matrix [m + x]_q to its weights),
+
+        [2]_q^r  sum_{m < cutoffs[i][j]} (-q)^m c_m weighers[j]([m + xs[i]]_q),
+
+    with c_m the order-r composition sums of chi.  One conv_power at the
+    largest cutoff serves every cell, since its prefixes are the shorter
+    convolutions, and the cells that share a cutoff are summed together over
+    exactly that many terms: each value equals the one a single-cell call
+    gives, bit for bit.  The bracket matrix has cells x largest cutoff
+    entries; plan_cutoffs keeps it within SERIES_BUDGET.
+    """
+    # cells in weight-major order, the row order of the weight matrix
+    cutoffs = np.asarray(cutoffs).T.ravel().tolist()
+    K = max(cutoffs, default=0)
+    coeffs = conv_power(chi, r, K) if K else np.zeros(0, dtype=complex)
+    brackets = q_number(np.arange(K) + np.asarray(xs, dtype=float)[:, None], ctx)
+    weights = np.concatenate([weigh(brackets) for weigh in weighers])
+    groups = {}
+    for cell, k in enumerate(cutoffs):
+        groups.setdefault(k, []).append(cell)
+    sums = [0j] * len(cutoffs)
+    for k, cells in groups.items():
+        rows = weights if len(cells) == len(cutoffs) else weights[cells]
+        for cell, value in zip(cells, alternating_weighted_sum(coeffs[:k], rows, ctx)):
+            sums[cell] = value
+    two = q_bracket_two_pow(r, ctx)
+    return [[two * complex(sums[j * len(xs) + i]) for j in range(len(weighers))]
+            for i in range(len(xs))]
+
+
+def _degree(n: int):
+    return lambda brackets: brackets ** n
+
+
+def qeuler_table(chi: DirichletCharacter, r: int, xs, ns, ctx: QContext,
+                 epsilon: float = DEFAULT_EPSILON,
+                 max_terms: int = DEFAULT_MAX_TERMS) -> list[list[complex]]:
+    """E_n(x) for every argument in xs (rows) and degree in ns (columns), each
+    cell truncated exactly where qeuler_value would truncate it."""
+    bounds = [[degree_weight_bound(ctx, x, n) for n in ns] for x in xs]
+    cutoffs = plan_cutoffs(ctx, r, bounds, epsilon, max_terms)
+    return series_table(chi, r, ctx, xs, [_degree(n) for n in ns], cutoffs)
+
+
 def qeuler_poly(spec: QEulerSpec) -> complex:
-    """Evaluate by the composition-grouped series.
+    """Evaluate by the composition-grouped series: one cell of series_table.
 
     Truncation error is bounded by spec.plan.tail_bound.  The result is real
     (zero imaginary part) whenever the character is real-valued.
     """
-    M = spec.plan.cutoff_M
-    if M == 0:
-        return 0j
-    coeffs = conv_power(spec.chi, spec.r, M)
-    brackets = q_number(np.arange(M) + spec.x, spec.ctx)
-    series = alternating_weighted_sum(coeffs, brackets ** spec.n, spec.ctx)
-    return q_bracket_two_pow(spec.r, spec.ctx) * series
+    return series_table(spec.chi, spec.r, spec.ctx, [spec.x], [_degree(spec.n)],
+                        [spec.plan.cutoff_M])[0][0]
 
 
-def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:
+def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int):
     """sum over all r-tuples (j_1,...,j_r) in [0, len(chiv))^r of
-    chiv[j_1]...chiv[j_r] * weights[j_1+...+j_r].
+    chiv[j_1]...chiv[j_r] * weights[..., j_1+...+j_r]: a complex for a vector
+    of weights, a list with one sum per row for a matrix.
 
     Every tuple contributes individually; nothing is grouped by total.  The
     slowest index advances in a Python loop while the remaining r-1 indices
-    are materialized as a dense grid, keeping memory at O(len(chiv)^(r-1)).
+    are materialized as a dense grid, keeping memory at O(len(chiv)^(r-1))
+    per row, for at most TUPLE_BLOCK grid entries' worth of rows at a time.
     """
     width = len(chiv)
     if width < 1:
@@ -102,8 +136,10 @@ def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:
         raise BudgetExceeded(
             f"enumerating {width}^{r} index tuples exceeds the budget {TUPLE_BUDGET:g}"
         )
+    rows = np.atleast_2d(weights)
     if r == 1:
-        return complex(np.sum(chiv * weights[:width]))
+        sums = [complex(np.sum(chiv * row[:width])) for row in rows]
+        return sums[0] if weights.ndim == 1 else sums
 
     rest_prod = np.ones((1,) * (r - 1), dtype=complex)
     rest_total = np.zeros((1,) * (r - 1), dtype=np.int64)
@@ -112,11 +148,18 @@ def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:
         shape[axis] = width
         rest_prod = rest_prod * chiv.reshape(shape)
         rest_total = rest_total + np.arange(width).reshape(shape)
+    rest_prod, rest_total = rest_prod.ravel(), rest_total.ravel()
 
-    acc = 0j
-    for j0 in range(width):
-        acc += chiv[j0] * np.sum(rest_prod * weights[rest_total + j0])
-    return acc
+    sums = [0j] * len(rows)
+    step = max(1, TUPLE_BLOCK // rest_prod.size)
+    for lo in range(0, len(rows), step):
+        for j0 in range(width):
+            # take() keeps rows contiguous, so each row sums like a vector;
+            # the products with chiv stay scalar, as for a single row
+            grid = np.take(rows[lo:lo + step], rest_total + j0, axis=1)
+            for k, value in enumerate(np.sum(rest_prod * grid, axis=-1), lo):
+                sums[k] += chiv[j0] * value
+    return sums[0] if weights.ndim == 1 else sums
 
 
 def qeuler_poly_naive(spec: QEulerSpec, M: int) -> complex:
@@ -137,29 +180,16 @@ def qeuler_poly_naive(spec: QEulerSpec, M: int) -> complex:
     return q_bracket_two_pow(spec.r, spec.ctx) * char_tuple_sum(chiv, weights, spec.r)
 
 
-def qeuler_value(
-    chi: DirichletCharacter,
-    r: int,
-    n: int,
-    x: float,
-    ctx: QContext,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> complex:
+def qeuler_value(chi: DirichletCharacter, r: int, n: int, x: float, ctx: QContext,
+                 epsilon: float = DEFAULT_EPSILON,
+                 max_terms: int = DEFAULT_MAX_TERMS) -> complex:
     """Convenience wrapper: plan and evaluate in one call."""
     return qeuler_poly(QEulerSpec.create(chi, r, n, x, ctx, epsilon, max_terms))
 
 
-def qeuler_addition(
-    chi: DirichletCharacter,
-    r: int,
-    n: int,
-    ctx: QContext,
-    x: float,
-    y: float,
-    epsilon: float = DEFAULT_EPSILON,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> complex:
+def qeuler_addition(chi: DirichletCharacter, r: int, n: int, ctx: QContext, x: float,
+                    y: float, epsilon: float = DEFAULT_EPSILON,
+                    max_terms: int = DEFAULT_MAX_TERMS) -> complex:
     """Shift expansion sum_{i<=n} binom(n,i) q^(x i) E_i(y) [x]_q^(n-i).
 
     Equals E_n(x+y) up to the combined truncation error; with y = 0 it is the
@@ -177,8 +207,8 @@ def binomial_shift_sum(chi: DirichletCharacter, r: int, ctx: QContext, top: int,
     """sum_{k<=top} binom(top,k) q^(k shift) E_{base+k}(arg) [shift]_q^(top-k),
     the sum behind the shift expansion and the two-index symmetry."""
     bracket = q_number(shift, ctx)
+    values = qeuler_table(chi, r, [arg], range(base, base + top + 1), ctx, epsilon, max_terms)
     total = 0j
-    for k in range(top + 1):
-        term = qeuler_value(chi, r, base + k, arg, ctx, epsilon, max_terms)
-        total += comb(top, k) * ctx.q ** (k * shift) * term * bracket ** (top - k)
+    for k, value in enumerate(values[0]):
+        total += comb(top, k) * ctx.q ** (k * shift) * value * bracket ** (top - k)
     return total

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PlanInfeasible
+from .errors import BudgetExceeded, DomainError, PlanInfeasible
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
+SERIES_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,8 @@ class TruncationPlan:
     max_terms: int
 
 
-def plan_truncation_weighted(
-    ctx: QContext,
-    r: int,
-    weight_bound: float,
-    epsilon: float,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> TruncationPlan:
+def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon: float,
+                             max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
     """Smallest cutoff M <= max_terms whose certified tail bound meets epsilon.
 
     The dominating series has terms t(m) = (1+q)^r binom(m+r-1, r-1) q^m W.
@@ -115,32 +111,71 @@ def plan_truncation_weighted(
     )
 
 
-def plan_truncation(
-    ctx: QContext,
-    x: float,
-    n: int,
-    r: int,
-    epsilon: float,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> TruncationPlan:
-    """Truncation plan for series weighted by [m+x]_q^n with x >= 0.
+def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
+                 max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
+    """Cutoffs of many cells at once: entry i is the cutoff_M that
+    plan_truncation_weighted(ctx, r, weight_bounds[i], epsilon, max_terms)
+    returns, for an array of bounds of any shape.
 
-    Uses the uniform bound sup_m [m+x]_q <= (1 + q^x) / (1 - q), so the
-    weight constant is ((1 + q^x) / (1 - q))^n.
+    One scalar scan at the largest bound gives K, which no cell exceeds (a
+    smaller weight scales every term of the scan down).  Each cell's terms
+    t(0..K) are then one cumulative product over [(1+q)^r W, rho_0, ...,
+    rho_{K-1}]: the same left-to-right products as its own scan, so every
+    cell stops exactly where that scan would.  Raises BudgetExceeded when
+    the cells times K exceed SERIES_BUDGET, before anything is allocated.
     """
+    bounds = np.asarray(weight_bounds, dtype=float)
+    if not bounds.min(initial=0.0) >= 0.0:
+        raise DomainError(f"weight bounds must be nonnegative, got {bounds.min()}")
+    top = plan_truncation_weighted(ctx, r, float(bounds.max(initial=0.0)), epsilon,
+                                   max_terms).cutoff_M
+    check_series_budget(bounds.size, top)
+    k = np.arange(top + 1)
+    rho = ctx.q * (k + r) / (k + 1.0)
+    steps = np.empty(bounds.shape + (top + 1,))
+    steps[..., 0] = (1.0 + ctx.q) ** r * bounds
+    steps[..., 1:] = rho[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tails = np.cumprod(steps, axis=-1) / (1.0 - rho)
+    return np.argmax((rho < 1.0) & (tails <= epsilon), axis=-1)
+
+
+def check_series_budget(rows: int, cutoff: int) -> None:
+    """Refuse a bracket matrix of rows x cutoff entries above SERIES_BUDGET."""
+    if rows * cutoff > SERIES_BUDGET:
+        raise BudgetExceeded(
+            f"a {rows} x {cutoff} bracket matrix exceeds the budget {SERIES_BUDGET:g}"
+        )
+
+
+def degree_weight_bound(ctx: QContext, x: float, n: int) -> float:
+    """Bound ((1 + q^x) / (1 - q))^n on [m+x]_q^n over m >= 0, for x >= 0,
+    from the uniform bound sup_m [m+x]_q <= (1 + q^x) / (1 - q).  Raises
+    PlanInfeasible when the bound overflows a double."""
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
     if n < 0:
         raise DomainError(f"degree n must be nonnegative, got {n}")
     bracket_sup = (1.0 + ctx.q ** x) / (1.0 - ctx.q)
-    return plan_truncation_weighted(ctx, r, bracket_sup ** n, epsilon, max_terms)
+    try:
+        return bracket_sup ** n
+    except OverflowError:
+        raise PlanInfeasible(
+            f"weight bound {bracket_sup:g}^{n} overflows (q={ctx.q:g}, x={x:g})"
+        ) from None
 
 
-def alternating_weighted_sum(coeffs: np.ndarray, weights: np.ndarray, ctx: QContext) -> complex:
-    """sum_m (-1)^m q^m coeffs[m] weights[m] over the common prefix."""
-    M = min(len(coeffs), len(weights))
-    if M == 0:
-        return 0j
+def plan_truncation(ctx: QContext, x: float, n: int, r: int, epsilon: float,
+                    max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
+    """Truncation plan for series weighted by [m+x]_q^n with x >= 0, at the
+    weight bound degree_weight_bound(ctx, x, n)."""
+    return plan_truncation_weighted(ctx, r, degree_weight_bound(ctx, x, n), epsilon, max_terms)
+
+
+def alternating_weighted_sum(coeffs: np.ndarray, weights: np.ndarray, ctx: QContext):
+    """sum_m (-1)^m q^m coeffs[m] weights[..., m] for each row of weights,
+    over the common prefix of coeffs and the row."""
+    M = min(len(coeffs), weights.shape[-1])
     m = np.arange(M)
     signs = 1.0 - 2.0 * (m % 2)
-    return complex(np.sum(coeffs[:M] * signs * ctx.q ** m * weights[:M]))
+    return np.sum(coeffs[:M] * signs * ctx.q ** m * weights[..., :M], axis=-1)

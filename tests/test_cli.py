@@ -131,6 +131,19 @@ def test_infeasible_plan_exits_3(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1000000"],  # ((1+q^x)/(1-q))^n
+    ["eval-lfun", "--d", "3", "--q", "0.5", "--s", "0,400"],  # exp(|Im s| pi)
+    ["eval-lfun", "--d", "3", "--chi", "1", "--q", "0.5", "--s", "-300", "--x", "1e-300"],
+])
+def test_unbounded_weight_is_infeasible_not_a_crash(capsys, argv):
+    # main() returns instead of raising, so no traceback reaches the user
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_budget_overrun_exits_3(capsys):
     code, _, err = run_cli(capsys, [
         "eval-powersum", "--d", "3", "--q", "0.5", "--r", "3",

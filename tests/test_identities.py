@@ -1,24 +1,30 @@
+import cmath
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
     BudgetExceeded,
     DomainError,
+    LfunSpec,
     ParityViolation,
     QContext,
+    QEulerSpec,
     SweepGrid,
     SymmetryInstance,
     build_character_group,
     eq12_bridge,
     eq15_sides,
+    lfun_eval,
     power_sum,
+    q_bracket_two_pow,
     q_number,
+    qeuler_poly,
     run_suite,
     suite_passed,
     theorem1_sides,
@@ -26,7 +32,7 @@ from qeuler import (
     theorem3_sides,
 )
 from qeuler.characters import bounded_composition_sums
-from qeuler.identities import _role_argument
+from qeuler.identities import _power_sums, _role_argument
 from qeuler.report import reports_to_json_lines
 
 
@@ -240,7 +246,7 @@ def test_run_suite_records_parity_errors_without_aborting(groups):
     assert not suite_passed(reports)
 
 
-def test_run_suite_deterministic_order_and_threading(groups):
+def test_run_suite_deterministic_order(groups):
     grid = SweepGrid(
         d_values=(3,),
         q_values=(0.5,),
@@ -249,12 +255,15 @@ def test_run_suite_deterministic_order_and_threading(groups):
         n_values=(0, 1, 2),
         x_values=(0.5, 1.0),
     )
-    sequential = run_suite("T2", grid, workers=1)
-    threaded = run_suite("T2", grid, workers=4)
-    assert len(sequential) == 24
-    assert [r.instance for r in sequential] == [r.instance for r in threaded]
-    assert [r.lhs for r in sequential] == [r.lhs for r in threaded]
-    assert reports_to_json_lines(sequential) == reports_to_json_lines(threaded)
+    first = run_suite("T2", grid)
+    again = run_suite("T2", grid)
+    assert len(first) == 24
+    # d, chi, r, q, then the row's axes (ab, n, x) in grid order
+    assert [(r.instance["chi"], r.instance["r"], r.instance["n"], r.instance["x"])
+            for r in first] == [(chi, r, n, x) for chi in (0, 1) for r in (1, 2)
+                                for n in (0, 1, 2) for x in (0.5, 1.0)]
+    assert [r.lhs for r in first] == [r.lhs for r in again]
+    assert reports_to_json_lines(first) == reports_to_json_lines(again)
 
 
 def test_run_suite_dispatches_every_identity(groups):
@@ -317,3 +326,77 @@ def test_instance_records_are_json_types(groups, ctx):
     parsed = json.loads(blob)
     assert parsed["instance"]["s"] == [1.0, 1.0]
     assert parsed["instance"]["d"] == 3
+
+
+def _reference_side(inst, first, second, prefactor, term):
+    """One T1/T2 side as a scalar loop over the totals t: a plan and a series
+    per t, the evaluation the batched kernel replaces."""
+    chi, r, ctx = inst.chi, inst.r, inst.ctx
+    ctx_first = ctx.power(first)
+    total = 0j
+    for t, w_t in enumerate(bounded_composition_sums(chi, r, chi.modulus_d * first)):
+        arg = _role_argument(second, inst.x, first, t)
+        total += w_t * (-1.0) ** t * ctx.q ** (second * t) * term(arg, ctx_first)
+    return q_bracket_two_pow(r, ctx.power(second)) * prefactor * total
+
+
+def _reference_poly_side(inst, first, second):
+    return _reference_side(inst, first, second, q_number(first, inst.ctx) ** inst.n,
+                           lambda arg, c: qeuler_poly(QEulerSpec.create(
+                               inst.chi, inst.r, inst.n, arg, c)))
+
+
+def _reference_lfun_side(inst, first, second):
+    prefactor = cmath.exp(complex(inst.s) * math.log(q_number(second, inst.ctx)))
+    return _reference_side(inst, first, second, prefactor,
+                           lambda arg, c: lfun_eval(LfunSpec.create(
+                               inst.chi, inst.r, inst.s, arg, c)))
+
+
+_SIDE_GROUPS = {d: build_character_group(d) for d in (1, 3, 5, 15)}
+_odd = st.integers(min_value=0, max_value=2).map(lambda k: 2 * k + 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.sampled_from([1, 3, 5, 15]),
+    label=st.integers(min_value=0, max_value=7),
+    r=st.integers(min_value=1, max_value=3),
+    q=st.floats(min_value=0.2, max_value=0.8),
+    x=st.floats(min_value=0.0, max_value=3.0),
+    a=_odd,
+    b=_odd,
+    n=st.integers(min_value=0, max_value=8),
+    s=st.complex_numbers(max_magnitude=3.0),
+)
+def test_symmetry_sides_equal_the_per_total_loop_bit_for_bit(d, label, r, q, x, a, b, n, s):
+    chi = _SIDE_GROUPS[d][label % len(_SIDE_GROUPS[d])]
+    inst = SymmetryInstance(chi=chi, r=r, ctx=QContext(q), a=a, b=b, n=n, s=s, x=x)
+    t2 = theorem2_sides(inst)
+    assert t2.lhs == _reference_poly_side(inst, a, b)
+    assert t2.rhs == _reference_poly_side(inst, b, a)
+    if x >= 0.01:  # [x]_q of a tiny x underflows; its plan is infeasible
+        t1 = theorem1_sides(inst)
+        assert t1.lhs == _reference_lfun_side(inst, a, b)
+        assert t1.rhs == _reference_lfun_side(inst, b, a)
+
+
+@pytest.mark.parametrize("d", [1, 3, 15])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_batched_power_sums_equal_single_ones(groups, ctx, d, r):
+    chi = build_character_group(d)[-1]
+    for upper in (1, 4, 15):
+        batch = _power_sums(chi, r, 5, range(6), upper, ctx)
+        assert batch == [power_sum(chi, r, 5, i, upper, ctx) for i in range(6)]
+
+
+def test_side_budget_counts_the_work_done(groups, ctx):
+    # (45*5)^4 tuples were refused, but the side enumerates none of them
+    chi = build_character_group(45)[3]
+    inst = SymmetryInstance(chi=chi, r=4, ctx=ctx, a=5, b=3, n=0, x=1.0)
+    assert theorem2_sides(inst).passed
+    # the convolution behind the composition sums, and the rows of the batch
+    with pytest.raises(BudgetExceeded, match="multiply-adds"):
+        theorem2_sides(SymmetryInstance(chi=chi, r=2, ctx=ctx, a=2001, b=3, n=0))
+    with pytest.raises(BudgetExceeded, match="bracket matrix"):
+        theorem2_sides(SymmetryInstance(chi=chi, r=1, ctx=ctx, a=300001, b=3, n=0))

@@ -4,6 +4,7 @@ import pytest
 from qeuler import (
     DomainError,
     LfunSpec,
+    PlanInfeasible,
     QContext,
     TruncationPlan,
     build_character_group,
@@ -105,3 +106,9 @@ def test_domain_validation(groups):
         LfunSpec.create(chi, 0, 1 + 0j, 1.0, ctx)
     with pytest.raises(DomainError):
         verify_interpolation(chi, 1, -1, 1.0, ctx)
+
+
+def test_underflowing_bracket_is_infeasible(groups):
+    # [x]_q rounds to zero at x = 1e-300, so |[m+x]_q^(-s)| has no finite bound
+    with pytest.raises(PlanInfeasible):
+        lfun_value(groups[3][1], 1, -300, 1e-300, QContext(0.5))

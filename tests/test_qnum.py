@@ -6,18 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
+    BudgetExceeded,
     DomainError,
     PlanInfeasible,
     QContext,
     QEulerSpec,
     TruncationPlan,
     build_character_group,
+    conv_power,
+    lfun_value,
+    lfun_values,
     plan_truncation,
     plan_truncation_weighted,
     q_bracket_two_pow,
     q_number,
     qeuler_poly,
+    qeuler_table,
+    qeuler_value,
 )
+from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cutoffs
 
 
 def test_qcontext_rejects_bad_parameters():
@@ -162,3 +169,49 @@ def test_plan_tail_bound_is_empirically_sound(q, d, r, n, x):
                           plan.tail_bound, plan.max_terms)
     spec_wide = QEulerSpec(chi, r, n, x, ctx, wide)
     assert abs(qeuler_poly(spec) - qeuler_poly(spec_wide)) <= plan.tail_bound
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    q=st.floats(min_value=0.05, max_value=0.97),
+    r=st.integers(min_value=1, max_value=4),
+    xs=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6),
+    ns=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=6),
+    epsilon=st.sampled_from([1e-6, 1e-10, 1e-13]),
+)
+def test_every_cell_keeps_its_own_cutoff(q, r, xs, ns, epsilon):
+    ctx = QContext(q)
+    bounds = [[degree_weight_bound(ctx, x, n) for n in ns] for x in xs]
+    cutoffs = plan_cutoffs(ctx, r, bounds, epsilon)
+    assert cutoffs.shape == (len(xs), len(ns))
+    for i, x in enumerate(xs):
+        for j, n in enumerate(ns):
+            assert cutoffs[i, j] == plan_truncation(ctx, x, n, r, epsilon).cutoff_M
+
+
+@pytest.mark.parametrize("d", [1, 3, 15])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_conv_power_prefixes_are_the_shorter_convolutions(d, r):
+    for chi in build_character_group(d):
+        longest = conv_power(chi, r, 600)
+        for k in (1, 2, 7, 8, 9, 63, 64, 65, 128, 129, 599):
+            assert np.array_equal(longest[:k], conv_power(chi, r, k))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.95])
+def test_batched_values_equal_single_values_bit_for_bit(q):
+    ctx = QContext(q)
+    chi = build_character_group(15)[5]
+    xs = [0.0, 0.25, 1.0, 2.5, 7.0]
+    ns = [0, 1, 2, 5, 11]
+    table = qeuler_table(chi, 2, xs, ns, ctx)
+    assert table == [[qeuler_value(chi, 2, n, x, ctx) for n in ns] for x in xs]
+    s = -1.5 + 0.5j
+    assert lfun_values(chi, 2, s, xs[1:], ctx) == [lfun_value(chi, 2, s, x, ctx) for x in xs[1:]]
+
+
+def test_plan_cutoffs_refuses_an_oversized_matrix():
+    # about 2700 terms for each of 5000 cells: over budget, refused before allocation
+    cells = SERIES_BUDGET // 2000
+    with pytest.raises(BudgetExceeded):
+        plan_cutoffs(QContext(0.99), 1, np.ones(cells), 1e-10)
