@@ -13,23 +13,23 @@ class BudgetExceeded(QEulerError):
     """A finite enumeration would exceed the configured tuple budget."""
 
 
-class NotOdd(QEulerError, ValueError):
-    """The character modulus must be odd."""
-
-
-class Overflow(QEulerError, ValueError):
-    """The character modulus exceeds the configured construction bound."""
-
-
-class NegativeArgument(QEulerError, ValueError):
-    """Character evaluation expects a nonnegative integer argument."""
-
-
 class DomainError(QEulerError, ValueError):
     """A numeric argument lies outside the operation's domain."""
 
 
-class ParityViolation(QEulerError, ValueError):
+class NotOdd(DomainError):
+    """The character modulus must be odd."""
+
+
+class Overflow(DomainError):
+    """The character modulus exceeds the configured construction bound."""
+
+
+class NegativeArgument(DomainError):
+    """Character evaluation expects a nonnegative integer argument."""
+
+
+class ParityViolation(DomainError):
     """The symmetry parameters a and b must both be odd."""
 
 

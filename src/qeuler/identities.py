@@ -42,7 +42,7 @@ from .characters import (
     bounded_composition_sums,
     build_character_group,
 )
-from .errors import BudgetExceeded, DomainError, ParityViolation
+from .errors import BudgetExceeded, DomainError, ParityViolation, PlanInfeasible
 from .lfun import DEFAULT_INTERPOLATION_TOL, lfun_value, lfun_values
 from .polynomials import (
     binomial_shift_sum,
@@ -114,14 +114,6 @@ class SymmetryInstance:
             raise ParityViolation(f"a must be a positive odd integer, got {self.a}")
         if self.b < 1 or self.b % 2 == 0:
             raise ParityViolation(f"b must be a positive odd integer, got {self.b}")
-
-    def base_record(self) -> dict:
-        return {
-            "d": self.chi.modulus_d,
-            "chi": self.chi.label,
-            "r": self.r,
-            "q": self.ctx.q,
-        }
 
 
 def _role_argument(second: int, x: float, first: int, t: int) -> float:
@@ -254,11 +246,26 @@ def _row(identity_id: str) -> Identity:
         raise DomainError(f"unknown identity id {identity_id!r}") from None
 
 
+def _record(row: Identity, inst: SymmetryInstance) -> dict:
+    """The instance fields of a report, successful or not: d, chi, r, q, then
+    the row's axes in order."""
+    record = {"d": inst.chi.modulus_d, "chi": inst.chi.label, "r": inst.r, "q": inst.ctx.q}
+    for axis in row.axes:
+        if axis == "ab":
+            record |= {"a": inst.a, "b": inst.b}
+        elif axis == "s":
+            record["s"] = None if inst.s is None else complex(inst.s)
+        else:
+            record[axis] = getattr(inst, axis)
+    return record
+
+
 def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
           max_terms: int = DEFAULT_MAX_TERMS, rel_tol: float | None = None) -> IdentityReport:
     """Check one identity at one instance: validate the axes its row reads,
     evaluate both sides with series budget epsilon, and report them against
-    rel_tol (the row's default when None)."""
+    rel_tol (the row's default when None).  A side that overflows a double
+    raises PlanInfeasible."""
     row = _row(identity_id)
     if "ab" in row.axes:
         inst.require_odd_pair()
@@ -266,20 +273,15 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
         raise DomainError(f"{identity_id} needs the exponent s")
     for name in ("m", "n", "x", "y"):
         value = getattr(inst, name)
-        if name in row.axes and (value is None or value < 0):
-            raise DomainError(f"{identity_id} needs a nonnegative {name}, got {value}")
-    lhs = row.lhs(inst, epsilon, max_terms)
-    rhs = row.rhs(inst, epsilon, max_terms)
-    record = inst.base_record()
-    for axis in row.axes:
-        if axis == "ab":
-            record |= {"a": inst.a, "b": inst.b}
-        elif axis == "s":
-            record["s"] = complex(inst.s)
-        else:
-            record[axis] = getattr(inst, axis)
+        if name in row.axes and (value is None or not 0 <= value < math.inf):
+            raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
+    try:
+        lhs = row.lhs(inst, epsilon, max_terms)
+        rhs = row.rhs(inst, epsilon, max_terms)
+    except OverflowError as exc:
+        raise PlanInfeasible(f"a side of {identity_id} overflows a double: {exc}") from None
     rel = row.rel_tol if rel_tol is None else rel_tol
-    return make_report(identity_id, record, lhs, rhs, rel)
+    return make_report(identity_id, _record(row, inst), lhs, rhs, rel)
 
 
 def theorem1_sides(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
@@ -368,16 +370,8 @@ def _evaluate_instance(identity_id: str, inst: SymmetryInstance, epsilon: float,
                        max_terms: int, rel_tol: float | None) -> IdentityReport:
     try:
         return check(identity_id, inst, epsilon, max_terms, rel_tol)
-    except (DomainError, ParityViolation, BudgetExceeded) as exc:
-        record = inst.base_record() | {"a": inst.a, "b": inst.b}
-        if inst.n is not None:
-            record["n"] = inst.n
-        if inst.s is not None:
-            record["s"] = complex(inst.s)
-        if inst.m is not None:
-            record["m"] = inst.m
-        record["x"] = inst.x
-        return make_error_report(identity_id, record, exc)
+    except (DomainError, BudgetExceeded) as exc:
+        return make_error_report(identity_id, _record(IDENTITIES[identity_id], inst), exc)
 
 
 def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILON,

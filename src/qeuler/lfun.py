@@ -116,9 +116,10 @@ def verify_interpolation(chi: DirichletCharacter, r: int, n: int, x: float, ctx:
                          epsilon: float = DEFAULT_INTERPOLATION_TOL,
                          max_terms: int = DEFAULT_MAX_TERMS) -> IdentityReport:
     """Check l_r(-n, x | chi) against E_n(x); passes when the gap is at most
-    epsilon * max(|l|, |E|, 1).  Both sides use series budgets well below
-    epsilon.  This is identity EQ4 of the identity table at one instance."""
+    epsilon * max(|l|, |E|, 1).  Both sides use the series budget
+    DEFAULT_EPSILON, as `qeuler verify --identity EQ4 --tolerance epsilon`
+    does.  This is identity EQ4 of the identity table at one instance."""
     from .identities import SymmetryInstance, check  # identities imports this module
 
     inst = SymmetryInstance(chi=chi, r=r, ctx=ctx, n=n, x=x)
-    return check("EQ4", inst, min(DEFAULT_EPSILON, epsilon / 10.0), max_terms, epsilon)
+    return check("EQ4", inst, DEFAULT_EPSILON, max_terms, epsilon)

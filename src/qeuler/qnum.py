@@ -135,7 +135,8 @@ def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
     steps = np.empty(bounds.shape + (top + 1,))
     steps[..., 0] = (1.0 + ctx.q) ** r * bounds
     steps[..., 1:] = rho[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflowing tail is +inf and never selected
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tails = np.cumprod(steps, axis=-1) / (1.0 - rho)
     return np.argmax((rho < 1.0) & (tails <= epsilon), axis=-1)
 

@@ -32,6 +32,11 @@ def test_parse_args_happy_path():
      "--i must satisfy 0 <= i <= n"),
     (["verify", "--identity", "T1", "--d", "3", "--q", "0.5"], "--s is required"),
     (["eval-lfun", "--d", "3", "--q", "0.5", "--s", "nope"], "--s expects"),
+    (["verify", "--identity", "T2", "--d", "3", "--q", "0.5", "--x", "nan"], "--x must be finite"),
+    (["verify", "--identity", "T2", "--d", "3", "--q", "0.5", "--x", "inf"], "--x must be finite"),
+    (["verify", "--identity", "EQ9", "--d", "3", "--q", "0.5", "--y", "nan"], "--y must be finite"),
+    (["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1", "--x", "inf"], "--x must be finite"),
+    (["eval-lfun", "--d", "3", "--q", "0.5", "--s", "1", "--x", "nan"], "--x must be finite"),
 ])
 def test_usage_errors(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)
@@ -41,6 +46,11 @@ def test_usage_errors(capsys, argv, needle):
 
 def test_unknown_flag_exits_2(capsys):
     assert main(["eval-qeuler", "--nonsense", "1"]) == 2
+
+
+def test_unknown_flag_is_usage_error():
+    with pytest.raises(UsageError, match="unrecognized arguments: --nonsense"):
+        parse_args(["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "0", "--nonsense", "1"])
 
 
 def test_char_list_json(capsys):
@@ -135,6 +145,9 @@ def test_infeasible_plan_exits_3(capsys):
     ["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1000000"],  # ((1+q^x)/(1-q))^n
     ["eval-lfun", "--d", "3", "--q", "0.5", "--s", "0,400"],  # exp(|Im s| pi)
     ["eval-lfun", "--d", "3", "--chi", "1", "--q", "0.5", "--s", "-300", "--x", "1e-300"],
+    # [b]_q^s in the T1 side: cmath.exp overflows before any planner runs
+    ["verify", "--identity", "T1", "--d", "1", "--q", "0.5", "--a", "1", "--b", "3",
+     "--s", "1300", "--x", "1"],
 ])
 def test_unbounded_weight_is_infeasible_not_a_crash(capsys, argv):
     # main() returns instead of raising, so no traceback reaches the user
@@ -161,27 +174,6 @@ def test_json_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
-
-
-def test_thread_count_does_not_change_output(capsys, monkeypatch):
-    argv = [
-        "verify", "--identity", "T2", "--d", "3", "--r", "2", "--q", "0.5",
-        "--a", "1", "--b", "3", "--n-max", "3", "--x", "1", "--output", "json",
-    ]
-    monkeypatch.setenv("QEULER_THREADS", "1")
-    _, single, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("QEULER_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, argv)
-    assert single == threaded
-
-
-def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("QEULER_THREADS", "zero")
-    code, _, err = run_cli(capsys, [
-        "verify", "--identity", "EQ4", "--d", "1", "--r", "1", "--q", "0.5",
-    ])
-    assert code == 2
-    assert "QEULER_THREADS" in err
 
 
 def test_emitted_json_round_trips(capsys):

@@ -13,6 +13,7 @@ from qeuler import (
     DomainError,
     LfunSpec,
     ParityViolation,
+    PlanInfeasible,
     QContext,
     QEulerSpec,
     SweepGrid,
@@ -32,7 +33,7 @@ from qeuler import (
     theorem3_sides,
 )
 from qeuler.characters import bounded_composition_sums
-from qeuler.identities import _power_sums, _role_argument
+from qeuler.identities import IDENTITIES, _power_sums, _role_argument, check
 from qeuler.report import reports_to_json_lines
 
 
@@ -285,7 +286,7 @@ def test_run_suite_dispatches_every_identity(groups):
         assert suite_passed(reports), (identity_id, [r.residual for r in reports])
         assert all(r.identity_id == identity_id for r in reports)
     # an unknown id is refused before the grid is enumerated (d = 4 would
-    # raise NotOdd, which is not a DomainError)
+    # raise NotOdd, whose message does not match)
     with pytest.raises(DomainError, match="unknown identity"):
         run_suite("EQ99", SweepGrid(d_values=(4,), q_values=(0.5,)))
 
@@ -400,3 +401,38 @@ def test_side_budget_counts_the_work_done(groups, ctx):
         theorem2_sides(SymmetryInstance(chi=chi, r=2, ctx=ctx, a=2001, b=3, n=0))
     with pytest.raises(BudgetExceeded, match="bracket matrix"):
         theorem2_sides(SymmetryInstance(chi=chi, r=1, ctx=ctx, a=300001, b=3, n=0))
+
+
+def test_overflowing_side_is_infeasible():
+    # [a]_q^n overflows in the side's prefactor before its planner runs
+    inst = SymmetryInstance(chi=build_character_group(1)[0], r=1, ctx=QContext(0.9), a=5, b=1,
+                            n=600, x=5.0)
+    with pytest.raises(PlanInfeasible):
+        theorem2_sides(inst)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("x", math.nan), ("x", math.inf), ("y", math.nan), ("y", math.inf), ("m", math.inf),
+    ("n", math.nan),
+])
+def test_check_rejects_non_finite_arguments(groups, ctx, field, value):
+    fields = {"m": 1, "n": 1, "x": 0.5, "y": 0.25} | {field: value}
+    inst = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, **fields)
+    with pytest.raises(DomainError, match="finite"):
+        check("EQ15" if field == "m" else "EQ9", inst)
+
+
+@pytest.mark.parametrize("identity_id,bad", [
+    ("EQ4", {"x_values": (0.0,)}),  # l(s, x) needs x > 0
+    ("EQ9", {"y_values": (-0.5,)}),
+    ("EQ15", {"x_values": (-0.5,)}),
+])
+def test_error_records_list_the_fields_of_a_successful_record(identity_id, bad):
+    base = dict(d_values=(3,), q_values=(0.5,), n_values=(2,), m_values=(1,),
+                x_values=(0.5,), y_values=(0.25,))
+    good = run_suite(identity_id, SweepGrid(**base))
+    errored = run_suite(identity_id, SweepGrid(**(base | bad)))
+    assert all(r.error is None for r in good)
+    assert all(r.error is not None for r in errored)
+    assert [list(r.instance) for r in errored] == [list(r.instance) for r in good]
+    assert list(good[0].instance) == ["d", "chi", "r", "q", *IDENTITIES[identity_id].axes]

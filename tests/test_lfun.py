@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qeuler import (
     qeuler_value,
     verify_interpolation,
 )
+from qeuler.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +115,15 @@ def test_underflowing_bracket_is_infeasible(groups):
     # [x]_q rounds to zero at x = 1e-300, so |[m+x]_q^(-s)| has no finite bound
     with pytest.raises(PlanInfeasible):
         lfun_value(groups[3][1], 1, -300, 1e-300, QContext(0.5))
+
+
+def test_verify_interpolation_matches_the_cli(groups, capsys):
+    # epsilon is the relative tolerance only; the series budget is the default
+    ctx = QContext(0.5)
+    library = [verify_interpolation(chi, 2, n, 1.0, ctx, epsilon=1e-12).to_json_line()
+               for chi in groups[3] for n in range(4)]
+    code = main(["verify", "--identity", "EQ4", "--d", "3", "--r", "2", "--q", "0.5",
+                 "--n-max", "3", "--tolerance", "1e-12", "--output", "json"])
+    cli = capsys.readouterr().out.splitlines()
+    assert library == cli
+    assert code == (0 if all(json.loads(line)["pass"] for line in cli) else 1)

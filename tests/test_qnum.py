@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,3 +216,13 @@ def test_plan_cutoffs_refuses_an_oversized_matrix():
     cells = SERIES_BUDGET // 2000
     with pytest.raises(BudgetExceeded):
         plan_cutoffs(QContext(0.99), 1, np.ones(cells), 1e-10)
+
+
+def test_plan_cutoffs_ignores_an_overflowing_tail():
+    # the tail of the 1e307 cell overflows to +inf at some steps: never selected
+    ctx = QContext(0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cutoffs = plan_cutoffs(ctx, 1, [[1e307, 1.0]], 1e-10)
+    expected = [plan_truncation_weighted(ctx, 1, w, 1e-10).cutoff_M for w in (1e307, 1.0)]
+    assert cutoffs.tolist() == [expected]
