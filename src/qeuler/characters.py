@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError, NegativeArgument, NotOdd, Overflow
 
-DEFAULT_MODULUS_BOUND = 10 ** 6
+DEFAULT_MODULUS_BOUND = 3001  # tables of at most phi(d) * d <= 9.0e6 entries
 CONVOLUTION_BUDGET = 10 ** 8
 
 
@@ -167,25 +167,25 @@ def build_character_group(d: int, max_modulus: int = DEFAULT_MODULUS_BOUND) -> C
         if numerator * group_exponent % 4 == 0:
             roots[numerator * group_exponent // 4] = exact  # exact cardinal values
 
-    # discrete logs of every unit residue, one row per residue class mod d
-    units = [m for m in range(d) if math.gcd(m, d) == 1]
-    unit_logs = [
-        tuple(int(dlog[m % pp]) for pp, _, dlog in components)
-        for m in units
-    ]
+    # scaled discrete logs: row i holds dlog_i(m) * L / s_i for every unit m
+    units = np.flatnonzero(np.gcd(np.arange(d), d) == 1)
+    logs = np.stack([dlog[units % pp] * (group_exponent // s) for pp, s, dlog in components])
 
     characters = []
     orders = [s for _, s, _ in components]
     for label, ks in enumerate(itertools.product(*(range(s) for s in orders))):
         values = np.zeros(d, dtype=complex)
-        for m, logs in zip(units, unit_logs):
-            angle = sum(
-                k * alpha * (group_exponent // s)
-                for k, alpha, s in zip(ks, logs, orders)
-            ) % group_exponent
-            values[m] = roots[angle]
+        values[units] = roots[np.array(ks) @ logs % group_exponent]
         characters.append(DirichletCharacter(d, label, values))
     return CharacterGroup(d, characters, structure)
+
+
+def _fold(base: np.ndarray, r: int, length: int) -> np.ndarray:
+    """base convolved with itself r-1 times, cut back to length after each fold."""
+    out = base
+    for _ in range(r - 1):
+        out = np.convolve(out, base)[:length]
+    return out
 
 
 def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
@@ -201,11 +201,7 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
         raise DomainError(f"order r must be a positive integer, got {r}")
     if M < 1:
         raise DomainError(f"series length M must be positive, got {M}")
-    base = chi.periodic_values(M)
-    coeffs = base.copy()
-    for _ in range(r - 1):
-        coeffs = np.convolve(coeffs, base)[:M]
-    return coeffs
+    return _fold(chi.periodic_values(M), r, M)
 
 
 def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.ndarray:
@@ -228,8 +224,4 @@ def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.
             f"{r}-part composition sums below {upper} take {macs:g} multiply-adds, "
             f"over the budget {CONVOLUTION_BUDGET:g}"
         )
-    base = chi.periodic_values(upper)
-    out = base.copy()
-    for _ in range(r - 1):
-        out = np.convolve(out, base)
-    return out
+    return _fold(chi.periodic_values(upper), r, r * (upper - 1) + 1)

@@ -14,12 +14,12 @@ max(|lhs|, |rhs|, 1), tol being --tolerance or the identity's default (1e-7;
 --epsilon.  --s takes 're' or 're,im'; --s -0.5,0.5 equals --s=-0.5,0.5.
 
 Each flag's rule is its argparse type (an odd positive --d, --a, --b; --q in
-(0,1); a finite --x and --y; ...), and the parser raises UsageError, so
-every usage error takes one path.  Exit codes: 0 success or all instances
-passed, 1 at least one identity instance failed, 2 invalid usage, 3 numeric
-infeasibility (no certified truncation within the term budget, a weight
-bound or identity side that is not a finite double, or a work budget
-overrun).
+(0,1); a finite --x, --y and --s; --n-max and --m-max at most 10^4; ...), and
+the parser raises UsageError, so every usage error takes one path.  Exit
+codes: 0 success or all instances passed, 1 at least one identity instance
+failed, 2 invalid usage, 3 numeric infeasibility (no certified truncation
+within the term budget, a weight bound or identity side that is not a finite
+double, or a work budget overrun).
 
 Output is reproducible byte for byte for a fixed argv: JSON uses shortest
 round-trip float formatting and fixed field order.
@@ -28,10 +28,10 @@ round-trip float formatting and fixed field order.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
-import math
 import sys
 
 from .characters import build_character_group
@@ -47,7 +47,9 @@ _I_RULE = "must satisfy 0 <= i <= n"
 # (refuses, message) rules of _flag
 _POSITIVE = (lambda v: v < 1, "must be a positive integer")
 _NONNEGATIVE = (lambda v: v < 0, "must be nonnegative")
-_FINITE = (lambda v: not math.isfinite(v), "must be finite")
+_FINITE = (lambda v: not cmath.isfinite(v), "must be finite")
+# degree sweeps are built in full before any work budget applies
+_DEGREE_CEILING = (lambda v: v > 10 ** 4, "must be at most 10000")
 
 
 def _parse_complex(text: str) -> complex:
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lf = sub.add_parser("eval-lfun", help="evaluate l(s, x)")
     add_eval_common(p_lf)
-    p_lf.add_argument("--s", type=_parse_complex, required=True,
+    p_lf.add_argument("--s", type=_flag("--s", _parse_complex, _FINITE), required=True,
                       help="complex exponent 're' or 're,im'")
     p_lf.add_argument("--x", type=_flag("--x", float, (lambda v: v <= 0.0,
                                                        "must be strictly positive"), _FINITE),
@@ -149,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--identity", choices=IDENTITY_IDS, required=True)
     p_v.add_argument("--a", type=_odd("--a"), default=1, help="odd symmetry parameter")
     p_v.add_argument("--b", type=_odd("--b"), default=1, help="odd symmetry parameter")
-    p_v.add_argument("--n-max", type=_flag("--n-max", int, _NONNEGATIVE), default=0,
-                     help="sweep degrees n = 0..n-max")
-    p_v.add_argument("--m-max", type=_flag("--m-max", int, _NONNEGATIVE), default=0,
-                     help="sweep degrees m = 0..m-max (EQ15)")
-    p_v.add_argument("--s", type=_parse_complex, default=None,
+    p_v.add_argument("--n-max", type=_flag("--n-max", int, _NONNEGATIVE, _DEGREE_CEILING),
+                     default=0, help="sweep degrees n = 0..n-max")
+    p_v.add_argument("--m-max", type=_flag("--m-max", int, _NONNEGATIVE, _DEGREE_CEILING),
+                     default=0, help="sweep degrees m = 0..m-max (EQ15)")
+    p_v.add_argument("--s", type=_flag("--s", _parse_complex, _FINITE), default=None,
                      help="exponent for T1, 're' or 're,im'")
     p_v.add_argument("--x", type=_flag("--x", float, _NONNEGATIVE, _FINITE), default=1.0)
     p_v.add_argument("--y", type=_flag("--y", float, _NONNEGATIVE, _FINITE), default=0.0)

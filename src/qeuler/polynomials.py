@@ -9,8 +9,9 @@ alternating character-weighted series
 Two independent evaluation routes are provided on purpose.  The fast route
 groups tuples by their total m and uses the composition sums c_m, turning the
 r-fold series into a single alternating sum.  The naive route enumerates
-every index tuple below a cutoff and serves as the oracle for the fast one;
-the two never share the grouping step.
+every index tuple below a cutoff into a histogram of tuple totals and serves
+as the oracle for the fast one; it never convolves, so the two routes never
+share the grouping step.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .qnum import (
 )
 
 TUPLE_BUDGET = 10 ** 8
-TUPLE_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,12 @@ def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int):
     chiv[j_1]...chiv[j_r] * weights[..., j_1+...+j_r]: a complex for a vector
     of weights, a list with one sum per row for a matrix.
 
-    Every tuple contributes individually; nothing is grouped by total.  The
-    slowest index advances in a Python loop while the remaining r-1 indices
-    are materialized as a dense grid, keeping memory at O(len(chiv)^(r-1))
-    per row, for at most TUPLE_BLOCK grid entries' worth of rows at a time.
+    Every tuple is enumerated individually; none is grouped by convolution.
+    The products and totals of the last r-1 indices are two flat arrays of
+    len(chiv)^(r-1) entries, and one np.add.at per leading index (one in all
+    when r == 1) adds its tuples' products into a histogram over the tuple
+    totals.  Each weight row is then summed as np.sum(row * histogram), with
+    no BLAS call, so no thread count can change the result.
     """
     width = len(chiv)
     if width < 1:
@@ -136,30 +138,18 @@ def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int):
         raise BudgetExceeded(
             f"enumerating {width}^{r} index tuples exceeds the budget {TUPLE_BUDGET:g}"
         )
-    rows = np.atleast_2d(weights)
-    if r == 1:
-        sums = [complex(np.sum(chiv * row[:width])) for row in rows]
-        return sums[0] if weights.ndim == 1 else sums
-
-    rest_prod = np.ones((1,) * (r - 1), dtype=complex)
-    rest_total = np.zeros((1,) * (r - 1), dtype=np.int64)
-    for axis in range(r - 1):
-        shape = [1] * (r - 1)
-        shape[axis] = width
-        rest_prod = rest_prod * chiv.reshape(shape)
-        rest_total = rest_total + np.arange(width).reshape(shape)
-    rest_prod, rest_total = rest_prod.ravel(), rest_total.ravel()
-
-    sums = [0j] * len(rows)
-    step = max(1, TUPLE_BLOCK // rest_prod.size)
-    for lo in range(0, len(rows), step):
-        for j0 in range(width):
-            # take() keeps rows contiguous, so each row sums like a vector;
-            # the products with chiv stay scalar, as for a single row
-            grid = np.take(rows[lo:lo + step], rest_total + j0, axis=1)
-            for k, value in enumerate(np.sum(rest_prod * grid, axis=-1), lo):
-                sums[k] += chiv[j0] * value
-    return sums[0] if weights.ndim == 1 else sums
+    rest_prod = np.ones(1, dtype=complex)
+    rest_total = np.zeros(1, dtype=np.int64)
+    for _ in range(r - 1):
+        rest_prod = np.multiply.outer(rest_prod, chiv).ravel()
+        rest_total = np.add.outer(rest_total, np.arange(width)).ravel()
+    hist = np.zeros(r * (width - 1) + 1, dtype=complex)
+    # each call covers at least width tuples: one leading index, or all when r == 1
+    for lead in np.arange(width).reshape(-1, -(-width // rest_prod.size)):
+        np.add.at(hist, np.add.outer(lead, rest_total).ravel(),
+                  np.multiply.outer(chiv[lead], rest_prod).ravel())
+    sums = np.sum(np.atleast_2d(weights)[:, :hist.size] * hist, axis=-1)
+    return complex(sums[0]) if weights.ndim == 1 else sums.tolist()
 
 
 def qeuler_poly_naive(spec: QEulerSpec, M: int) -> complex:

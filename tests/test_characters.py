@@ -66,6 +66,43 @@ def test_group_construction_errors():
         build_character_group(0)
 
 
+def test_default_bound_refuses_moduli_above_3001():
+    with pytest.raises(Overflow, match="exceeds the construction bound 3001"):
+        build_character_group(3003)
+
+
+def per_unit_table(d):
+    """Character values by one angle per (character, unit), summed in Python
+    integers: the loop build_character_group's one row per character replaced."""
+    structure = build_character_group(d).structure
+    orders = [s for _, _, s in structure]
+    exponent = math.lcm(*orders)
+    roots = np.exp(2j * np.pi * np.arange(exponent) / exponent)
+    for numerator, exact in ((0, 1.0), (1, 1.0j), (2, -1.0), (3, -1.0j)):
+        if numerator * exponent % 4 == 0:
+            roots[numerator * exponent // 4] = exact
+    dlogs = [{pow(g, j, pp): j for j in range(s)} for pp, g, s in structure]
+    units = [m for m in range(d) if math.gcd(m, d) == 1]
+    tables = []
+    for ks in itertools.product(*(range(s) for s in orders)):
+        values = np.zeros(d, dtype=complex)
+        for m in units:
+            angle = sum(k * dlog[m % pp] * (exponent // s)
+                        for k, dlog, (pp, _, s) in zip(ks, dlogs, structure))
+            values[m] = roots[angle % exponent]
+        tables.append(values)
+    return tables
+
+
+@pytest.mark.parametrize("d", range(1, 100, 2))
+def test_character_rows_equal_the_per_unit_loop_bit_for_bit(d):
+    expected = per_unit_table(d)
+    group = build_character_group(d)
+    assert len(group) == len(expected)
+    for chi, values in zip(group, expected):
+        assert chi.values.tobytes() == values.tobytes()
+
+
 def test_eval_char_periodic_extension():
     chi = build_character_group(3)[1]
     assert chi(4) == 1  # 4 = 1 mod 3

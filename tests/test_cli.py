@@ -37,6 +37,16 @@ def test_parse_args_happy_path():
     (["verify", "--identity", "EQ9", "--d", "3", "--q", "0.5", "--y", "nan"], "--y must be finite"),
     (["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1", "--x", "inf"], "--x must be finite"),
     (["eval-lfun", "--d", "3", "--q", "0.5", "--s", "1", "--x", "nan"], "--x must be finite"),
+    (["verify", "--identity", "T1", "--d", "3", "--q", "0.5", "--a", "1", "--b", "3",
+      "--s", "nan", "--x", "1", "--output", "json"], "--s must be finite"),
+    (["eval-lfun", "--d", "3", "--q", "0.5", "--s", "nan"], "--s must be finite"),
+    (["eval-lfun", "--d", "3", "--q", "0.5", "--s", "1,nan"], "--s must be finite"),
+    (["eval-lfun", "--d", "3", "--q", "0.5", "--s", "inf"], "--s must be finite"),
+    (["verify", "--identity", "T2", "--d", "1", "--q", "0.5", "--n-max", "10000000000"],
+     "--n-max must be at most 10000"),
+    (["verify", "--identity", "EQ15", "--d", "1", "--q", "0.5", "--m-max", "10001"],
+     "--m-max must be at most 10000"),
+    (["char-list", "--d", "3003"], "exceeds the construction bound"),
 ])
 def test_usage_errors(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)
@@ -155,6 +165,17 @@ def test_unbounded_weight_is_infeasible_not_a_crash(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-powersum", "--d", "1", "--r", "100", "--upper", "1", "--n", "0", "--i", "0",
+     "--q", "0.5"],
+    ["verify", "--identity", "T3", "--d", "1", "--r", "100", "--q", "0.5", "--n-max", "1"],
+])
+def test_orders_past_the_array_dimension_limit_evaluate(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out and err == ""
 
 
 def test_budget_overrun_exits_3(capsys):

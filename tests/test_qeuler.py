@@ -156,6 +156,12 @@ def test_spec_validation(groups):
         QEulerSpec.create(chi, 1, 0, -0.5, ctx)
 
 
+def test_naive_enumerates_orders_past_the_array_dimension_limit(groups):
+    # M = 1 leaves the one tuple (0, ..., 0), so the value is [2]_q^r [x]_q^n
+    spec = QEulerSpec.create(groups[1][0], 100, 2, 1.0, QContext(0.5))
+    assert qeuler_poly_naive(spec, 1) == pytest.approx(1.5 ** 100)
+
+
 def test_naive_budget_guard(groups):
     ctx = QContext(0.5)
     spec = QEulerSpec.create(groups[1][0], 3, 0, 0.0, ctx)

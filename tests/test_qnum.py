@@ -13,6 +13,7 @@ from qeuler import (
     QContext,
     QEulerSpec,
     TruncationPlan,
+    bounded_composition_sums,
     build_character_group,
     conv_power,
     lfun_value,
@@ -197,6 +198,8 @@ def test_conv_power_prefixes_are_the_shorter_convolutions(d, r):
         longest = conv_power(chi, r, 600)
         for k in (1, 2, 7, 8, 9, 63, 64, 65, 128, 129, 599):
             assert np.array_equal(longest[:k], conv_power(chi, r, k))
+            assert (conv_power(chi, r, k).tobytes()
+                    == bounded_composition_sums(chi, r, k)[:k].tobytes())
 
 
 @pytest.mark.parametrize("q", [0.3, 0.7, 0.95])

@@ -1,0 +1,129 @@
+"""Golden check of the qeuler command line.
+
+Runs a fixed set of argvs, each as `python -m qeuler ARGV` with the
+interpreter running this script and the caller's PYTHONPATH, and prints one
+line per argv:
+
+    EXIT SHA256(stdout)[:16] ARGV
+
+A golden check is a diff of two runs, one per checkout:
+
+    PYTHONPATH=src python3 tools/golden.py > after.txt
+
+A line that differs names an argv whose exit code or stdout changed.  Only
+the standard library is used; the file is not a test module.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import shlex
+import subprocess
+import sys
+
+# verify --output json --identity ...: the sweep set every refactor is held to
+VERIFY_JSON = [
+    "T1 --d 3 --r 1 --q 0.5 --a 1 --b 3 --s 1.5 --x 1",
+    "T1 --d 3 --r 2 --q 0.5 --a 1 --b 3 --s=-0.5,0.5 --x 0.75",
+    "T1 --d 15 --chi 1 --r 1 --q 0.5 --a 1 --b 3 --s 2.5 --x 1",
+    "T1 --d 3 --q 0.5 --a 1 --b 3 --s 1 --x 0",
+    "T1 --d 45 --chi 5 --r 1 --q 0.3 --a 1 --b 3 --s=1,1 --x 0.5",
+    "T1 --d 1 --r 3 --q 0.5 --a 1 --b 1 --s -3 --x 2",
+    "T2 --d 3 --r 1 --q 0.5 --a 1 --b 3 --n-max 6",
+    "T2 --d 15 --r 1 --q 0.5 --a 1 --b 3 --n-max 3 --x 0.5",
+    "T2 --d 45 --r 4 --a 5 --b 3 --chi 3 --q 0.5",
+    "T2 --d 3 --r 2 --q 0.5 --a 1 --b 3 --n-max 3 --tolerance 1e-12",
+    "T2 --d 1 --r 3 --q 0.3 --a 3 --b 5 --n-max 4 --x 0.25",
+    "T2 --d 45 --chi 7 --r 1 --q 0.7 --a 1 --b 3 --n-max 2",
+    "T2 --d 1 --r 2 --q 0.97 --a 1 --b 3 --n-max 12",
+    "T2 --d 3 --chi 1 --r 1 --q 0.5 --a 1 --b 3 --n-max 3 --epsilon 1e-12 --tolerance 1e-12",
+    "T3 --d 3 --r 2 --q 0.5 --a 1 --b 3 --n-max 4",
+    "T3 --d 15 --chi 2 --r 1 --q 0.5 --a 3 --b 5 --n-max 3 --x 0.5",
+    "T3 --d 1 --r 3 --q 0.7 --a 1 --b 3 --n-max 3",
+    "T3 --d 45 --chi 1 --r 1 --q 0.5 --a 1 --b 3 --n-max 2 --tolerance 1e-9",
+    "EQ4 --d 45 --r 3 --q 0.9 --n-max 9 --x 1.5 --chi 0",
+    "EQ4 --d 3 --r 2 --q 0.5 --n-max 3 --tolerance 1e-12",
+    "EQ4 --d 1 --r 1 --q 0.5 --n-max 8 --x 1",
+    "EQ4 --d 15 --r 3 --q 0.9 --n-max 6 --chi 3",
+    "EQ4 --d 3 --r 1 --q 0.7 --n-max 5 --epsilon 1e-12",
+    "EQ5 --d 3 --r 1 --q 0.5 --n-max 5 --x 0.5",
+    "EQ5 --d 15 --r 2 --q 0.5 --n-max 3 --x 1",
+    "EQ5 --d 1 --r 3 --q 0.7 --n-max 4 --x 0",
+    "EQ5 --d 3 --chi 1 --r 1 --q 0.5 --n-max 4 --x 0.5 --tolerance 1e-12",
+    "EQ9 --d 3 --r 1 --q 0.5 --n-max 4 --x 0.5 --y 0.25",
+    "EQ9 --d 45 --chi 11 --r 2 --q 0.3 --n-max 3 --x 1 --y 0.5",
+    "EQ9 --d 1 --r 1 --q 0.5 --n-max 3 --x 0 --y 0.25",
+    "EQ12 --d 3 --r 1 --q 0.5 --a 1 --b 3 --n-max 4",
+    "EQ12 --d 15 --r 2 --q 0.5 --a 1 --b 3 --n-max 2 --chi 4",
+    "EQ12 --d 1 --r 3 --q 0.3 --a 3 --b 1 --n-max 3",
+    "EQ13 --d 3 --r 2 --q 0.5 --a 1 --b 3 --n-max 3",
+    "EQ13 --d 15 --r 1 --q 0.7 --a 1 --b 5 --n-max 2",
+    "EQ15 --d 3 --r 1 --q 0.5 --m-max 3 --n-max 3 --x 0.5 --y 0.25",
+    "EQ15 --d 15 --chi 6 --r 2 --q 0.5 --m-max 2 --n-max 2 --x 1 --y 0",
+    "EQ15 --d 1 --r 3 --q 0.7 --m-max 2 --n-max 3 --x 0 --y 0.5",
+]
+
+# verify --output {pretty,csv} --identity ...: every layout of a record
+VERIFY_TEXT = [
+    "T1 --d 3 --r 1 --q 0.5 --a 1 --b 3 --s 1.5 --x 1",
+    "T1 --d 3 --q 0.5 --a 1 --b 3 --s 1 --x 0",
+    "T2 --d 3 --r 1 --q 0.5 --a 1 --b 3 --n-max 6",
+    "T2 --d 45 --r 4 --a 5 --b 3 --chi 3 --q 0.5",
+    "T3 --d 3 --r 2 --q 0.5 --a 1 --b 3 --n-max 4",
+    "EQ4 --d 3 --r 1 --q 0.5 --n-max 2 --x 0",
+    "EQ9 --d 3 --r 1 --q 0.5 --n-max 4 --x 0.5 --y 0.25",
+    "EQ12 --d 15 --r 2 --q 0.5 --a 1 --b 3 --n-max 2 --chi 4",
+    "EQ15 --d 3 --r 1 --q 0.5 --m-max 3 --n-max 3 --x 0.5 --y 0.25",
+]
+
+# ... --output {pretty,json,csv}
+ANY_FORMAT = [
+    "char-list --d 1",
+    "char-list --d 5",
+    "char-list --d 45 --chi 7",
+    "eval-qeuler --d 3 --chi 1 --r 2 --n 3 --q 0.5 --x 0.5",
+    "eval-qeuler --d 15 --chi 4 --r 3 --n 10 --q 0.9 --x 1",
+    "eval-lfun --d 3 --chi 1 --r 1 --s 1,1 --q 0.5 --x 1",
+    "eval-lfun --d 5 --chi 2 --r 2 --s -0.5,0.5 --q 0.7 --x 0.25",
+    "eval-powersum --d 3 --chi 1 --r 1 --upper 3 --n 1 --i 1 --q 0.5",
+    "eval-powersum --d 5 --chi 3 --r 3 --upper 15 --n 4 --i 2 --q 0.7",
+    "eval-powersum --d 1 --r 100 --upper 1 --n 0 --i 0 --q 0.5",
+]
+
+# argvs that end in an error (exit 2 or 3) or at the edges of the flag rules
+EDGES = [
+    "eval-qeuler --d 3 --q 0.5 --n 1000000",
+    "eval-lfun --d 3 --q 0.5 --s 0,400",
+    "eval-lfun --d 3 --chi 1 --q 0.5 --s -300 --x 1e-300",
+    "verify --identity T1 --d 1 --q 0.5 --a 1 --b 3 --s 1300 --x 1",
+    "verify --identity T1 --d 3 --q 0.5 --a 1 --b 3 --s nan --x 1 --output json",
+    "eval-lfun --d 3 --q 0.5 --s nan",
+    "eval-lfun --d 3 --q 0.5 --s 1,nan",
+    "eval-lfun --d 3 --q 0.5 --s inf",
+    "verify --identity T2 --d 1 --q 0.5 --n-max 10001",
+    "verify --identity EQ15 --d 1 --q 0.5 --m-max 10001",
+    "verify --identity T3 --d 1 --r 100 --q 0.5 --n-max 1 --output json",
+    "char-list --d 3003 --chi 0",
+    "eval-powersum --d 3 --q 0.5 --r 3 --upper 10000 --n 1 --i 1",
+    "eval-qeuler --d 1 --q 0.999 --n 0 --epsilon 1e-12 --max-terms 100",
+]
+
+ARGVS = (
+    [f"verify --output json --identity {a}" for a in VERIFY_JSON]
+    + [f"verify --output {fmt} --identity {a}" for a in VERIFY_TEXT for fmt in ("pretty", "csv")]
+    + [f"{a} --output {fmt}" for a in ANY_FORMAT for fmt in ("pretty", "json", "csv")]
+    + EDGES
+)
+
+
+def main() -> int:
+    for argv in ARGVS:
+        done = subprocess.run([sys.executable, "-m", "qeuler", *shlex.split(argv)],
+                              capture_output=True)
+        digest = hashlib.sha256(done.stdout).hexdigest()[:16]
+        print(f"{done.returncode} {digest} {argv}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
