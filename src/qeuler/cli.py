@@ -14,8 +14,8 @@ max(|lhs|, |rhs|, 1), tol being --tolerance or the identity's default (1e-7;
 --epsilon.  --s takes 're' or 're,im'; --s -0.5,0.5 equals --s=-0.5,0.5.
 
 Each flag's rule is its argparse type (an odd positive --d, --a, --b; --q in
-(0,1); a finite --x, --y and --s; --n-max and --m-max at most 10^4; ...), and
-the parser raises UsageError, so every usage error takes one path.  Exit
+(0,1); a finite --x, --y, --s and nonnegative --tolerance; --n-max and --m-max
+at most 10^4; ...); the parser raises UsageError, one path for all.  Exit
 codes: 0 success or all instances passed, 1 at least one identity instance
 failed, 2 invalid usage, 3 numeric infeasibility (no certified truncation
 within the term budget, a weight bound or identity side that is not a finite
@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -40,7 +42,7 @@ from .identities import IDENTITY_IDS, SweepGrid, power_sum, run_suite
 from .lfun import lfun_value
 from .polynomials import qeuler_value
 from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
-from .report import reports_to_json_lines, suite_passed
+from .report import suite_passed
 
 OUTPUT_FORMATS = ("pretty", "json", "csv")
 _I_RULE = "must satisfy 0 <= i <= n"
@@ -159,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exponent for T1, 're' or 're,im'")
     p_v.add_argument("--x", type=_flag("--x", float, _NONNEGATIVE, _FINITE), default=1.0)
     p_v.add_argument("--y", type=_flag("--y", float, _NONNEGATIVE, _FINITE), default=0.0)
-    p_v.add_argument("--tolerance", type=float, default=None,
-                     help="relative tolerance (default: the identity's own)")
+    p_v.add_argument("--tolerance", type=_flag("--tolerance", float, _NONNEGATIVE, _FINITE),
+                     default=None, help="relative tolerance (default: the identity's own)")
     return parser
 
 
@@ -188,53 +190,47 @@ def _resolve_group(args: argparse.Namespace):
     return group
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if text and not text.endswith("\n"):
-        text += "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _emit(chunks, out_path: str | None) -> None:
+    """Write text chunks to stdout or the file --out names, each as it comes."""
+    with contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
+        try:
+            fh.writelines(chunks)
+        except BrokenPipeError:  # the reader left: drop the rest, and the exit-time flush
+            sys.stdout = None
 
 
-def _csv(header: list[str], rows) -> str:
+def _csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
 def _eval_record(args: argparse.Namespace, params: dict, value: complex) -> str:
     if args.output == "json":
         record = {"command": args.command} | params | {"value": [value.real, value.imag]}
-        return json.dumps(record)
+        return json.dumps(record) + "\n"
     if args.output == "csv":
-        return _csv(list(params) + ["value_re", "value_im"],
-                    [[repr(v) if isinstance(v, float) else v for v in params.values()]
+        return _csv([list(params) + ["value_re", "value_im"],
+                     [repr(v) if isinstance(v, float) else v for v in params.values()]
                      + [repr(value.real), repr(value.imag)]])
-    lines = [f"{k} = {v}" for k, v in params.items()]
-    lines.append(f"value = {value.real!r} + {value.imag!r}i")
-    return "\n".join(lines) + "\n"
+    return ("".join(f"{k} = {v}\n" for k, v in params.items())
+            + f"value = {value.real!r} + {value.imag!r}i\n")
 
 
 def _run_char_list(args: argparse.Namespace) -> int:
     group = _resolve_group(args)
     chars = group.characters if args.chi is None else [group[args.chi]]
     if args.output == "json":
-        text = "\n".join(json.dumps(c.to_json_dict()) for c in chars)
+        head, rows = "", (json.dumps(c.to_json_dict()) + "\n" for c in chars)
     elif args.output == "csv":
-        text = _csv(["d", "label", "residue", "re", "im"],
-                    ([c.modulus_d, c.label, m, repr(v.real), repr(v.imag)]
-                     for c in chars for m, v in enumerate(c.values)))
+        head = "d,label,residue,re,im\n"
+        rows = (_csv([c.modulus_d, c.label, m, repr(v.real), repr(v.imag)]
+                     for m, v in enumerate(c.values)) for c in chars)
     else:
-        lines = [f"character group mod {args.d}: {len(group)} characters"]
-        for c in chars:
-            vals = "  ".join(f"{v.real:+.3f}{v.imag:+.3f}i" for v in c.values)
-            lines.append(f"chi_{c.label}: {vals}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out_path)
+        head = f"character group mod {args.d}: {len(group)} characters\n"
+        rows = (f"chi_{c.label}: " + "  ".join(f"{v.real:+.3f}{v.imag:+.3f}i" for v in c.values)
+                + "\n" for c in chars)
+    _emit(itertools.chain([head], rows), args.out_path)  # one character at a time
     return 0
 
 
@@ -255,12 +251,12 @@ def _run_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.identity, grid, args.epsilon, args.max_terms,
                         rel_tol=args.tolerance)
     if args.output == "json":
-        text = reports_to_json_lines(reports)
+        text = "".join(r.to_json_line() + "\n" for r in reports)
     elif args.output == "csv":
-        text = _csv(["identity", "instance", "residual", "tolerance", "pass"],
-                    ([r.identity_id, json.dumps(r.to_json_dict()["instance"]),
-                      "" if r.residual is None else repr(r.residual), repr(r.tolerance),
-                      "true" if r.passed else "false"] for r in reports))
+        text = _csv([["identity", "instance", "residual", "tolerance", "pass"],
+                     *([r.identity_id, json.dumps(r.to_json_dict()["instance"]),
+                        "" if r.residual is None else repr(r.residual), repr(r.tolerance),
+                        "true" if r.passed else "false"] for r in reports)])
     else:
         lines = []
         for r in reports:
@@ -274,7 +270,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         n_pass = sum(r.passed for r in reports)
         lines.append(f"{n_pass}/{len(reports)} instances passed")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out_path)
+    _emit([text], args.out_path)
     return 0 if suite_passed(reports) else 1
 
 
@@ -299,7 +295,7 @@ def run(args: argparse.Namespace) -> int:
         value = power_sum(chi, args.r, args.n, args.i, args.upper, ctx)
         params = {"d": args.d, "chi": chi.label, "r": args.r, "n": args.n,
                   "i": args.i, "upper": args.upper, "q": args.q}
-    _emit(_eval_record(args, params, value), args.out_path)
+    _emit([_eval_record(args, params, value)], args.out_path)
     return 0
 
 

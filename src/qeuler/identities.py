@@ -54,8 +54,8 @@ from .polynomials import (
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
+    SERIES_BUDGET,
     QContext,
-    check_series_budget,
     q_bracket_two_pow,
     q_number,
 )
@@ -129,7 +129,8 @@ def _shifted_sum(inst: SymmetryInstance, first: int, second: int, prefactor: com
     T_t = term(second x + (second/first) t) at q^first in one batch."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
     upper = chi.modulus_d * first
-    check_series_budget(r * (upper - 1) + 1, 1)  # each total t is a row of the batch
+    if (rows := r * (upper - 1) + 1) > SERIES_BUDGET:  # each total t is a row of the batch
+        raise BudgetExceeded(f"a {rows} x 1 bracket matrix exceeds the budget {SERIES_BUDGET:g}")
     weights = bounded_composition_sums(chi, r, upper)
     args = [_role_argument(second, inst.x, first, t) for t in range(len(weights))]
     total = 0j

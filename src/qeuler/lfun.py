@@ -51,14 +51,13 @@ def power_weight_bound(ctx: QContext, x: float, s: complex) -> float:
         raise DomainError(f"x must be strictly positive, got {x}")
     bracket = q_number(x, ctx)
     if bracket <= 0.0:
-        raise PlanInfeasible(f"[x]_q underflows to zero at x={x:g} (q={ctx.q:g})")
+        raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")
     log_mag = max(abs(math.log(bracket)), abs(math.log(1.0 / (1.0 - ctx.q))))
     try:
         return math.exp(abs(s.real) * log_mag + abs(s.imag) * math.pi)
     except OverflowError:
-        raise PlanInfeasible(
-            f"weight bound overflows at s={s}, x={x:g} (q={ctx.q:g})"
-        ) from None
+        raise PlanInfeasible(f"weight bound overflows at s={s}, x={float(x)!r} "
+                             f"(q={ctx.q!r})") from None
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ Every infinite series evaluated in this package has the shape
 with 0 < q < 1, coefficients bounded by |c_m| <= binom(m+r-1, r-1) (triangle
 inequality over r-part compositions, character values of modulus at most one),
 and a weight w(m) whose magnitude never exceeds a known constant W.  The
-planner below converts a target absolute error into a cutoff M plus a
-certified bound on the omitted tail of the dominating positive series.
+dominating series has terms t(m) = (1+q)^r binom(m+r-1, r-1) q^m W with
+decreasing ratios rho_m = q (m+r)/(m+1), so past a cutoff M with rho_M < 1
+its tail is at most t(M) / (1 - rho_M).  The planner below finds, for a target
+absolute error, the smallest such cutoff whose bound meets it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,7 @@ from .errors import BudgetExceeded, DomainError, PlanInfeasible
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
 SERIES_BUDGET = 10 ** 7
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -74,79 +78,79 @@ class TruncationPlan:
     max_terms: int
 
 
-def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon: float,
-                             max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
-    """Smallest cutoff M <= max_terms whose certified tail bound meets epsilon.
+def _log_bounds(q: float, r: int, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log t(M)/W and g_M = log(t(M)/(W (1-rho_M))) at each cutoff in ms, from that M alone."""
+    log_terms = r * math.log1p(q) + ms * math.log(q)
+    for j in range(1, r):  # log binom(M+r-1, r-1)
+        log_terms += np.log1p(ms / j)
+    return log_terms, log_terms - np.log1p(-q * (ms + r) / (ms + 1.0))
 
-    The dominating series has terms t(m) = (1+q)^r binom(m+r-1, r-1) q^m W.
-    Consecutive ratios t(m+1)/t(m) = q (m+r)/(m+1) decrease monotonically, so
-    with rho = q (M+r)/(M+1) < 1 the omitted tail obeys
 
-        sum_{m >= M} t(m) <= t(M) / (1 - rho).
-
-    The scan walks M upward, updating t(M) incrementally, and returns the
-    first cutoff whose bound is small enough.
-    """
+def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
+          max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cutoffs and tail bounds of an array of cells: g_M does not depend on W, so
+    one grid of g and one searchsorted of log epsilon - log W serve every cell.
+    Before any grid, g at two points refuses more than min(max_terms,
+    SERIES_BUDGET) terms (PlanInfeasible) and cells x cutoff over SERIES_BUDGET."""
     if r < 1:
         raise DomainError(f"order r must be a positive integer, got {r}")
     if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if not weight_bound >= 0.0:
-        raise DomainError(f"weight bound must be nonnegative, got {weight_bound}")
+        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if max_terms < 0:
         raise DomainError(f"max_terms must be nonnegative, got {max_terms}")
+    bounds = np.asarray(weight_bounds, dtype=float)
+    if not bounds.min(initial=0.0) >= 0.0:
+        raise DomainError(f"weight bound must be nonnegative, got {float(bounds.min())!r}")
+    q, widest = ctx.q, float(bounds.max(initial=0.0))
+    log_widest = math.log(widest) if widest > 0.0 else -math.inf
+    need = math.log(epsilon) - log_widest  # the widest cell needs g_M <= need
+    terms, per_cell = min(max_terms, SERIES_BUDGET), SERIES_BUDGET // max(bounds.size, 1)
+    problem = f"(q={q!r}, r={r}, weight bound {widest!r})"
+    no_cutoff = f"no cutoff within {terms} terms certifies error {epsilon!r} {problem}"
+    # the smallest M with rho_M < 1 by the float test, from just below (q r - 1)/(1 - q)
+    first = min(max(0, math.floor((q * r - 1.0) / (1.0 - q)) - 1), terms + 1)
+    while first <= terms and not q * (first + r) / (first + 1.0) < 1.0:
+        first += 1
+    if first > terms:
+        raise PlanInfeasible(no_cutoff)
+    cap, top = max(first, min(terms, per_cell)), first
+    # guess the widest cutoff: fixed-point steps of M = (g_M - M log q - need) / -log q
+    for _ in range(3 if need < math.inf else 0):
+        g_rest = (r * math.log1p(q) + math.lgamma(top + r) - math.lgamma(top + 1)
+                  - math.lgamma(r) - math.log1p(-q * (top + r) / (top + 1.0)))
+        top = math.ceil(min(cap + 1, max(first, (g_rest - need) / -math.log(q))))
+    top = first if top > cap else top  # a likely refusal: no grid before the checks
+    ms = np.arange(first, top + 3, dtype=float)
+    ms[-2:] = terms, max(first, per_cell)
+    log_terms, grid = _log_bounds(q, r, ms)
+    if grid[-2] > need:
+        raise PlanInfeasible(no_cutoff)
+    if log_widest + log_terms[0] > _LOG_DOUBLE_MAX:  # t(first) is the largest term
+        raise PlanInfeasible(f"the dominating series overflows a double {problem}")
+    if first > per_cell or grid[-1] > need:
+        raise BudgetExceeded(f"{bounds.size} cells of more than {per_cell} terms exceed "
+                             f"the bracket matrix budget {SERIES_BUDGET}")
+    grid = grid[:-2]
+    while grid[-1] > need and top < cap:  # the guess fell short
+        top = min(cap, 2 * top - first + 1)
+        grid = _log_bounds(q, r, np.arange(first, top + 1.0))[1]
+    log_w = np.log(bounds, out=np.full(bounds.shape, -np.inf), where=bounds > 0.0)
+    index = np.minimum(np.searchsorted(-grid, log_w - math.log(epsilon)), top - first)
+    return first + index, np.exp(log_w + grid[index])
 
-    q = ctx.q
-    term = (1.0 + q) ** r * weight_bound  # m = 0: binom(r-1, r-1) = 1
-    for cutoff in range(max_terms + 1):
-        rho = q * (cutoff + r) / (cutoff + 1.0)
-        if rho < 1.0:
-            bound = term / (1.0 - rho)
-            if bound <= epsilon:
-                return TruncationPlan(epsilon, cutoff, bound, max_terms)
-        term *= rho
-    raise PlanInfeasible(
-        f"no cutoff within {max_terms} terms certifies error {epsilon:g} "
-        f"(q={q:g}, r={r}, weight bound {weight_bound:g})"
-    )
+
+def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon: float,
+                             max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
+    """Smallest cutoff M <= min(max_terms, SERIES_BUDGET) whose certified tail
+    bound meets epsilon, with that bound: the one-cell plan of plan_cutoffs."""
+    cutoffs, tails = _plan(ctx, r, [weight_bound], epsilon, max_terms)
+    return TruncationPlan(epsilon, int(cutoffs[0]), float(tails[0]), max_terms)
 
 
 def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
                  max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
-    """Cutoffs of many cells at once: entry i is the cutoff_M that
-    plan_truncation_weighted(ctx, r, weight_bounds[i], epsilon, max_terms)
-    returns, for an array of bounds of any shape.
-
-    One scalar scan at the largest bound gives K, which no cell exceeds (a
-    smaller weight scales every term of the scan down).  Each cell's terms
-    t(0..K) are then one cumulative product over [(1+q)^r W, rho_0, ...,
-    rho_{K-1}]: the same left-to-right products as its own scan, so every
-    cell stops exactly where that scan would.  Raises BudgetExceeded when
-    the cells times K exceed SERIES_BUDGET, before anything is allocated.
-    """
-    bounds = np.asarray(weight_bounds, dtype=float)
-    if not bounds.min(initial=0.0) >= 0.0:
-        raise DomainError(f"weight bounds must be nonnegative, got {bounds.min()}")
-    top = plan_truncation_weighted(ctx, r, float(bounds.max(initial=0.0)), epsilon,
-                                   max_terms).cutoff_M
-    check_series_budget(bounds.size, top)
-    k = np.arange(top + 1)
-    rho = ctx.q * (k + r) / (k + 1.0)
-    steps = np.empty(bounds.shape + (top + 1,))
-    steps[..., 0] = (1.0 + ctx.q) ** r * bounds
-    steps[..., 1:] = rho[:-1]
-    # an overflowing tail is +inf and never selected
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tails = np.cumprod(steps, axis=-1) / (1.0 - rho)
-    return np.argmax((rho < 1.0) & (tails <= epsilon), axis=-1)
-
-
-def check_series_budget(rows: int, cutoff: int) -> None:
-    """Refuse a bracket matrix of rows x cutoff entries above SERIES_BUDGET."""
-    if rows * cutoff > SERIES_BUDGET:
-        raise BudgetExceeded(
-            f"a {rows} x {cutoff} bracket matrix exceeds the budget {SERIES_BUDGET:g}"
-        )
+    """plan_truncation_weighted's cutoff_M for each entry of an array of bounds."""
+    return _plan(ctx, r, weight_bounds, epsilon, max_terms)[0]
 
 
 def degree_weight_bound(ctx: QContext, x: float, n: int) -> float:
@@ -161,9 +165,8 @@ def degree_weight_bound(ctx: QContext, x: float, n: int) -> float:
     try:
         return bracket_sup ** n
     except OverflowError:
-        raise PlanInfeasible(
-            f"weight bound {bracket_sup:g}^{n} overflows (q={ctx.q:g}, x={x:g})"
-        ) from None
+        raise PlanInfeasible(f"weight bound {float(bracket_sup)!r}^{n} overflows "
+                             f"(q={ctx.q!r}, x={float(x)!r})") from None
 
 
 def plan_truncation(ctx: QContext, x: float, n: int, r: int, epsilon: float,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +50,12 @@ def test_parse_args_happy_path():
     (["verify", "--identity", "EQ15", "--d", "1", "--q", "0.5", "--m-max", "10001"],
      "--m-max must be at most 10000"),
     (["char-list", "--d", "3003"], "exceeds the construction bound"),
+    (["verify", "--identity", "T2", "--d", "3", "--q", "0.5", "--a", "1", "--b", "3",
+      "--tolerance", "nan"], "--tolerance must be finite"),
+    (["verify", "--identity", "T2", "--d", "3", "--q", "0.5", "--a", "1", "--b", "3",
+      "--tolerance", "inf"], "--tolerance must be finite"),
+    (["verify", "--identity", "T2", "--d", "3", "--q", "0.5", "--a", "1", "--b", "3",
+      "--tolerance=-1"], "--tolerance must be nonnegative"),
 ])
 def test_usage_errors(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)
@@ -72,6 +81,42 @@ def test_char_list_json(capsys):
     assert records[0]["d"] == 3
     assert records[0]["values"] == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
     assert records[1]["values"] == [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize("output", ["pretty", "json", "csv"])
+def test_char_list_file_holds_the_stdout_bytes(capsys, tmp_path, output):
+    argv = ["char-list", "--d", "15", "--output", output]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    path = tmp_path / "chars.txt"
+    assert run_cli(capsys, argv + ["--out", str(path)])[:2] == (0, "")
+    assert path.read_text() == out
+    # phi(15) = 8 characters: a header line and one line per character, or
+    # for csv a header and one line per residue
+    lines = {"pretty": 9, "json": 8, "csv": 1 + 8 * 15}[output]
+    assert out.endswith("\n") and out.count("\n") == lines
+
+
+def test_char_list_stops_quietly_when_the_reader_leaves():
+    # about 40 MB of csv: the reader takes one line and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "qeuler", "char-list", "--d", "1001",
+                             "--output", "csv"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=os.environ | {"PYTHONUNBUFFERED": "1"})
+    assert proc.stdout.readline() == b"d,label,residue,re,im\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+@pytest.mark.parametrize("max_terms", ["100000000", "1000000000000"])
+def test_infeasible_plan_near_one_exits_3(capsys, max_terms):
+    code, out, err = run_cli(capsys, [
+        "verify", "--identity", "EQ4", "--d", "1", "--q", "0.9999999", "--epsilon", "1e-300",
+        "--max-terms", max_terms,
+    ])
+    assert (code, out) == (3, "")
+    assert "no cutoff" in err and "q=0.9999999," in err
 
 
 def test_eval_powersum_value(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
+    DEFAULT_MAX_TERMS,
     BudgetExceeded,
     DomainError,
     PlanInfeasible,
@@ -20,6 +21,7 @@ from qeuler import (
     lfun_values,
     plan_truncation,
     plan_truncation_weighted,
+    power_weight_bound,
     q_bracket_two_pow,
     q_number,
     qeuler_poly,
@@ -109,6 +111,22 @@ def _dominating_term(q, r, weight, m):
     return (1.0 + q) ** r * math.comb(m + r - 1, r - 1) * q ** m * weight
 
 
+def _reference_scan(q, r, weight, epsilon, max_terms=DEFAULT_MAX_TERMS):
+    """(cutoff, tail bound) of the planner, found independently: walk M upward,
+    updating t(M) = (1+q)^r binom(M+r-1, r-1) q^M W by the ratio
+    rho = q (M+r)/(M+1), and stop at the first M with rho < 1 and
+    t(M) / (1 - rho) <= epsilon; None when no M <= max_terms qualifies."""
+    term = (1.0 + q) ** r * weight
+    for cutoff in range(max_terms + 1):
+        rho = q * (cutoff + r) / (cutoff + 1.0)
+        if rho < 1.0:
+            bound = term / (1.0 - rho)
+            if bound <= epsilon:
+                return cutoff, bound
+        term *= rho
+    return None
+
+
 def test_plan_bound_is_certified_and_minimal():
     ctx = QContext(0.5)
     plan = plan_truncation(ctx, x=0.0, n=0, r=1, epsilon=1e-12)
@@ -188,7 +206,31 @@ def test_every_cell_keeps_its_own_cutoff(q, r, xs, ns, epsilon):
     assert cutoffs.shape == (len(xs), len(ns))
     for i, x in enumerate(xs):
         for j, n in enumerate(ns):
-            assert cutoffs[i, j] == plan_truncation(ctx, x, n, r, epsilon).cutoff_M
+            cutoff, bound = _reference_scan(q, r, bounds[i][j], epsilon)
+            plan = plan_truncation(ctx, x, n, r, epsilon)
+            assert cutoffs[i, j] == plan.cutoff_M == cutoff
+            assert plan.tail_bound == pytest.approx(bound, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    q=st.floats(min_value=0.01, max_value=0.99),
+    r=st.integers(min_value=1, max_value=8),
+    weight=st.one_of(st.just(0.0), st.floats(min_value=1e-10, max_value=1e250)),
+    epsilon=st.sampled_from([1e-3, 1e-6, 1e-10, 1e-13, 1e-30, 1e-300]),
+    max_terms=st.sampled_from([0, 7, 100, DEFAULT_MAX_TERMS]),
+)
+def test_plan_matches_the_reference_scan(q, r, weight, epsilon, max_terms):
+    ctx = QContext(q)
+    expected = _reference_scan(q, r, weight, epsilon, max_terms)
+    if expected is None:
+        with pytest.raises(PlanInfeasible):
+            plan_truncation_weighted(ctx, r, weight, epsilon, max_terms)
+        return
+    plan = plan_truncation_weighted(ctx, r, weight, epsilon, max_terms)
+    assert plan.cutoff_M == expected[0]
+    assert plan.tail_bound == pytest.approx(expected[1], rel=1e-12)
+    assert plan.tail_bound <= epsilon
 
 
 @pytest.mark.parametrize("d", [1, 3, 15])
@@ -227,5 +269,27 @@ def test_plan_cutoffs_ignores_an_overflowing_tail():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cutoffs = plan_cutoffs(ctx, 1, [[1e307, 1.0]], 1e-10)
-    expected = [plan_truncation_weighted(ctx, 1, w, 1e-10).cutoff_M for w in (1e307, 1.0)]
+    expected = [_reference_scan(0.9, 1, w, 1e-10)[0] for w in (1e307, 1.0)]
     assert cutoffs.tolist() == [expected]
+
+
+@pytest.mark.parametrize("max_terms", [10 ** 7, 10 ** 8, 10 ** 12])
+def test_plan_refuses_q_near_one_without_scanning(max_terms):
+    # about 7e9 terms are needed: a scan of max_terms steps takes seconds to hours
+    with pytest.raises(PlanInfeasible, match=r"q=0\.9999999,"):
+        plan_truncation_weighted(QContext(0.9999999), 1, 1.0, 1e-300, max_terms)
+
+
+def test_plan_refuses_a_dominating_term_past_the_double_range():
+    # the running product of the scan overflows at t(0) = 2e308
+    assert _reference_scan(0.5, 1, 1e308 / 0.75, 1e-10) is None
+    with pytest.raises(PlanInfeasible, match="overflows a double"):
+        plan_truncation_weighted(QContext(0.5), 1, 1e308 / 0.75, 1e-10)
+
+
+def test_weight_bound_messages_name_the_given_q():
+    ctx = QContext(0.9999999)
+    with pytest.raises(PlanInfeasible, match=r"q=0\.9999999, x=0\.5\)"):
+        degree_weight_bound(ctx, 0.5, 10 ** 5)
+    with pytest.raises(PlanInfeasible, match=r"x=0\.5 \(q=0\.9999999\)"):
+        power_weight_bound(ctx, 0.5, complex(0.0, 300.0))

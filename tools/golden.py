@@ -106,6 +106,8 @@ EDGES = [
     "char-list --d 3003 --chi 0",
     "eval-powersum --d 3 --q 0.5 --r 3 --upper 10000 --n 1 --i 1",
     "eval-qeuler --d 1 --q 0.999 --n 0 --epsilon 1e-12 --max-terms 100",
+    "verify --identity EQ4 --d 1 --q 0.9999999 --epsilon 1e-300 --max-terms 10000000",
+    "verify --identity T2 --d 3 --q 0.5 --a 1 --b 3 --tolerance nan",
 ]
 
 ARGVS = (
