@@ -17,9 +17,9 @@ Each flag's rule is its argparse type (an odd positive --d, --a, --b; --q in
 (0,1); a finite --x, --y, --s and nonnegative --tolerance; --n-max and --m-max
 at most 10^4; ...); the parser raises UsageError, one path for all.  Exit
 codes: 0 success or all instances passed, 1 at least one identity instance
-failed, 2 invalid usage, 3 numeric infeasibility (no certified truncation
-within the term budget, a weight bound or identity side that is not a finite
-double, or a work budget overrun).
+failed, 2 invalid usage or an unwritable --out, 3 numeric infeasibility (no
+certified truncation within the term budget, a weight bound, identity side or
+power sum that is not a finite double, or a work budget overrun).
 
 Output is reproducible byte for byte for a fixed argv: JSON uses shortest
 round-trip float formatting and fixed field order.
@@ -224,7 +224,7 @@ def _run_char_list(args: argparse.Namespace) -> int:
         head, rows = "", (json.dumps(c.to_json_dict()) + "\n" for c in chars)
     elif args.output == "csv":
         head = "d,label,residue,re,im\n"
-        rows = (_csv([c.modulus_d, c.label, m, repr(v.real), repr(v.imag)]
+        rows = (_csv([c.modulus_d, c.label, m, repr(float(v.real)), repr(float(v.imag))]
                      for m, v in enumerate(c.values)) for c in chars)
     else:
         head = f"character group mod {args.d}: {len(group)} characters\n"
@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         return run(parse_args(sys.argv[1:] if argv is None else argv))
     except SystemExit:  # only --help exits; every usage error raises UsageError
         return 0
-    except (UsageError, DomainError, PlanInfeasible, BudgetExceeded) as exc:
+    except (UsageError, DomainError, PlanInfeasible, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (PlanInfeasible, BudgetExceeded)) else 2
 

@@ -10,7 +10,7 @@ class PlanInfeasible(QEulerError):
 
 
 class BudgetExceeded(QEulerError):
-    """A finite enumeration would exceed the configured tuple budget."""
+    """A computation would exceed one of its work budgets."""
 
 
 class DomainError(QEulerError, ValueError):

@@ -46,7 +46,6 @@ from .errors import BudgetExceeded, DomainError, ParityViolation, PlanInfeasible
 from .lfun import DEFAULT_INTERPOLATION_TOL, lfun_value, lfun_values
 from .polynomials import (
     binomial_shift_sum,
-    char_tuple_sum,
     qeuler_addition,
     qeuler_table,
     qeuler_value,
@@ -65,6 +64,14 @@ DEFAULT_REL_TOL = 1e-7
 BRIDGE_REL_TOL = 1e-8
 
 
+def _tuple_totals(chi: DirichletCharacter, r: int, upper: int, weight_rows: int) -> np.ndarray:
+    """bounded_composition_sums(chi, r, upper), once its totals x weight_rows fit SERIES_BUDGET."""
+    if (rows := r * (upper - 1) + 1) * weight_rows > SERIES_BUDGET:
+        raise BudgetExceeded(f"a {rows} x {weight_rows} bracket matrix exceeds the budget "
+                             f"{SERIES_BUDGET:g}")
+    return bounded_composition_sums(chi, r, upper)
+
+
 def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
               ctx: QContext) -> complex:
     """Alternating character power sum
@@ -72,8 +79,9 @@ def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
         S_{n,i}(upper_a | chi) = sum over r-tuples j in [0, upper_a)^r of
         (-1)^|j| chi(j_1)...chi(j_r) q^((n-i+1)|j|) [|j|]_q^i,
 
-    an exact finite sum evaluated by enumerating every tuple, with 0^0 = 1
-    at |j| = 0, i = 0.  Requires 0 <= i <= n."""
+    an exact finite sum over the tuples grouped by their total |j|, with
+    0^0 = 1 at |j| = 0, i = 0.  Requires 0 <= i <= n; a sum that is not a
+    finite double raises PlanInfeasible."""
     if not 0 <= i <= n:
         raise DomainError(f"need 0 <= i <= n, got i={i}, n={n}")
     return _power_sums(chi, r, n, [i], upper_a, ctx)[0]
@@ -81,15 +89,21 @@ def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
 
 def _power_sums(chi: DirichletCharacter, r: int, n: int, indices, upper_a: int,
                 ctx: QContext) -> list[complex]:
-    """S_{n,i}(upper_a | chi) for every i in indices, one enumeration for all."""
-    if upper_a < 1:
-        raise DomainError(f"upper limit must be positive, got {upper_a}")
-    totals = np.arange(r * (upper_a - 1) + 1)
-    signs = 1.0 - 2.0 * (totals % 2)
+    """S_{n,i}(upper_a | chi) for every i in indices, one histogram for all."""
+    hist = _tuple_totals(chi, r, upper_a, len(indices))
+    totals = np.arange(hist.size, dtype=float)  # float exponents never wrap, whatever n is
     brackets = q_number(totals, ctx)
-    weights = np.array([signs * ctx.q ** ((n - i + 1) * totals) * brackets ** i
-                        for i in indices])
-    return char_tuple_sum(chi.periodic_values(upper_a), weights, r)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            weights = np.array([(-1.0) ** totals * ctx.q ** ((n - i + 1) * totals)
+                                * brackets ** i for i in indices])
+            sums = np.sum(weights * hist, axis=-1)
+    except OverflowError:  # an exponent past the double range
+        sums = np.array([math.nan])
+    if not np.isfinite(sums).all():
+        raise PlanInfeasible(f"a power sum S_{{{n},i}}({upper_a}) at q={ctx.q!r} is not a "
+                             "finite double")
+    return sums.tolist()
 
 
 @dataclass(frozen=True)
@@ -128,10 +142,7 @@ def _shifted_sum(inst: SymmetryInstance, first: int, second: int, prefactor: com
     d*first of w_t (-1)^t q^(second t) T_t, where terms evaluates every
     T_t = term(second x + (second/first) t) at q^first in one batch."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
-    upper = chi.modulus_d * first
-    if (rows := r * (upper - 1) + 1) > SERIES_BUDGET:  # each total t is a row of the batch
-        raise BudgetExceeded(f"a {rows} x 1 bracket matrix exceeds the budget {SERIES_BUDGET:g}")
-    weights = bounded_composition_sums(chi, r, upper)
+    weights = _tuple_totals(chi, r, chi.modulus_d * first, 1)  # each total t is a row of the batch
     args = [_role_argument(second, inst.x, first, t) for t in range(len(weights))]
     total = 0j
     for t, (w_t, term) in enumerate(zip(weights, terms(args, ctx.power(first)))):

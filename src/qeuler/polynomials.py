@@ -117,17 +117,15 @@ def qeuler_poly(spec: QEulerSpec) -> complex:
                         [spec.plan.cutoff_M])[0][0]
 
 
-def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int):
+def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:
     """sum over all r-tuples (j_1,...,j_r) in [0, len(chiv))^r of
-    chiv[j_1]...chiv[j_r] * weights[..., j_1+...+j_r]: a complex for a vector
-    of weights, a list with one sum per row for a matrix.
+    chiv[j_1]...chiv[j_r] * weights[j_1+...+j_r].
 
     Every tuple is enumerated individually; none is grouped by convolution.
     The products and totals of the last r-1 indices are two flat arrays of
     len(chiv)^(r-1) entries, and one np.add.at per leading index (one in all
     when r == 1) adds its tuples' products into a histogram over the tuple
-    totals.  Each weight row is then summed as np.sum(row * histogram), with
-    no BLAS call, so no thread count can change the result.
+    totals, which is summed against the weights with np.sum, no BLAS call.
     """
     width = len(chiv)
     if width < 1:
@@ -148,8 +146,7 @@ def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int):
     for lead in np.arange(width).reshape(-1, -(-width // rest_prod.size)):
         np.add.at(hist, np.add.outer(lead, rest_total).ravel(),
                   np.multiply.outer(chiv[lead], rest_prod).ravel())
-    sums = np.sum(np.atleast_2d(weights)[:, :hist.size] * hist, axis=-1)
-    return complex(sums[0]) if weights.ndim == 1 else sums.tolist()
+    return complex(np.sum(weights[:hist.size] * hist))
 
 
 def qeuler_poly_naive(spec: QEulerSpec, M: int) -> complex:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qeuler import UsageError
 from qeuler.cli import main, parse_args
@@ -203,6 +207,9 @@ def test_infeasible_plan_exits_3(capsys):
     # [b]_q^s in the T1 side: cmath.exp overflows before any planner runs
     ["verify", "--identity", "T1", "--d", "1", "--q", "0.5", "--a", "1", "--b", "3",
      "--s", "1300", "--x", "1"],
+    # [8]_q^100000 in a power sum's weights: the sum would print as NaN, not JSON
+    ["eval-powersum", "--d", "5", "--chi", "1", "--r", "2", "--upper", "5", "--n", "100000",
+     "--i", "100000", "--q", "0.9", "--output", "json"],
 ])
 def test_unbounded_weight_is_infeasible_not_a_crash(capsys, argv):
     # main() returns instead of raising, so no traceback reaches the user
@@ -223,13 +230,36 @@ def test_orders_past_the_array_dimension_limit_evaluate(capsys, argv):
     assert out and err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["char-list", "--d", "3"],
+    ["verify", "--identity", "T2", "--d", "3", "--q", "0.5", "--a", "1", "--b", "3"],
+])
+def test_unwritable_out_path_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "missing" / "x.txt")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_char_list_csv_cells_are_plain_numbers(capsys):
+    code, out, _ = run_cli(capsys, ["char-list", "--d", "15", "--output", "csv"])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "d,label,residue,re,im"
+    for row in rows:
+        d, label, residue, re, im = row.split(",")
+        assert int(d) == 15 and 0 <= int(label) < 8 and 0 <= int(residue) < 15
+        assert abs(complex(float(re), float(im))) in (0.0, pytest.approx(1.0))
+
+
 def test_budget_overrun_exits_3(capsys):
-    code, _, err = run_cli(capsys, [
-        "eval-powersum", "--d", "3", "--q", "0.5", "--r", "3",
-        "--upper", "10000", "--n", "1", "--i", "1",
-    ])
-    assert code == 3
-    assert "budget" in err
+    # at r=1, 10^12 tuple totals: refused before the weights are allocated
+    for r, upper in (("3", "10000"), ("1", "1000000000000")):
+        code, _, err = run_cli(capsys, [
+            "eval-powersum", "--d", "3", "--q", "0.5", "--r", r,
+            "--upper", upper, "--n", "1", "--i", "1",
+        ])
+        assert code == 3
+        assert "budget" in err
 
 
 def test_json_output_is_deterministic(capsys):
@@ -287,3 +317,90 @@ def test_chi_out_of_range_is_usage_error(capsys, argv):
 def test_usage_error_type_exists():
     with pytest.raises(UsageError):
         parse_args(["eval-qeuler", "--d", "1", "--q", "1.5", "--n", "0"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# flag: (values inside its rule, values its rule refuses)
+_FLAG_VALUES = {
+    "--identity": (["T1", "T2", "T3", "EQ4", "EQ5", "EQ9", "EQ12", "EQ13", "EQ15"], ["T9"]),
+    "--d": (["1", "3", "5", "15"], ["4", "-3", "3003"]),
+    "--chi": (["0", "1", "3"], ["-1", "x"]),
+    "--r": (["1", "2", "3"], ["0"]),
+    "--q": (["0.1", "0.5", "0.7", "0.9"], ["1", "nan"]),
+    "--x": (["0", "0.5", "1", "2.5", "1e-300"], ["inf", "-1"]),
+    "--y": (["0", "0.25", "1"], ["nan"]),
+    "--s": (["1.5", "-2", "0.5,1", "-0.5,0.5", "0,400"], ["nan", "x"]),
+    "--n": (["0", "1", "3", "6", "100000"], ["-1"]),
+    "--i": (["0", "1", "3"], ["-2"]),
+    "--upper": (["1", "3", "7", "1000000000000"], ["0"]),
+    "--a": (["1", "3"], ["2"]),
+    "--b": (["1", "3", "5"], ["0"]),
+    "--n-max": (["0", "2", "4"], ["10001"]),
+    "--m-max": (["0", "2"], ["-1"]),
+    "--epsilon": (["1e-6", "1e-10", "1e-300"], ["0"]),
+    "--max-terms": (["0", "50", "1000000000000"], ["-5"]),
+    "--tolerance": (["1e-12", "0", "1e-3"], ["inf"]),
+    "--output": (["pretty", "json", "csv"], ["xml"]),
+}
+_COMMAND_FLAGS = {
+    "char-list": ["--d", "--chi", "--output"],
+    "eval-qeuler": ["--d", "--chi", "--r", "--q", "--n", "--x", "--epsilon", "--max-terms",
+                    "--output"],
+    "eval-lfun": ["--d", "--chi", "--r", "--q", "--s", "--x", "--epsilon", "--max-terms",
+                  "--output"],
+    "eval-powersum": ["--d", "--chi", "--r", "--q", "--upper", "--n", "--i", "--output"],
+    "verify": ["--identity", "--d", "--chi", "--r", "--q", "--a", "--b", "--n-max", "--m-max",
+               "--s", "--x", "--y", "--epsilon", "--max-terms", "--tolerance", "--output"],
+}
+
+
+_REQUIRED = {"--identity", "--d", "--q", "--n", "--s", "--upper", "--i"}
+
+
+@st.composite
+def _argvs(draw):
+    """A command and a value for each of its flags: an optional flag is now
+    and then left to its default, and one argv in four has one flag with a
+    value its rule refuses."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command]
+    refused = draw(st.sampled_from(flags)) if draw(st.integers(0, 3)) == 0 else None
+    argv = [command]
+    for flag in flags:
+        valid, invalid = _FLAG_VALUES[flag]
+        if flag != refused and flag not in _REQUIRED and draw(st.integers(0, 3)) == 0:
+            continue
+        argv += [flag, draw(st.sampled_from(invalid if flag == refused else valid))]
+    return argv
+
+
+@settings(deadline=None, max_examples=100)
+@given(argv=_argvs())
+@example(argv=["eval-powersum", "--d", "5", "--chi", "1", "--r", "2", "--upper", "5", "--n",
+               "100000", "--i", "100000", "--q", "0.9", "--output", "json"])
+@example(argv=["eval-powersum", "--d", "3", "--q", "0.5", "--upper", "1000000000000",
+               "--n", "1", "--i", "1", "--output", "json"])
+@example(argv=["eval-powersum", "--d", "3", "--q", "0.5", "--upper", "3", "--n", str(10 ** 400),
+               "--i", "1", "--output", "json"])
+@example(argv=["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1000000", "--output", "json"])
+@example(argv=["verify", "--identity", "T3", "--d", "1", "--r", "100", "--q", "0.5",
+               "--n-max", "1", "--output", "json"])
+@example(argv=["verify", "--identity", "EQ4", "--d", "1", "--q", "0.9999999", "--epsilon",
+               "1e-300", "--max-terms", "1000000000000", "--output", "json"])
+def test_every_argv_reaches_a_defined_exit(argv):
+    # main() returns one of the four exit codes and lets no exception out;
+    # json output is strict JSON, with no NaN or Infinity
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:  # only an identity instance fails
+        assert argv[0] == "verify"
+    if code in (2, 3):
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    if code in (0, 1) and "--output" in argv and argv[argv.index("--output") + 1] == "json":
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)

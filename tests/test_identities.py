@@ -34,6 +34,7 @@ from qeuler import (
 )
 from qeuler.characters import bounded_composition_sums
 from qeuler.identities import IDENTITIES, _power_sums, _role_argument, check
+from qeuler.polynomials import char_tuple_sum
 from qeuler.report import reports_to_json_lines
 
 
@@ -59,6 +60,14 @@ def grouped_power_sum(chi, r, n, i, upper, ctx):
     return total
 
 
+def enumerated_power_sum(chi, r, n, i, upper, ctx):
+    """Second oracle, one that shares no histogram with the library: every
+    r-tuple below upper enumerated one by one into its total."""
+    totals = np.arange(r * (upper - 1) + 1)
+    weights = (-1.0) ** totals * ctx.q ** ((n - i + 1) * totals) * q_number(totals, ctx) ** i
+    return char_tuple_sum(chi.periodic_values(upper), weights, r)
+
+
 def test_power_sum_single_zero_term(groups, ctx):
     assert power_sum(groups[3][1], 2, 1, 0, 1, ctx) == 0
 
@@ -80,8 +89,9 @@ def test_power_sum_matches_grouped_oracle(groups, ctx, d, r):
         for upper in (1, 4, 15):
             for n, i in ((0, 0), (3, 0), (3, 2), (5, 5)):
                 direct = power_sum(chi, r, n, i, upper, ctx)
-                oracle = grouped_power_sum(chi, r, n, i, upper, ctx)
-                assert abs(direct - oracle) <= 1e-10 * max(1.0, abs(oracle))
+                for oracle in (grouped_power_sum(chi, r, n, i, upper, ctx),
+                               enumerated_power_sum(chi, r, n, i, upper, ctx)):
+                    assert abs(direct - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
 def test_power_sum_validation(groups, ctx):
@@ -94,6 +104,31 @@ def test_power_sum_validation(groups, ctx):
         power_sum(chi, 1, 2, 1, 0, ctx)
     with pytest.raises(BudgetExceeded):
         power_sum(chi, 3, 2, 1, 10 ** 4, ctx)
+
+
+def test_power_sum_budget_refuses_before_allocating(groups, ctx):
+    # 10^12 totals would be a 16 TB weight row; the refusal comes first
+    with pytest.raises(BudgetExceeded, match="a 1000000000000 x 1 bracket matrix"):
+        power_sum(groups[3][1], 1, 1, 1, 10 ** 12, ctx)
+    # totals times weight rows: 2*10^6 - 1 totals fit alone but not six times,
+    # and the refusal precedes the fold's own multiply-add budget
+    with pytest.raises(BudgetExceeded, match="a 1999999 x 6 bracket matrix"):
+        _power_sums(groups[3][1], 2, 5, range(6), 10 ** 6, ctx)
+
+
+def test_non_finite_power_sum_is_infeasible(groups):
+    # [8]_q^100000 overflows a double; the sum would be nan
+    with pytest.raises(PlanInfeasible, match="not a finite double"):
+        power_sum(groups[5][1], 2, 100000, 100000, 5, QContext(0.9))
+    # degrees past the double range
+    with pytest.raises(PlanInfeasible, match="not a finite double"):
+        power_sum(groups[3][1], 1, 10 ** 400, 1, 3, QContext(0.5))
+
+
+def test_power_sum_at_a_huge_degree_is_its_limit(groups, ctx):
+    # q^((n+1)t) underflows to 0 for every t >= 1, leaving the t = 0 tuple;
+    # an exponent that wrapped in 64-bit integers would not
+    assert power_sum(groups[1][0], 2, 2 ** 62, 0, 3, ctx) == 1
 
 
 @given(

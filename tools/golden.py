@@ -108,6 +108,9 @@ EDGES = [
     "eval-qeuler --d 1 --q 0.999 --n 0 --epsilon 1e-12 --max-terms 100",
     "verify --identity EQ4 --d 1 --q 0.9999999 --epsilon 1e-300 --max-terms 10000000",
     "verify --identity T2 --d 3 --q 0.5 --a 1 --b 3 --tolerance nan",
+    "eval-powersum --d 3 --q 0.5 --r 1 --upper 1000000000000 --n 1 --i 1",
+    "eval-powersum --d 5 --chi 1 --r 2 --upper 5 --n 100000 --i 100000 --q 0.9 --output json",
+    "char-list --d 3 --out /nonexistent/x.txt",
 ]
 
 ARGVS = (
