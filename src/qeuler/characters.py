@@ -217,8 +217,8 @@ def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.
         raise DomainError(f"order r must be a positive integer, got {r}")
     if upper < 1:
         raise DomainError(f"upper limit must be positive, got {upper}")
-    # fold i convolves a length i*(upper-1)+1 vector with one of length upper
-    macs = sum((i * (upper - 1) + 1) * upper for i in range(1, r))
+    # fold i < r convolves a length i*(upper-1)+1 vector with one of length upper
+    macs = upper * ((upper - 1) * r * (r - 1) // 2 + r - 1)
     if macs > CONVOLUTION_BUDGET:
         raise BudgetExceeded(
             f"{r}-part composition sums below {upper} take {macs:g} multiply-adds, "

@@ -14,12 +14,13 @@ max(|lhs|, |rhs|, 1), tol being --tolerance or the identity's default (1e-7;
 --epsilon.  --s takes 're' or 're,im'; --s -0.5,0.5 equals --s=-0.5,0.5.
 
 Each flag's rule is its argparse type (an odd positive --d, --a, --b; --q in
-(0,1); a finite --x, --y, --s and nonnegative --tolerance; --n-max and --m-max
-at most 10^4; ...); the parser raises UsageError, one path for all.  Exit
-codes: 0 success or all instances passed, 1 at least one identity instance
-failed, 2 invalid usage or an unwritable --out, 3 numeric infeasibility (no
-certified truncation within the term budget, a weight bound, identity side or
-power sum that is not a finite double, or a work budget overrun).
+(0,1); a finite positive --epsilon; a finite --x, --y, --s and nonnegative
+--tolerance; --n-max and --m-max at most 10^4; ...); the parser raises
+UsageError, one path for all.  Exit codes: 0 success or all instances passed,
+1 at least one identity instance failed, 2 invalid usage or an unwritable
+--out, 3 numeric infeasibility (no certified truncation within the term
+budget, a q^a that underflows to zero, a weight bound, identity side or power
+sum that is not a finite double, or a work budget overrun).
 
 Output is reproducible byte for byte for a fixed argv: JSON uses shortest
 round-trip float formatting and fixed field order.
@@ -56,15 +57,10 @@ _DEGREE_CEILING = (lambda v: v > 10 ** 4, "must be at most 10000")
 
 def _parse_complex(text: str) -> complex:
     """Accept 're' or 're,im'."""
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise UsageError(f"--s expects 're' or 're,im', got {text!r}")
+        return complex(*(float(part) for part in text.split(",")))
+    except (ValueError, TypeError):  # a part that is no float, or more than two parts
+        raise UsageError(f"--s expects 're' or 're,im', got {text!r}") from None
 
 
 def _flag(flag: str, parse, *rules):
@@ -120,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                         "must lie in (0,1)")),
                        required=True, help="deformation parameter in (0,1)")
         p.add_argument("--epsilon", type=_flag("--epsilon", float, (lambda v: not v > 0.0,
-                                                                    "must be positive")),
+                                                                    "must be positive"), _FINITE),
                        default=DEFAULT_EPSILON, help="series truncation budget")
         p.add_argument("--max-terms", type=_flag("--max-terms", int, _NONNEGATIVE),
                        default=DEFAULT_MAX_TERMS, help="hard cap on series terms")
@@ -200,8 +196,12 @@ def _emit(chunks, out_path: str | None) -> None:
 
 
 def _csv(rows) -> str:
+    """CSV of rows, one rule per cell: text as it is, None empty, anything else
+    its json.dumps (a finite float's repr, a bool's true or false)."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(
+        [c if isinstance(c, str) else "" if c is None else json.dumps(c) for c in row]
+        for row in rows)
     return buf.getvalue()
 
 
@@ -211,8 +211,7 @@ def _eval_record(args: argparse.Namespace, params: dict, value: complex) -> str:
         return json.dumps(record) + "\n"
     if args.output == "csv":
         return _csv([list(params) + ["value_re", "value_im"],
-                     [repr(v) if isinstance(v, float) else v for v in params.values()]
-                     + [repr(value.real), repr(value.imag)]])
+                     [*params.values(), value.real, value.imag]])
     return ("".join(f"{k} = {v}\n" for k, v in params.items())
             + f"value = {value.real!r} + {value.imag!r}i\n")
 
@@ -224,7 +223,7 @@ def _run_char_list(args: argparse.Namespace) -> int:
         head, rows = "", (json.dumps(c.to_json_dict()) + "\n" for c in chars)
     elif args.output == "csv":
         head = "d,label,residue,re,im\n"
-        rows = (_csv([c.modulus_d, c.label, m, repr(float(v.real)), repr(float(v.imag))]
+        rows = (_csv([c.modulus_d, c.label, m, v.real, v.imag]
                      for m, v in enumerate(c.values)) for c in chars)
     else:
         head = f"character group mod {args.d}: {len(group)} characters\n"
@@ -254,9 +253,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         text = "".join(r.to_json_line() + "\n" for r in reports)
     elif args.output == "csv":
         text = _csv([["identity", "instance", "residual", "tolerance", "pass"],
-                     *([r.identity_id, json.dumps(r.to_json_dict()["instance"]),
-                        "" if r.residual is None else repr(r.residual), repr(r.tolerance),
-                        "true" if r.passed else "false"] for r in reports)])
+                     *([r.identity_id, r.to_json_dict()["instance"], r.residual, r.tolerance,
+                        r.passed] for r in reports)])
     else:
         lines = []
         for r in reports:

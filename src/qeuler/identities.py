@@ -109,8 +109,8 @@ def _power_sums(chi: DirichletCharacter, r: int, n: int, indices, upper_a: int,
 @dataclass(frozen=True)
 class SymmetryInstance:
     """Parameter point for one symmetry check.  a and b must be odd for the
-    theorems to apply; validation happens at evaluation time so sweeps can
-    record the violation instead of aborting."""
+    theorems to apply; check() validates them, so sweeps can record the
+    violation instead of aborting."""
 
     chi: DirichletCharacter
     r: int
@@ -122,12 +122,6 @@ class SymmetryInstance:
     m: int | None = None
     x: float = 1.0
     y: float = 0.0
-
-    def require_odd_pair(self) -> None:
-        if self.a < 1 or self.a % 2 == 0:
-            raise ParityViolation(f"a must be a positive odd integer, got {self.a}")
-        if self.b < 1 or self.b % 2 == 0:
-            raise ParityViolation(f"b must be a positive odd integer, got {self.b}")
 
 
 def _role_argument(second: int, x: float, first: int, t: int) -> float:
@@ -279,8 +273,10 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
     rel_tol (the row's default when None).  A side that overflows a double
     raises PlanInfeasible."""
     row = _row(identity_id)
-    if "ab" in row.axes:
-        inst.require_odd_pair()
+    for name in ("a", "b") if "ab" in row.axes else ():
+        value = getattr(inst, name)
+        if value < 1 or value % 2 == 0:
+            raise ParityViolation(f"{name} must be a positive odd integer, got {value}")
     if "s" in row.axes and inst.s is None:
         raise DomainError(f"{identity_id} needs the exponent s")
     for name in ("m", "n", "x", "y"):

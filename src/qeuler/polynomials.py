@@ -74,12 +74,12 @@ def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers,
     gives, bit for bit.  The bracket matrix has cells x largest cutoff
     entries; plan_cutoffs keeps it within SERIES_BUDGET.
     """
-    # cells in weight-major order, the row order of the weight matrix
-    cutoffs = np.asarray(cutoffs).T.ravel().tolist()
+    # cells in argument-major order throughout: cutoffs, weight rows, sums
+    cutoffs = np.asarray(cutoffs).ravel().tolist()
     K = max(cutoffs, default=0)
     coeffs = conv_power(chi, r, K) if K else np.zeros(0, dtype=complex)
     brackets = q_number(np.arange(K) + np.asarray(xs, dtype=float)[:, None], ctx)
-    weights = np.concatenate([weigh(brackets) for weigh in weighers])
+    weights = np.stack([weigh(brackets) for weigh in weighers], axis=1).reshape(len(cutoffs), K)
     groups = {}
     for cell, k in enumerate(cutoffs):
         groups.setdefault(k, []).append(cell)
@@ -89,8 +89,8 @@ def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers,
         for cell, value in zip(cells, alternating_weighted_sum(coeffs[:k], rows, ctx)):
             sums[cell] = value
     two = q_bracket_two_pow(r, ctx)
-    return [[two * complex(sums[j * len(xs) + i]) for j in range(len(weighers))]
-            for i in range(len(xs))]
+    return [[two * complex(value) for value in sums[i:i + len(weighers)]]
+            for i in range(0, len(sums), len(weighers))]
 
 
 def _degree(n: int):

@@ -44,9 +44,12 @@ class QContext:
             raise DomainError(f"q must lie strictly inside (0,1), got {self.q}")
 
     def power(self, a: int) -> QContext:
-        """Derived context with q replaced by q^a (a positive integer)."""
+        """Derived context with q replaced by q^a (a positive integer); a q^a
+        that underflows to zero raises PlanInfeasible."""
         if a < 1:
             raise DomainError(f"deformation exponent must be a positive integer, got {a}")
+        if self.q ** a == 0.0:
+            raise PlanInfeasible(f"q^a underflows to zero (q={self.q!r}, a={a})")
         return QContext(self.q ** a)
 
 
@@ -78,20 +81,20 @@ class TruncationPlan:
     max_terms: int
 
 
-def _log_bounds(q: float, r: int, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log t(M)/W and g_M = log(t(M)/(W (1-rho_M))) at each cutoff in ms, from that M alone."""
+def _log_bounds(q: float, r: int, ms: np.ndarray) -> np.ndarray:
+    """g_M = log(t(M)/(W (1-rho_M))) at each cutoff in ms, from that M alone."""
     log_terms = r * math.log1p(q) + ms * math.log(q)
     for j in range(1, r):  # log binom(M+r-1, r-1)
         log_terms += np.log1p(ms / j)
-    return log_terms, log_terms - np.log1p(-q * (ms + r) / (ms + 1.0))
+    return log_terms - np.log1p(-q * (ms + r) / (ms + 1.0))
 
 
 def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
           max_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Cutoffs and tail bounds of an array of cells: g_M does not depend on W, so
     one grid of g and one searchsorted of log epsilon - log W serve every cell.
-    Before any grid, g at two points refuses more than min(max_terms,
-    SERIES_BUDGET) terms (PlanInfeasible) and cells x cutoff over SERIES_BUDGET."""
+    Before any grid, g by lgamma refuses more than min(max_terms, SERIES_BUDGET)
+    terms (PlanInfeasible) and cells x cutoff over SERIES_BUDGET (BudgetExceeded)."""
     if r < 1:
         raise DomainError(f"order r must be a positive integer, got {r}")
     if not epsilon > 0.0:
@@ -106,34 +109,36 @@ def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
     need = math.log(epsilon) - log_widest  # the widest cell needs g_M <= need
     terms, per_cell = min(max_terms, SERIES_BUDGET), SERIES_BUDGET // max(bounds.size, 1)
     problem = f"(q={q!r}, r={r}, weight bound {widest!r})"
-    no_cutoff = f"no cutoff within {terms} terms certifies error {epsilon!r} {problem}"
+    no_cutoff = PlanInfeasible(f"no cutoff within {terms} terms certifies error {epsilon!r} "
+                               f"{problem}")
+    over_budget = BudgetExceeded(f"{bounds.size} cells of more than {per_cell} terms exceed "
+                                 f"the bracket matrix budget {SERIES_BUDGET}")
+
+    def closed(M: int) -> tuple[float, float]:  # log t(M)/W and g_M by lgamma, for rho_M < 1
+        log_term = (r * math.log1p(q) + M * math.log(q) + math.lgamma(M + r)
+                    - math.lgamma(M + 1) - math.lgamma(r))
+        return log_term, log_term - math.log1p(-q * (M + r) / (M + 1.0))
+
     # the smallest M with rho_M < 1 by the float test, from just below (q r - 1)/(1 - q)
     first = min(max(0, math.floor((q * r - 1.0) / (1.0 - q)) - 1), terms + 1)
     while first <= terms and not q * (first + r) / (first + 1.0) < 1.0:
         first += 1
-    if first > terms:
-        raise PlanInfeasible(no_cutoff)
-    cap, top = max(first, min(terms, per_cell)), first
-    # guess the widest cutoff: fixed-point steps of M = (g_M - M log q - need) / -log q
-    for _ in range(3 if need < math.inf else 0):
-        g_rest = (r * math.log1p(q) + math.lgamma(top + r) - math.lgamma(top + 1)
-                  - math.lgamma(r) - math.log1p(-q * (top + r) / (top + 1.0)))
-        top = math.ceil(min(cap + 1, max(first, (g_rest - need) / -math.log(q))))
-    top = first if top > cap else top  # a likely refusal: no grid before the checks
-    ms = np.arange(first, top + 3, dtype=float)
-    ms[-2:] = terms, max(first, per_cell)
-    log_terms, grid = _log_bounds(q, r, ms)
-    if grid[-2] > need:
-        raise PlanInfeasible(no_cutoff)
-    if log_widest + log_terms[0] > _LOG_DOUBLE_MAX:  # t(first) is the largest term
+    if first > terms or closed(terms)[1] > need:
+        raise no_cutoff
+    if log_widest + closed(first)[0] > _LOG_DOUBLE_MAX:  # t(first) is the largest term
         raise PlanInfeasible(f"the dominating series overflows a double {problem}")
-    if first > per_cell or grid[-1] > need:
-        raise BudgetExceeded(f"{bounds.size} cells of more than {per_cell} terms exceed "
-                             f"the bracket matrix budget {SERIES_BUDGET}")
-    grid = grid[:-2]
+    if first > per_cell or closed(per_cell)[1] > need:
+        raise over_budget
+    cap, top = min(terms, per_cell), first
+    # guess the widest cutoff: fixed-point steps of M = M + (g_M - need) / -log q
+    for _ in range(3 if need < math.inf else 0):
+        top = math.ceil(min(cap, max(first, top + (closed(top)[1] - need) / -math.log(q))))
+    grid = _log_bounds(q, r, np.arange(first, top + 1.0))
     while grid[-1] > need and top < cap:  # the guess fell short
         top = min(cap, 2 * top - first + 1)
-        grid = _log_bounds(q, r, np.arange(first, top + 1.0))[1]
+        grid = _log_bounds(q, r, np.arange(first, top + 1.0))
+    if grid[-1] > need:  # lgamma and the log1p sum disagree in the last bits at the cap
+        raise no_cutoff if cap == terms else over_budget
     log_w = np.log(bounds, out=np.full(bounds.shape, -np.inf), where=bounds > 0.0)
     index = np.minimum(np.searchsorted(-grid, log_w - math.log(epsilon)), top - first)
     return first + index, np.exp(log_w + grid[index])

@@ -1,18 +1,22 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qeuler import (
+    BudgetExceeded,
     DomainError,
     NegativeArgument,
     NotOdd,
     Overflow,
+    bounded_composition_sums,
     build_character_group,
     conv_power,
 )
+from qeuler.characters import CONVOLUTION_BUDGET
 
 
 def euler_phi(n):
@@ -207,3 +211,15 @@ def test_character_values_are_immutable():
     chi = build_character_group(3)[1]
     with pytest.raises(ValueError):
         chi.values[0] = 5.0
+
+
+@pytest.mark.parametrize("r,upper", [(2, 10001), (3, 5774), (5, 3163), (40, 359)])
+def test_fold_budget_counts_every_fold(r, upper):
+    # fold i < r convolves i*(upper-1)+1 totals with upper values; each
+    # (r, upper) is the first upper past the budget at its r
+    def macs(upper):
+        return sum((i * (upper - 1) + 1) * upper for i in range(1, r))
+
+    assert macs(upper - 1) <= CONVOLUTION_BUDGET < macs(upper)
+    with pytest.raises(BudgetExceeded, match=re.escape(f" take {macs(upper):g} multiply-adds")):
+        bounded_composition_sums(build_character_group(3)[1], r, upper)

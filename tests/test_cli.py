@@ -60,6 +60,11 @@ def test_parse_args_happy_path():
       "--tolerance", "inf"], "--tolerance must be finite"),
     (["verify", "--identity", "T2", "--d", "3", "--q", "0.5", "--a", "1", "--b", "3",
       "--tolerance=-1"], "--tolerance must be nonnegative"),
+    (["eval-lfun", "--d", "3", "--q", "0.5", "--s", "1,2,3"], "--s expects"),
+    (["eval-lfun", "--d", "3", "--q", "0.5", "--s", "1,"], "--s expects"),
+    (["eval-lfun", "--d", "3", "--q", "0.5", "--s", ""], "--s expects"),
+    (["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1", "--epsilon", "inf"],
+     "--epsilon must be finite"),
 ])
 def test_usage_errors(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)
@@ -210,6 +215,9 @@ def test_infeasible_plan_exits_3(capsys):
     # [8]_q^100000 in a power sum's weights: the sum would print as NaN, not JSON
     ["eval-powersum", "--d", "5", "--chi", "1", "--r", "2", "--upper", "5", "--n", "100000",
      "--i", "100000", "--q", "0.9", "--output", "json"],
+    # 0.5^99999 underflows to zero: the mirror side has no deformation q^b
+    ["verify", "--identity", "T2", "--d", "1", "--q", "0.5", "--a", "1", "--b", "99999",
+     "--output", "json"],
 ])
 def test_unbounded_weight_is_infeasible_not_a_crash(capsys, argv):
     # main() returns instead of raising, so no traceback reaches the user
@@ -340,7 +348,7 @@ _FLAG_VALUES = {
     "--b": (["1", "3", "5"], ["0"]),
     "--n-max": (["0", "2", "4"], ["10001"]),
     "--m-max": (["0", "2"], ["-1"]),
-    "--epsilon": (["1e-6", "1e-10", "1e-300"], ["0"]),
+    "--epsilon": (["1e-6", "1e-10", "1e-300"], ["0", "inf"]),
     "--max-terms": (["0", "50", "1000000000000"], ["-5"]),
     "--tolerance": (["1e-12", "0", "1e-3"], ["inf"]),
     "--output": (["pretty", "json", "csv"], ["xml"]),
@@ -390,6 +398,8 @@ def _argvs(draw):
                "--n-max", "1", "--output", "json"])
 @example(argv=["verify", "--identity", "EQ4", "--d", "1", "--q", "0.9999999", "--epsilon",
                "1e-300", "--max-terms", "1000000000000", "--output", "json"])
+@example(argv=["eval-qeuler", "--d", "1", "--q", "0.01", "--r", "10000000", "--n", "0",
+               "--max-terms", "10000000"])
 def test_every_argv_reaches_a_defined_exit(argv):
     # main() returns one of the four exit codes and lets no exception out;
     # json output is strict JSON, with no NaN or Infinity

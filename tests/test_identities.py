@@ -249,10 +249,10 @@ def test_eq15_small_grid(groups, ctx):
 
 def test_parity_violations_are_rejected(groups, ctx):
     even_a = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=2, b=3, n=1, x=1.0)
-    with pytest.raises(ParityViolation):
+    with pytest.raises(ParityViolation, match="a must be a positive odd integer, got 2"):
         theorem2_sides(even_a)
     even_b = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=1, b=4, n=1, x=1.0)
-    with pytest.raises(ParityViolation):
+    with pytest.raises(ParityViolation, match="b must be a positive odd integer, got 4"):
         theorem3_sides(even_b)
 
 

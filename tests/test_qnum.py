@@ -28,6 +28,7 @@ from qeuler import (
     qeuler_table,
     qeuler_value,
 )
+from qeuler import qnum
 from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cutoffs
 
 
@@ -285,6 +286,37 @@ def test_plan_refuses_a_dominating_term_past_the_double_range():
     assert _reference_scan(0.5, 1, 1e308 / 0.75, 1e-10) is None
     with pytest.raises(PlanInfeasible, match="overflows a double"):
         plan_truncation_weighted(QContext(0.5), 1, 1e308 / 0.75, 1e-10)
+
+
+def _no_grid(*args):
+    raise AssertionError("a refused plan built the grid of g")
+
+
+@pytest.mark.parametrize("plan,refusal,needle", [
+    # about 7e9 terms are needed, past max_terms
+    (lambda: plan_truncation_weighted(QContext(0.9999999), 1, 1.0, 1e-300, 10 ** 7),
+     PlanInfeasible, "no cutoff within 10000000 terms"),
+    # t(0) = 2e308
+    (lambda: plan_truncation_weighted(QContext(0.5), 1, 1e308 / 0.75, 1e-10),
+     PlanInfeasible, "overflows a double"),
+    # about 2700 terms for each of 5000 cells
+    (lambda: plan_cutoffs(QContext(0.99), 1, np.ones(SERIES_BUDGET // 2000), 1e-10),
+     BudgetExceeded, "5000 cells of more than 2000 terms"),
+    # t(first) = 1.01^r binom(M+r-1, r-1) 0.01^M: the grid alone would take r-1 passes
+    (lambda: plan_truncation_weighted(QContext(0.01), 10 ** 7, 1.0, 1e-10, 10 ** 7),
+     PlanInfeasible, "overflows a double"),
+], ids=["past-max-terms", "past-the-double-range", "past-the-matrix-budget", "huge-r"])
+def test_plan_refuses_without_building_a_grid(monkeypatch, plan, refusal, needle):
+    monkeypatch.setattr(qnum, "_log_bounds", _no_grid)
+    with pytest.raises(refusal, match=needle):
+        plan()
+
+
+def test_underflowing_deformation_is_infeasible():
+    # 0.5^1075 is below the smallest subnormal double
+    assert QContext(0.5).power(1074).q > 0.0
+    with pytest.raises(PlanInfeasible, match=r"q\^a underflows to zero \(q=0\.5, a=1075\)"):
+        QContext(0.5).power(1075)
 
 
 def test_weight_bound_messages_name_the_given_q():

@@ -111,6 +111,8 @@ EDGES = [
     "eval-powersum --d 3 --q 0.5 --r 1 --upper 1000000000000 --n 1 --i 1",
     "eval-powersum --d 5 --chi 1 --r 2 --upper 5 --n 100000 --i 100000 --q 0.9 --output json",
     "char-list --d 3 --out /nonexistent/x.txt",
+    "eval-qeuler --d 1 --q 0.01 --r 100000 --n 0 --max-terms 10000000",
+    "verify --identity T2 --d 1 --q 0.5 --a 1 --b 99999 --output json",
 ]
 
 ARGVS = (
