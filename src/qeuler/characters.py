@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError, NegativeArgument, NotOdd, Overflow
 
-DEFAULT_MODULUS_BOUND = 3001  # tables of at most phi(d) * d <= 9.0e6 entries
+MODULUS_BOUND = 3001  # tables of at most phi(d) * d <= 9.0e6 entries
 CONVOLUTION_BUDGET = 10 ** 8
 
 
@@ -135,14 +135,14 @@ class CharacterGroup:
         return iter(self.characters)
 
 
-def build_character_group(d: int, max_modulus: int = DEFAULT_MODULUS_BOUND) -> CharacterGroup:
+def build_character_group(d: int) -> CharacterGroup:
     """Construct the full character group modulo an odd positive integer d."""
     if d < 1:
         raise DomainError(f"modulus must be positive, got {d}")
     if d % 2 == 0:
         raise NotOdd(f"modulus must be odd, got {d}")
-    if d > max_modulus:
-        raise Overflow(f"modulus {d} exceeds the construction bound {max_modulus}")
+    if d > MODULUS_BOUND:
+        raise Overflow(f"modulus {d} exceeds the construction bound {MODULUS_BOUND}")
     if d == 1:
         trivial = DirichletCharacter(1, 0, np.array([1.0 + 0.0j]))
         return CharacterGroup(1, [trivial], [])

@@ -14,8 +14,8 @@ max(|lhs|, |rhs|, 1), tol being --tolerance or the identity's default (1e-7;
 --epsilon.  --s takes 're' or 're,im'; --s -0.5,0.5 equals --s=-0.5,0.5.
 
 Each flag's rule is its argparse type (an odd positive --d, --a, --b; --q in
-(0,1); a finite positive --epsilon; a finite --x, --y, --s and nonnegative
---tolerance; --n-max and --m-max at most 10^4; ...); the parser raises
+(0,1); a finite positive --epsilon; a finite --x, --y, --s; a --tolerance in
+[0, 1]; --n-max and --m-max at most 10^4; ...); the parser raises
 UsageError, one path for all.  Exit codes: 0 success or all instances passed,
 1 at least one identity instance failed, 2 invalid usage or an unwritable
 --out, 3 numeric infeasibility (no certified truncation within the term
@@ -157,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exponent for T1, 're' or 're,im'")
     p_v.add_argument("--x", type=_flag("--x", float, _NONNEGATIVE, _FINITE), default=1.0)
     p_v.add_argument("--y", type=_flag("--y", float, _NONNEGATIVE, _FINITE), default=0.0)
-    p_v.add_argument("--tolerance", type=_flag("--tolerance", float, _NONNEGATIVE, _FINITE),
+    p_v.add_argument("--tolerance", type=_flag("--tolerance", float, _NONNEGATIVE, _FINITE,
+                                               (lambda v: v > 1.0, "must be at most 1")),
                      default=None, help="relative tolerance (default: the identity's own)")
     return parser
 

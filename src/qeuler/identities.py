@@ -378,7 +378,7 @@ def _evaluate_instance(identity_id: str, inst: SymmetryInstance, epsilon: float,
                        max_terms: int, rel_tol: float | None) -> IdentityReport:
     try:
         return check(identity_id, inst, epsilon, max_terms, rel_tol)
-    except (DomainError, BudgetExceeded) as exc:
+    except DomainError as exc:
         return make_error_report(identity_id, _record(IDENTITIES[identity_id], inst), exc)
 
 
@@ -387,9 +387,10 @@ def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILO
               rel_tol: float | None = None) -> list[IdentityReport]:
     """Evaluate one identity over the whole grid, one instance after another.
 
-    Reports come back in enumeration order and per-instance errors are
-    recorded in place rather than aborting the sweep.  An unknown identity id
-    raises DomainError before anything is enumerated."""
+    Reports come back in enumeration order.  An instance outside its identity's
+    domain (DomainError) is recorded in place as an error report, while a
+    PlanInfeasible or BudgetExceeded ends the sweep, as in every other command.
+    An unknown identity id raises DomainError before anything is enumerated."""
     row = _row(identity_id)
     return [_evaluate_instance(identity_id, inst, epsilon, max_terms, rel_tol)
             for inst in _grid_instances(row, grid)]

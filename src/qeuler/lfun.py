@@ -15,7 +15,6 @@ polynomials: l_r(-n, x | chi) = E_n(x).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .qnum import (
     plan_cutoffs,
     plan_truncation_weighted,
     q_number,
+    weight_sup,
 )
 from .report import IdentityReport
 
@@ -38,26 +38,14 @@ DEFAULT_INTERPOLATION_TOL = 1e-8
 
 
 def power_weight_bound(ctx: QContext, x: float, s: complex) -> float:
-    """Uniform bound on |[m+x]_q^(-s)| over m >= 0 for x > 0.
-
-    With L = ln [m+x]_q confined to [ln [x]_q, ln (1/(1-q))],
-
-        |[m+x]_q^(-s)| = exp(-Re(s) L) <= exp(|Re s| max|L| + |Im s| pi).
-
-    Raises PlanInfeasible when the bound is not a finite double: [x]_q
-    underflows to zero, or the exponential overflows.
-    """
+    """Bound weight_sup(ctx, x, -s) on |[m+x]_q^(-s)| over m >= 0, for x > 0:
+    [x]_q^(-Re s) when Re s > 0 and (1-q)^(Re s) otherwise.  The kernel takes
+    log [m+x]_q, so a [x]_q that underflows to zero raises PlanInfeasible."""
     if x <= 0.0:
         raise DomainError(f"x must be strictly positive, got {x}")
-    bracket = q_number(x, ctx)
-    if bracket <= 0.0:
+    if q_number(x, ctx) <= 0.0:
         raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")
-    log_mag = max(abs(math.log(bracket)), abs(math.log(1.0 / (1.0 - ctx.q))))
-    try:
-        return math.exp(abs(s.real) * log_mag + abs(s.imag) * math.pi)
-    except OverflowError:
-        raise PlanInfeasible(f"weight bound overflows at s={s}, x={float(x)!r} "
-                             f"(q={ctx.q!r})") from None
+    return weight_sup(ctx, x, -s)
 
 
 @dataclass(frozen=True)

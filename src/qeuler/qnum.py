@@ -2,20 +2,22 @@
 
 Every infinite series evaluated in this package has the shape
 
-    sum_{m >= 0} (-1)^m q^m c_m w(m),
+    sum_{m >= 0} (-1)^m q^m c_m [m+x]_q^w,
 
 with 0 < q < 1, coefficients bounded by |c_m| <= binom(m+r-1, r-1) (triangle
 inequality over r-part compositions, character values of modulus at most one),
-and a weight w(m) whose magnitude never exceeds a known constant W.  The
-dominating series has terms t(m) = (1+q)^r binom(m+r-1, r-1) q^m W with
-decreasing ratios rho_m = q (m+r)/(m+1), so past a cutoff M with rho_M < 1
-its tail is at most t(M) / (1 - rho_M).  The planner below finds, for a target
-absolute error, the smallest such cutoff whose bound meets it.
+and weights bounded by W = sup_m |[m+x]_q^w|, one exact formula (weight_sup)
+for w = n (the polynomials) and w = -s (the l-function).  The dominating
+series has terms t(m) = (1+q)^r binom(m+r-1, r-1) q^m W with decreasing
+ratios rho_m = q (m+r)/(m+1), so past a cutoff M with rho_M < 1 its tail is
+at most t(M) / (1 - rho_M).  The planner below finds, for a target absolute
+error, the smallest such cutoff whose bound meets it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,20 +160,26 @@ def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
     return _plan(ctx, r, weight_bounds, epsilon, max_terms)[0]
 
 
+def weight_sup(ctx: QContext, x: float, w: complex) -> float:
+    """sup_{m >= 0} |[m+x]_q^w|: [m+x]_q rises from [x]_q towards 1/(1-q) and
+    |b^w| = b^(Re w) for b > 0, so it is [x]_q^(Re w) when Re w < 0 (needing
+    [x]_q > 0) and (1-q)^(-Re w) otherwise.  Below the smallest normal double it
+    is returned as that double, still a bound; past a double it raises PlanInfeasible."""
+    base = q_number(x, ctx) if w.real < 0 else 1.0 / (1.0 - ctx.q)
+    try:
+        return max(base ** w.real, sys.float_info.min)
+    except OverflowError:
+        raise PlanInfeasible(f"weight bound sup |[m+x]_q^w| overflows at w={w} "
+                             f"(q={ctx.q!r}, x={float(x)!r})") from None
+
+
 def degree_weight_bound(ctx: QContext, x: float, n: int) -> float:
-    """Bound ((1 + q^x) / (1 - q))^n on [m+x]_q^n over m >= 0, for x >= 0,
-    from the uniform bound sup_m [m+x]_q <= (1 + q^x) / (1 - q).  Raises
-    PlanInfeasible when the bound overflows a double."""
+    """Bound weight_sup(ctx, x, n) = (1-q)^(-n) on [m+x]_q^n over m >= 0, for x >= 0."""
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
     if n < 0:
         raise DomainError(f"degree n must be nonnegative, got {n}")
-    bracket_sup = (1.0 + ctx.q ** x) / (1.0 - ctx.q)
-    try:
-        return bracket_sup ** n
-    except OverflowError:
-        raise PlanInfeasible(f"weight bound {float(bracket_sup)!r}^{n} overflows "
-                             f"(q={ctx.q!r}, x={float(x)!r})") from None
+    return weight_sup(ctx, x, n)
 
 
 def plan_truncation(ctx: QContext, x: float, n: int, r: int, epsilon: float,

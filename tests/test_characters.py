@@ -64,8 +64,6 @@ def test_group_mod_five_has_order_four_characters():
 def test_group_construction_errors():
     with pytest.raises(NotOdd):
         build_character_group(4)
-    with pytest.raises(Overflow):
-        build_character_group(101, max_modulus=100)
     with pytest.raises(DomainError):
         build_character_group(0)
 

@@ -65,6 +65,8 @@ def test_parse_args_happy_path():
     (["eval-lfun", "--d", "3", "--q", "0.5", "--s", ""], "--s expects"),
     (["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1", "--epsilon", "inf"],
      "--epsilon must be finite"),
+    (["verify", "--identity", "T2", "--d", "1", "--q", "0.5", "--a", "1", "--b", "3",
+      "--n-max", "2", "--tolerance", "1e308", "--output", "json"], "--tolerance must be at most 1"),
 ])
 def test_usage_errors(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)
@@ -205,9 +207,22 @@ def test_infeasible_plan_exits_3(capsys):
     assert "error" in err
 
 
+def test_imaginary_exponent_has_unit_weights(capsys):
+    # |[m+x]_q^(-400i)| = 1 for every m: the plan needs no more than at s = 0
+    values = []
+    for epsilon in ("1e-10", "1e-14"):
+        code, out, _ = run_cli(capsys, [
+            "eval-lfun", "--d", "3", "--q", "0.5", "--s", "0,400", "--epsilon", epsilon,
+            "--output", "json",
+        ])
+        assert code == 0
+        values.append(complex(*json.loads(out)["value"]))
+    assert abs(values[0] - values[1]) <= 1e-10
+
+
 @pytest.mark.parametrize("argv", [
-    ["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1000000"],  # ((1+q^x)/(1-q))^n
-    ["eval-lfun", "--d", "3", "--q", "0.5", "--s", "0,400"],  # exp(|Im s| pi)
+    ["eval-qeuler", "--d", "3", "--q", "0.5", "--n", "1000000"],  # (1-q)^(-n)
+    ["eval-lfun", "--d", "3", "--q", "0.5", "--s", "1400", "--x", "0.5"],  # [x]_q^(-Re s)
     ["eval-lfun", "--d", "3", "--chi", "1", "--q", "0.5", "--s", "-300", "--x", "1e-300"],
     # [b]_q^s in the T1 side: cmath.exp overflows before any planner runs
     ["verify", "--identity", "T1", "--d", "1", "--q", "0.5", "--a", "1", "--b", "3",
@@ -350,7 +365,7 @@ _FLAG_VALUES = {
     "--m-max": (["0", "2"], ["-1"]),
     "--epsilon": (["1e-6", "1e-10", "1e-300"], ["0", "inf"]),
     "--max-terms": (["0", "50", "1000000000000"], ["-5"]),
-    "--tolerance": (["1e-12", "0", "1e-3"], ["inf"]),
+    "--tolerance": (["1e-12", "0", "1e-3"], ["inf", "1e308"]),
     "--output": (["pretty", "json", "csv"], ["xml"]),
 }
 _COMMAND_FLAGS = {

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from qeuler import (
     qeuler_table,
     qeuler_value,
 )
-from qeuler import qnum
+from qeuler import lfun, polynomials, qnum
 from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cutoffs
 
 
@@ -323,5 +324,42 @@ def test_weight_bound_messages_name_the_given_q():
     ctx = QContext(0.9999999)
     with pytest.raises(PlanInfeasible, match=r"q=0\.9999999, x=0\.5\)"):
         degree_weight_bound(ctx, 0.5, 10 ** 5)
-    with pytest.raises(PlanInfeasible, match=r"x=0\.5 \(q=0\.9999999\)"):
-        power_weight_bound(ctx, 0.5, complex(0.0, 300.0))
+    with pytest.raises(PlanInfeasible, match=r"q=0\.9999999, x=0\.5\)"):
+        power_weight_bound(ctx, 0.5, complex(1e5, 0.0))
+
+
+def _loose_weight_bounds(q, x, n, s):
+    """Logs of the looser bounds ((1+q^x)/(1-q))^n and exp(|Re s| max|ln [m+x]_q|
+    + pi |Im s|): the exact supremum never exceeds them, so no cutoff grows."""
+    log_sup = max(abs(math.log((1.0 - q ** x) / (1.0 - q))), -math.log1p(-q))
+    return (n * math.log((1.0 + q ** x) / (1.0 - q)),
+            abs(s.real) * log_sup + math.pi * abs(s.imag))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    q=st.floats(min_value=0.05, max_value=0.99),
+    x=st.floats(min_value=1e-3, max_value=30.0),
+    n=st.integers(min_value=0, max_value=60),
+    s=st.complex_numbers(max_magnitude=60.0),
+)
+def test_weight_bounds_are_the_supremum_of_the_kernel_weights(q, x, n, s):
+    # the brackets [m+x]_q the kernel forms, out past the m where q^(m+x)
+    # drops below the last bit of one and the bracket reaches 1/(1-q)
+    ctx = QContext(q)
+    brackets = q_number(np.append(np.arange(4000.0), 1e6) + x, ctx)
+    loose_degree, loose_power = _loose_weight_bounds(q, x, n, s)
+    for bound, weights, loose in (
+        (degree_weight_bound(ctx, x, n), polynomials._degree(n)(brackets), loose_degree),
+        (power_weight_bound(ctx, x, s), np.abs(lfun._bracket_power(s)(brackets)), loose_power),
+    ):
+        peak = float(weights.max())
+        # up to the kernel's own rounding of b^w, about |Re w ln b| ulps (<= 5e-14 here)
+        assert peak <= bound * (1.0 + 1e-12)
+        assert bound <= peak * (1.0 + 1e-12)
+        assert math.log(bound) <= loose + 1e-12
+
+
+def test_weight_bound_below_the_double_range_is_the_smallest_normal():
+    # [100]_0.9^(-400) is about 1e-400: planned as a bound, never as zero
+    assert power_weight_bound(QContext(0.9), 100.0, 400.0) == sys.float_info.min

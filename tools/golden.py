@@ -113,6 +113,9 @@ EDGES = [
     "char-list --d 3 --out /nonexistent/x.txt",
     "eval-qeuler --d 1 --q 0.01 --r 100000 --n 0 --max-terms 10000000",
     "verify --identity T2 --d 1 --q 0.5 --a 1 --b 99999 --output json",
+    "verify --identity T3 --d 45 --r 3 --q 0.5 --a 301 --b 1 --n-max 0 --output json",
+    "verify --identity T2 --d 1 --q 0.5 --a 1 --b 3 --n-max 2 --tolerance 1e308 --output json",
+    "eval-lfun --d 3 --chi 1 --r 2 --q 0.5 --s 0,400 --x 0.5 --output json",
 ]
 
 ARGVS = (
