@@ -192,16 +192,29 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     """Order-r composition sums c_0, ..., c_{M-1} of chi.
 
     c_m = sum over (m_1, ..., m_r) with m_1 + ... + m_r = m of
-    chi(m_1) ... chi(m_r); exact for every m < M because each part of such a
-    composition is itself below M.  Computed as r-1 successive direct linear
-    convolutions of the periodic value sequence chi(0..M-1), truncated back
-    to length M after each fold.
+    chi(m_1) ... chi(m_r).  Since chi has period d, the generating function
+    of the c_m is P(z)^r / (1 - z^d)^r with P(z) = sum_{a < d} chi(a) z^a:
+    the d values are folded to P^r (length r(d-1)+1), and each factor
+    1 / (1 - z^d) is one running sum along every residue class m = a + d k,
+    taken as a cumulative sum down the columns of the rows of d entries.
+    That costs O(r M + r^2 d min(M, r d)) operations, not the O(r M^2) of
+    folding the periodic sequence itself.  The fold runs at length at least
+    d so that np.convolve never swaps its operands, and the rows are padded
+    with -0.0, the exact additive identity, so every prefix c_0..c_{k-1} is
+    bit for bit the result at length k.
     """
     if r < 1:
         raise DomainError(f"order r must be a positive integer, got {r}")
     if M < 1:
         raise DomainError(f"series length M must be positive, got {M}")
-    return _fold(chi.periodic_values(M), r, M)
+    d = chi.modulus_d
+    folded = _fold(chi.values, r, max(M, d))[:M]
+    out = np.full(-(-M // d) * d, complex(-0.0, -0.0))
+    out[:len(folded)] = folded
+    rows = out.reshape(-1, d)
+    for _ in range(r):
+        np.cumsum(rows, axis=0, out=rows)
+    return out[:M]
 
 
 def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.ndarray:

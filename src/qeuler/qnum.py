@@ -163,9 +163,12 @@ def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
 def weight_sup(ctx: QContext, x: float, w: complex) -> float:
     """sup_{m >= 0} |[m+x]_q^w|: [m+x]_q rises from [x]_q towards 1/(1-q) and
     |b^w| = b^(Re w) for b > 0, so it is [x]_q^(Re w) when Re w < 0 (needing
-    [x]_q > 0) and (1-q)^(-Re w) otherwise.  Below the smallest normal double it
-    is returned as that double, still a bound; past a double it raises PlanInfeasible."""
-    base = q_number(x, ctx) if w.real < 0 else 1.0 / (1.0 - ctx.q)
+    [x]_q > 0) and (1-q)^(-Re w) otherwise.  [x]_q is formed by numpy's array
+    power, as the kernel forms its brackets: at small x, 1 - q^x cancels and the
+    scalar power can round it apart in the last bits (q=0.796875, x=0.001: 1.5e-12
+    relative).  Below the smallest normal double the bound is returned as that
+    double, still a bound; past a double it raises PlanInfeasible."""
+    base = float(q_number(np.array([x]), ctx)[0]) if w.real < 0 else 1.0 / (1.0 - ctx.q)
     try:
         return max(base ** w.real, sys.float_info.min)
     except OverflowError:

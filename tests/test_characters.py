@@ -154,6 +154,8 @@ def test_conv_power_trivial_cases():
     # compositions of m into 2 parts: m + 1 of them, all weight one
     assert np.allclose(coeffs, np.arange(1, 7))
     assert coeffs[3] == 4
+    # a cutoff of 10^6 takes two running sums, not a 10^6-long convolution
+    assert np.array_equal(conv_power(chi1, 2, 10 ** 6), np.arange(1, 10 ** 6 + 1))
 
     quad = build_character_group(3)[1]
     assert list(conv_power(quad, 1, 5)) == [0, 1, -1, 0, 1]
@@ -185,6 +187,73 @@ def test_conv_power_order_additivity():
     c2 = conv_power(chi, 2, M)
     rhs = np.convolve(c1, c2)[:M]
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def integer_direct_convolution(chi, r, M):
+    """Order-r composition sums by r-1 direct convolutions of the periodic
+    sequence in int64, for characters whose values are all in {0, +-1, +-i}."""
+    values = chi.periodic_values(M)
+    base_re, base_im = values.real.astype(np.int64), values.imag.astype(np.int64)
+    assert np.array_equal(base_re + 1j * base_im, values)
+    re, im = base_re, base_im
+    for _ in range(r - 1):
+        re, im = (np.convolve(re, base_re)[:M] - np.convolve(im, base_im)[:M],
+                  np.convolve(re, base_im)[:M] + np.convolve(im, base_re)[:M])
+    return re, im
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 15])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_conv_power_is_exact_for_integer_character_values(d, r):
+    for chi in build_character_group(d):
+        re, im = integer_direct_convolution(chi, r, 2000)
+        for M in (1, d, d + 1, 2 * d + 1, 2000):
+            coeffs = conv_power(chi, r, M)
+            assert np.array_equal(coeffs.real, re[:M])
+            assert np.array_equal(coeffs.imag, im[:M])
+
+
+def root_exponent_counts(chi, r_max, M):
+    """For r = 1..r_max, counts[m, e]: the r-part compositions of m whose
+    character values multiply to exp(2 pi i e / L), L the group exponent."""
+    d = chi.modulus_d
+    L = math.lcm(*(s for _, _, s in build_character_group(d).structure))
+    roots = np.exp(2j * np.pi * np.arange(L) / L)
+    exponents = {}
+    for a, value in enumerate(chi.values):
+        if value != 0:
+            exponents[a] = int(np.argmin(np.abs(roots - value)))
+            assert abs(roots[exponents[a]] - value) <= 1e-15
+    parts = [(m, exponents[m % d]) for m in range(M) if m % d in exponents]
+    counts = np.zeros((M, L), dtype=np.int64)
+    for m, e in parts:
+        counts[m, e] = 1
+    orders = [counts]
+    for _ in range(r_max - 1):
+        folded = np.zeros_like(counts)
+        for m, e in parts:
+            folded[m:] += np.roll(orders[-1][:M - m], e, axis=1)
+        orders.append(folded)
+    return orders
+
+
+def test_conv_power_is_near_exact_for_inexact_roots():
+    # d = 45 takes 12th roots of unity, most of them inexact in binary: each
+    # c_m against its exact value, from integer counts per root and the roots
+    # to 40 digits, within 1e-11 * max(1, |c_m|)
+    mpmath = pytest.importorskip("mpmath")
+    scale = 2 ** 200
+    with mpmath.workdps(40):
+        roots = [mpmath.exp(2j * mpmath.pi * e / 12) for e in range(12)]
+        cos = np.array([int(mpmath.nint(z.real * scale)) for z in roots], dtype=object)
+        sin = np.array([int(mpmath.nint(z.imag * scale)) for z in roots], dtype=object)
+    for chi in build_character_group(45):
+        for r, counts in enumerate(root_exponent_counts(chi, 4, 700), start=1):
+            counts = counts.astype(object)
+            exact = np.array([complex(a / scale, b / scale)
+                              for a, b in zip(counts @ cos, counts @ sin)])
+            coeffs = conv_power(chi, r, 700)
+            assert np.all(np.abs(coeffs - exact) <= 1e-11 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_conv_power_validation():

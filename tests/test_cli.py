@@ -415,6 +415,8 @@ def _argvs(draw):
                "1e-300", "--max-terms", "1000000000000", "--output", "json"])
 @example(argv=["eval-qeuler", "--d", "1", "--q", "0.01", "--r", "10000000", "--n", "0",
                "--max-terms", "10000000"])
+@example(argv=["eval-qeuler", "--d", "1", "--q", "0.9999", "--r", "2", "--n", "0",
+               "--max-terms", "10000000"])
 def test_every_argv_reaches_a_defined_exit(argv):
     # main() returns one of the four exit codes and lets no exception out;
     # json output is strict JSON, with no NaN or Infinity
