@@ -197,18 +197,20 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     the d values are folded to P^r (length r(d-1)+1), and each factor
     1 / (1 - z^d) is one running sum along every residue class m = a + d k,
     taken as a cumulative sum down the columns of the rows of d entries.
-    That costs O(r M + r^2 d min(M, r d)) operations, not the O(r M^2) of
-    folding the periodic sequence itself.  The fold runs at length at least
-    d so that np.convolve never swaps its operands, and the rows are padded
-    with -0.0, the exact additive identity, so every prefix c_0..c_{k-1} is
-    bit for bit the result at length k.
+    Only the min(M, d) values below M enter the fold, which runs at length M,
+    so it costs O(r M + r min(M, d) min(M, r d)) operations, never more than
+    the O(r M^2) of folding the periodic sequence itself.  The folded array
+    is never shorter than the period slice, so np.convolve never swaps its
+    operands, and the rows are padded with -0.0, the exact additive
+    identity, so every prefix c_0..c_{k-1} is bit for bit the result at
+    length k.
     """
     if r < 1:
         raise DomainError(f"order r must be a positive integer, got {r}")
     if M < 1:
         raise DomainError(f"series length M must be positive, got {M}")
     d = chi.modulus_d
-    folded = _fold(chi.values, r, max(M, d))[:M]
+    folded = _fold(chi.periodic_values(min(M, d)), r, M)
     out = np.full(-(-M // d) * d, complex(-0.0, -0.0))
     out[:len(folded)] = folded
     rows = out.reshape(-1, d)

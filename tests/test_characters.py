@@ -240,13 +240,15 @@ def root_exponent_counts(chi, r_max, M):
 def test_conv_power_is_near_exact_for_inexact_roots():
     # d = 45 takes 12th roots of unity, most of them inexact in binary: each
     # c_m against its exact value, from integer counts per root and the roots
-    # to 40 digits, within 1e-11 * max(1, |c_m|)
-    mpmath = pytest.importorskip("mpmath")
+    # scaled by 2^200, within 1e-11 * max(1, |c_m|).  The components of
+    # exp(2 pi i e / 12) are 0, +-1/2, +-1 and +-sqrt(3)/2, so integers give
+    # them to 2^-200.
     scale = 2 ** 200
-    with mpmath.workdps(40):
-        roots = [mpmath.exp(2j * mpmath.pi * e / 12) for e in range(12)]
-        cos = np.array([int(mpmath.nint(z.real * scale)) for z in roots], dtype=object)
-        sin = np.array([int(mpmath.nint(z.imag * scale)) for z in roots], dtype=object)
+    half_sqrt3 = math.isqrt(3 << 398)  # sqrt(3)/2 * 2^200, rounded down
+    first_quarter = [scale, half_sqrt3, scale // 2]  # cos(30 e degrees), e = 0, 1, 2
+    quarter = first_quarter + [0] + [-c for c in reversed(first_quarter)]
+    cos = np.array(quarter + [-c for c in quarter[1:-1]], dtype=object)
+    sin = np.roll(cos, 3)  # sin(30 e degrees) = cos(30 (e - 3) degrees)
     for chi in build_character_group(45):
         for r, counts in enumerate(root_exponent_counts(chi, 4, 700), start=1):
             counts = counts.astype(object)
@@ -254,6 +256,28 @@ def test_conv_power_is_near_exact_for_inexact_roots():
                               for a, b in zip(counts @ cos, counts @ sin)])
             coeffs = conv_power(chi, r, 700)
             assert np.all(np.abs(coeffs - exact) <= 1e-11 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_conv_power_folds_only_the_period_below_the_cutoff(monkeypatch):
+    # a large modulus, a short cutoff and r > 1: the fold takes the chi(a) with
+    # a < M, so it multiplies at most (r - 1) M^2 entries, not (r - 1) d^2
+    group = build_character_group(3001)
+    convolve = np.convolve
+    work = []
+
+    def counted(a, v):
+        work.append(len(a) * len(v))
+        return convolve(a, v)
+
+    for chi in (group[0], group[1], group[1500]):
+        expected = bounded_composition_sums(chi, 6, 40)[:40]
+        for M in (1, 2, 40):
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "convolve", counted)
+                work.clear()
+                coeffs = conv_power(chi, 6, M)
+            assert sum(work) <= 5 * M * M
+            assert coeffs.tobytes() == expected[:M].tobytes()
 
 
 def test_conv_power_validation():
