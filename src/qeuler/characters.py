@@ -135,14 +135,26 @@ class CharacterGroup:
         return iter(self.characters)
 
 
-def build_character_group(d: int) -> CharacterGroup:
-    """Construct the full character group modulo an odd positive integer d."""
+def _check_modulus(d: int) -> None:
+    """The moduli a character group is built for: odd, positive, at most MODULUS_BOUND."""
     if d < 1:
         raise DomainError(f"modulus must be positive, got {d}")
     if d % 2 == 0:
         raise NotOdd(f"modulus must be odd, got {d}")
     if d > MODULUS_BOUND:
         raise Overflow(f"modulus {d} exceeds the construction bound {MODULUS_BOUND}")
+
+
+def group_order(d: int) -> int:
+    """phi(d), the number of characters build_character_group(d) returns,
+    from the factorization alone; d is checked by the same rules."""
+    _check_modulus(d)
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factorize(d))
+
+
+def build_character_group(d: int) -> CharacterGroup:
+    """Construct the full character group modulo an odd positive integer d."""
+    _check_modulus(d)
     if d == 1:
         trivial = DirichletCharacter(1, 0, np.array([1.0 + 0.0j]))
         return CharacterGroup(1, [trivial], [])

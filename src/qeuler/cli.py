@@ -37,7 +37,7 @@ import itertools
 import json
 import sys
 
-from .characters import build_character_group
+from .characters import build_character_group, group_order
 from .errors import BudgetExceeded, DomainError, PlanInfeasible, UsageError
 from .identities import IDENTITY_IDS, SweepGrid, power_sum, run_suite
 from .lfun import lfun_value
@@ -179,12 +179,17 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _check_chi(args: argparse.Namespace) -> None:
+    """Check --d and --chi against the group size phi(--d) without building the group."""
+    size = group_order(args.d)
+    if args.chi is not None and args.chi >= size:
+        raise UsageError(f"--chi must be below the group size {size}")
+
+
 def _resolve_group(args: argparse.Namespace):
     """The character group modulo --d, once --chi is checked against its size."""
-    group = build_character_group(args.d)
-    if args.chi is not None and args.chi >= len(group):
-        raise UsageError(f"--chi must be below the group size {len(group)}")
-    return group
+    _check_chi(args)
+    return build_character_group(args.d)
 
 
 def _emit(chunks, out_path: str | None) -> None:
@@ -235,7 +240,7 @@ def _run_char_list(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    _resolve_group(args)
+    _check_chi(args)  # run_suite builds the group
     grid = SweepGrid(
         d_values=(args.d,),
         q_values=(args.q,),

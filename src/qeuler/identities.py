@@ -1,75 +1,45 @@
 """Symmetry identities of the q-Euler polynomials and their sweep harness.
 
-Each theorem equates two mirror-image expressions in a pair of odd integers
-(a, b).  One side, in roles (first, second) = (a, b), reads
-
-  l-function form:   [2]_{q^b}^r [b]_q^s  sum over j-tuples below d*a of
-                     (-1)^|j| chi(j_1)...chi(j_r) q^(b|j|)
-                     l_r(s, b x + (b/a)|j| | chi)  at deformation q^a,
-
-  polynomial form:   the same combination with [a]_q^n and E_n at q^a,
-
-  power-sum form:    [2]_{q^b}^r sum_{i<=n} binom(n,i) [a]_q^(n-i) [b]_q^i
-                     E_{n-i}(b x) at q^a  *  S_{n,i}(a d | chi) at q^b,
-
-and the mirror side swaps the roles of a and b.  Every side evaluator below
-takes the roles explicitly and the mirror is produced by literally swapping
-the arguments, so instances with a = b agree bit for bit.
-
-The bridge check compares the polynomial form against the power-sum form in
-the same orientation; it isolates the shift-expansion rearrangement that
-turns the j-sum of polynomial values into power sums.
+The theorems equate two mirror-image expressions in a pair of odd integers
+(a, b), the sides that qeuler.sides evaluates.  The bridge check compares the
+polynomial form against the power-sum form in the same orientation; it
+isolates the shift-expansion rearrangement that turns the j-sum of
+polynomial values into power sums.
 
 Every identity is one row of the table IDENTITIES: the grid axes it reads,
-its two sides, and its default relative tolerance.  check() validates an
-instance against the row, evaluates both sides and builds the report;
-run_suite() sweeps a row's axes over a SweepGrid.
+its two sides, and its default relative tolerance.  A side evaluates a sweep
+line, the instances of a row that are equal in every field but the degree n,
+and returns one value per degree, each bit for bit its one-degree value.
+check() validates an instance and evaluates it as a one-degree line;
+run_suite() sweeps a row's axes over a SweepGrid, one line at a time.
 """
 
 from __future__ import annotations
 
-import cmath
+import dataclasses
 import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import comb
 
-import numpy as np
-
-from .characters import (
-    DirichletCharacter,
-    bounded_composition_sums,
-    build_character_group,
-)
-from .errors import BudgetExceeded, DomainError, ParityViolation, PlanInfeasible
-from .lfun import DEFAULT_INTERPOLATION_TOL, lfun_value, lfun_values
-from .polynomials import (
-    binomial_shift_sum,
-    qeuler_addition,
-    qeuler_table,
-    qeuler_value,
-)
-from .qnum import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_TERMS,
-    SERIES_BUDGET,
-    QContext,
-    q_bracket_two_pow,
-    q_number,
-)
+from .characters import DirichletCharacter, build_character_group
+from .errors import DomainError, ParityViolation, PlanInfeasible
+from .lfun import DEFAULT_INTERPOLATION_TOL, lfun_value
+from .polynomials import binomial_shift_sum, qeuler_addition, qeuler_value
+from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
 from .report import IdentityReport, make_error_report, make_report
+from .sides import (
+    DegreeError,
+    at_degree,
+    lfun_side,
+    poly_side,
+    power_sum_side,
+    power_sums,
+    tuple_totals,
+)
 
 DEFAULT_REL_TOL = 1e-7
 BRIDGE_REL_TOL = 1e-8
-
-
-def _tuple_totals(chi: DirichletCharacter, r: int, upper: int, weight_rows: int) -> np.ndarray:
-    """bounded_composition_sums(chi, r, upper), once its totals x weight_rows fit SERIES_BUDGET."""
-    if (rows := r * (upper - 1) + 1) * weight_rows > SERIES_BUDGET:
-        raise BudgetExceeded(f"a {rows} x {weight_rows} bracket matrix exceeds the budget "
-                             f"{SERIES_BUDGET:g}")
-    return bounded_composition_sums(chi, r, upper)
 
 
 def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
@@ -84,26 +54,7 @@ def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
     finite double raises PlanInfeasible."""
     if not 0 <= i <= n:
         raise DomainError(f"need 0 <= i <= n, got i={i}, n={n}")
-    return _power_sums(chi, r, n, [i], upper_a, ctx)[0]
-
-
-def _power_sums(chi: DirichletCharacter, r: int, n: int, indices, upper_a: int,
-                ctx: QContext) -> list[complex]:
-    """S_{n,i}(upper_a | chi) for every i in indices, one histogram for all."""
-    hist = _tuple_totals(chi, r, upper_a, len(indices))
-    totals = np.arange(hist.size, dtype=float)  # float exponents never wrap, whatever n is
-    brackets = q_number(totals, ctx)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            weights = np.array([(-1.0) ** totals * ctx.q ** ((n - i + 1) * totals)
-                                * brackets ** i for i in indices])
-            sums = np.sum(weights * hist, axis=-1)
-    except OverflowError:  # an exponent past the double range
-        sums = np.array([math.nan])
-    if not np.isfinite(sums).all():
-        raise PlanInfeasible(f"a power sum S_{{{n},i}}({upper_a}) at q={ctx.q!r} is not a "
-                             "finite double")
-    return sums.tolist()
+    return power_sums(tuple_totals(chi, r, upper_a, 1), n, [i], upper_a, ctx)[0]
 
 
 @dataclass(frozen=True)
@@ -124,122 +75,87 @@ class SymmetryInstance:
     y: float = 0.0
 
 
-def _role_argument(second: int, x: float, first: int, t: int) -> float:
-    # b*x + (b/a)*t as one exact integer ratio; int true division rounds once
-    num, den = x.as_integer_ratio()
-    return second * (num * first + t * den) / (first * den)
+# A side maps (the line's instance, its degrees, epsilon, max_terms) to one
+# value per degree, and raises DegreeError at the first degree it refuses.
+Side = Callable[[SymmetryInstance, list, float, int], list[complex]]
 
 
-def _shifted_sum(inst: SymmetryInstance, first: int, second: int, prefactor: complex,
-                 terms: Callable[[list[float], QContext], list[complex]]) -> complex:
-    """[2]_{q^second}^r * prefactor * sum over totals t of the j-tuples below
-    d*first of w_t (-1)^t q^(second t) T_t, where terms evaluates every
-    T_t = term(second x + (second/first) t) at q^first in one batch."""
-    chi, r, ctx = inst.chi, inst.r, inst.ctx
-    weights = _tuple_totals(chi, r, chi.modulus_d * first, 1)  # each total t is a row of the batch
-    args = [_role_argument(second, inst.x, first, t) for t in range(len(weights))]
-    total = 0j
-    for t, (w_t, term) in enumerate(zip(weights, terms(args, ctx.power(first)))):
-        total += w_t * (-1.0) ** t * ctx.q ** (second * t) * term
-    return q_bracket_two_pow(r, ctx.power(second)) * prefactor * total
-
-
-def _lfun_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
-               max_terms: int) -> complex:
-    """One side of the l-function symmetry in roles (first, second)."""
-    bracket_pow = cmath.exp(complex(inst.s) * math.log(q_number(second, inst.ctx)))
-    return _shifted_sum(inst, first, second, bracket_pow, lambda args, ctx_first: lfun_values(
-        inst.chi, inst.r, inst.s, args, ctx_first, epsilon, max_terms))
-
-
-def _poly_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
-               max_terms: int) -> complex:
-    """One side of the polynomial symmetry in roles (first, second)."""
-    bracket_pow = q_number(first, inst.ctx) ** inst.n
-    return _shifted_sum(inst, first, second, bracket_pow, lambda args, ctx_first: [
-        row[0] for row in qeuler_table(inst.chi, inst.r, args, [inst.n], ctx_first, epsilon,
-                                       max_terms)])
-
-
-def _power_sum_side(inst: SymmetryInstance, first: int, second: int, epsilon: float,
-                    max_terms: int) -> complex:
-    """One side of the power-sum expansion in roles (first, second)."""
-    chi, r, n, ctx = inst.chi, inst.r, inst.n, inst.ctx
-    ctx_second = ctx.power(second)
-    bracket_first = q_number(first, ctx)
-    bracket_second = q_number(second, ctx)
-    e_vals = qeuler_table(chi, r, [second * inst.x], range(n, -1, -1), ctx.power(first),
-                          epsilon, max_terms)[0]
-    s_vals = _power_sums(chi, r, n, range(n + 1), first * chi.modulus_d, ctx_second)
-    total = 0j
-    for i, (e_val, s_val) in enumerate(zip(e_vals, s_vals)):
-        total += (
-            comb(n, i)
-            * bracket_first ** (n - i)
-            * bracket_second ** i
-            * e_val
-            * s_val
-        )
-    return q_bracket_two_pow(r, ctx_second) * total
-
-
-def _roles(side, mirrored: bool = False) -> Callable:
-    """A role-taking side evaluator in roles (a, b), or (b, a) when mirrored."""
+def _roles(side, mirrored: bool = False) -> Side:
+    """A role-taking side in roles (a, b), or (b, a) when mirrored."""
     if mirrored:
-        return lambda inst, epsilon, max_terms: side(inst, inst.b, inst.a, epsilon, max_terms)
-    return lambda inst, epsilon, max_terms: side(inst, inst.a, inst.b, epsilon, max_terms)
+        return lambda inst, ns, epsilon, max_terms: side(inst, ns, inst.b, inst.a, epsilon,
+                                                         max_terms)
+    return lambda inst, ns, epsilon, max_terms: side(inst, ns, inst.a, inst.b, epsilon,
+                                                     max_terms)
+
+
+def _each(side: Callable[[SymmetryInstance, float, int], complex]) -> Side:
+    """A one-instance side mapped over a line, one degree after another."""
+    def line(inst: SymmetryInstance, ns: list, epsilon: float, max_terms: int):
+        values = []
+        for k, n in enumerate(ns):
+            with at_degree(k):
+                values.append(side(dataclasses.replace(inst, n=n), epsilon, max_terms))
+        return values
+
+    return line
 
 
 @dataclass(frozen=True)
 class Identity:
     """One row of the identity table: the grid axes read after d, chi, r, q in
     enumeration order ("ab" is the odd pair, the rest name SymmetryInstance
-    fields), the two sides as (inst, epsilon, max_terms) -> complex, and the
-    default relative tolerance."""
+    fields), the two sides, and the default relative tolerance."""
 
     axes: tuple[str, ...]
-    lhs: Callable[[SymmetryInstance, float, int], complex]
-    rhs: Callable[[SymmetryInstance, float, int], complex]
+    lhs: Side
+    rhs: Side
     rel_tol: float
+
+
+def _mapped(axes: tuple[str, ...], lhs: Callable[[SymmetryInstance, float, int], complex],
+            rhs: Callable[[SymmetryInstance, float, int], complex], rel_tol: float) -> Identity:
+    """A row whose one-instance sides are mapped over a line."""
+    return Identity(axes, _each(lhs), _each(rhs), rel_tol)
 
 
 IDENTITIES = {
     # l-function symmetry, x > 0 and complex exponent s
-    "T1": Identity(("ab", "s", "x"), _roles(_lfun_side), _roles(_lfun_side, True),
-                   DEFAULT_REL_TOL),
+    "T1": _mapped(("ab", "s", "x"), lambda i, eps, M: lfun_side(i, i.a, i.b, eps, M),
+                  lambda i, eps, M: lfun_side(i, i.b, i.a, eps, M), DEFAULT_REL_TOL),
     # polynomial symmetry at integer degree n
-    "T2": Identity(("ab", "n", "x"), _roles(_poly_side), _roles(_poly_side, True),
+    "T2": Identity(("ab", "n", "x"), _roles(poly_side), _roles(poly_side, True),
                    DEFAULT_REL_TOL),
     # power-sum symmetry: both orientations of the binomial expansion
-    "T3": Identity(("ab", "n", "x"), _roles(_power_sum_side),
-                   _roles(_power_sum_side, True), DEFAULT_REL_TOL),
+    "T3": Identity(("ab", "n", "x"), _roles(power_sum_side),
+                   _roles(power_sum_side, True), DEFAULT_REL_TOL),
     # interpolation l(-n, x) = E_n(x)
-    "EQ4": Identity(("n", "x"),
-                    lambda i, eps, M: lfun_value(i.chi, i.r, complex(-i.n), i.x, i.ctx, eps, M),
-                    lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
-                    DEFAULT_INTERPOLATION_TOL),
+    "EQ4": _mapped(("n", "x"),
+                   lambda i, eps, M: lfun_value(i.chi, i.r, complex(-i.n), i.x, i.ctx, eps, M),
+                   lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
+                   DEFAULT_INTERPOLATION_TOL),
     # expansion of E_n(x) through the q-Euler numbers E_i(0)
-    "EQ5": Identity(("n", "x"),
-                    lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, 0.0, eps, M),
-                    lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
-                    DEFAULT_REL_TOL),
+    "EQ5": _mapped(("n", "x"),
+                   lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, 0.0, eps, M),
+                   lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
+                   DEFAULT_REL_TOL),
     # shift expansion of E_n(x + y)
-    "EQ9": Identity(("n", "x", "y"),
-                    lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, i.y, eps, M),
-                    lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x + i.y, i.ctx, eps, M),
-                    DEFAULT_REL_TOL),
+    "EQ9": _mapped(("n", "x", "y"),
+                   lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, i.y, eps, M),
+                   lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x + i.y, i.ctx, eps, M),
+                   DEFAULT_REL_TOL),
     # bridge: polynomial form against power-sum form, roles (a, b) then (b, a)
-    "EQ12": Identity(("ab", "n", "x"), _roles(_poly_side), _roles(_power_sum_side),
+    "EQ12": Identity(("ab", "n", "x"), _roles(poly_side), _roles(power_sum_side),
                      BRIDGE_REL_TOL),
-    "EQ13": Identity(("ab", "n", "x"), _roles(_poly_side, True),
-                     _roles(_power_sum_side, True), BRIDGE_REL_TOL),
+    "EQ13": Identity(("ab", "n", "x"), _roles(poly_side, True),
+                     _roles(power_sum_side, True), BRIDGE_REL_TOL),
     # two-index shift symmetry between degrees m and n
-    "EQ15": Identity(("m", "n", "x", "y"),
-                     lambda i, eps, M: binomial_shift_sum(i.chi, i.r, i.ctx, i.m, i.n, i.x,
-                                                          i.y, eps, M),
-                     lambda i, eps, M: binomial_shift_sum(i.chi, i.r, i.ctx, i.n, i.m, -i.x,
-                                                          i.x + i.y, eps, M),
-                     DEFAULT_REL_TOL),
+    "EQ15": _mapped(("m", "n", "x", "y"),
+                    lambda i, eps, M: binomial_shift_sum(i.chi, i.r, i.ctx, i.m, i.n, i.x,
+                                                         i.y, eps, M),
+                    lambda i, eps, M: binomial_shift_sum(i.chi, i.r, i.ctx, i.n, i.m, -i.x,
+                                                         i.x + i.y, eps, M),
+                    DEFAULT_REL_TOL),
 }
 
 IDENTITY_IDS = tuple(IDENTITIES)
@@ -266,13 +182,8 @@ def _record(row: Identity, inst: SymmetryInstance) -> dict:
     return record
 
 
-def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
-          max_terms: int = DEFAULT_MAX_TERMS, rel_tol: float | None = None) -> IdentityReport:
-    """Check one identity at one instance: validate the axes its row reads,
-    evaluate both sides with series budget epsilon, and report them against
-    rel_tol (the row's default when None).  A side that overflows a double
-    raises PlanInfeasible."""
-    row = _row(identity_id)
+def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> None:
+    """Every axis rule of the row, checked before any side is evaluated."""
     for name in ("a", "b") if "ab" in row.axes else ():
         value = getattr(inst, name)
         if value < 1 or value % 2 == 0:
@@ -283,11 +194,28 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
         value = getattr(inst, name)
         if name in row.axes and (value is None or not 0 <= value < math.inf):
             raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
+
+
+def _side_error(identity_id: str, error: Exception) -> Exception:
+    """The error a side's refusal raises: a float overflow is PlanInfeasible."""
+    if isinstance(error, OverflowError):
+        return PlanInfeasible(f"a side of {identity_id} overflows a double: {error}")
+    return error
+
+
+def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
+          max_terms: int = DEFAULT_MAX_TERMS, rel_tol: float | None = None) -> IdentityReport:
+    """Check one identity at one instance, the one-degree line: validate the
+    axes its row reads, evaluate both sides with series budget epsilon, and
+    report them against rel_tol (the row's default when None).  A side that
+    overflows a double raises PlanInfeasible."""
+    row = _row(identity_id)
+    _validate(identity_id, row, inst)
     try:
-        lhs = row.lhs(inst, epsilon, max_terms)
-        rhs = row.rhs(inst, epsilon, max_terms)
-    except OverflowError as exc:
-        raise PlanInfeasible(f"a side of {identity_id} overflows a double: {exc}") from None
+        [lhs] = row.lhs(inst, [inst.n], epsilon, max_terms)
+        [rhs] = row.rhs(inst, [inst.n], epsilon, max_terms)
+    except DegreeError as exc:
+        raise _side_error(identity_id, exc.args[1]) from None
     rel = row.rel_tol if rel_tol is None else rel_tol
     return make_report(identity_id, _record(row, inst), lhs, rhs, rel)
 
@@ -382,15 +310,78 @@ def _evaluate_instance(identity_id: str, inst: SymmetryInstance, epsilon: float,
         return make_error_report(identity_id, _record(IDENTITIES[identity_id], inst), exc)
 
 
+def _line_reports(identity_id: str, row: Identity, insts: list, epsilon: float,
+                  max_terms: int, rel_tol: float | None) -> list[IdentityReport]:
+    """The reports of one sweep line's instances in order, each equal to
+    check's.  An instance outside its row's axes is recorded in place, and the
+    others go through each side once.  The refusal check would meet first
+    (degree by degree, lhs before rhs) is raised as a DegreeError at its
+    instance's index; a DomainError inside a side sends the line through check
+    one instance at a time, which records it where it arises."""
+    reports, valid = [None] * len(insts), []
+    for k, inst in enumerate(insts):
+        try:
+            _validate(identity_id, row, inst)
+            valid.append(k)
+        except DomainError as exc:
+            reports[k] = make_error_report(identity_id, _record(row, inst), exc)
+    if not valid:
+        return reports
+    base, ns, refusal = insts[valid[0]], [insts[k].n for k in valid], None
+    try:
+        lhs = row.lhs(base, ns, epsilon, max_terms)
+    except DegreeError as exc:  # the rhs can refuse first only below it
+        ns, refusal = ns[:exc.args[0]], exc.args
+    try:
+        rhs = row.rhs(base, ns, epsilon, max_terms) if ns else []
+    except DegreeError as exc:
+        refusal = exc.args
+    if refusal is not None and isinstance(refusal[1], DomainError):
+        reports = []
+        for k, inst in enumerate(insts):
+            with at_degree(k):
+                reports.append(_evaluate_instance(identity_id, inst, epsilon, max_terms,
+                                                  rel_tol))
+        return reports
+    if refusal is not None:
+        raise DegreeError(valid[refusal[0]], _side_error(identity_id, refusal[1]))
+    rel = row.rel_tol if rel_tol is None else rel_tol
+    for k, lhs_k, rhs_k in zip(valid, lhs, rhs):
+        reports[k] = make_report(identity_id, _record(row, insts[k]), lhs_k, rhs_k, rel)
+    return reports
+
+
 def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILON,
               max_terms: int = DEFAULT_MAX_TERMS,
               rel_tol: float | None = None) -> list[IdentityReport]:
-    """Evaluate one identity over the whole grid, one instance after another.
+    """Evaluate one identity over the whole grid, one sweep line at a time: the
+    instances equal in every field but n share each side's evaluation.
 
-    Reports come back in enumeration order.  An instance outside its identity's
-    domain (DomainError) is recorded in place as an error report, while a
-    PlanInfeasible or BudgetExceeded ends the sweep, as in every other command.
-    An unknown identity id raises DomainError before anything is enumerated."""
+    Reports come back in enumeration order, each equal to check's at its
+    instance.  An instance outside its identity's domain (DomainError) is
+    recorded in place as an error report, while a PlanInfeasible or
+    BudgetExceeded ends the sweep, as in every other command: the one check
+    meets first in enumeration order is raised.  An unknown identity id raises
+    DomainError before anything is enumerated."""
     row = _row(identity_id)
-    return [_evaluate_instance(identity_id, inst, epsilon, max_terms, rel_tol)
-            for inst in _grid_instances(row, grid)]
+    instances = list(_grid_instances(row, grid))
+    lines = {}
+    for position, inst in enumerate(instances):
+        lines.setdefault(dataclasses.replace(inst, n=None), []).append(position)
+    reports, refusal = [None] * len(instances), None
+    for positions in lines.values():  # in the order of their first instances
+        if refusal is not None:  # only an earlier instance can refuse first
+            positions = [p for p in positions if p < refusal[0]]
+            if not positions:
+                break
+        try:
+            line = _line_reports(identity_id, row, [instances[p] for p in positions],
+                                 epsilon, max_terms, rel_tol)
+        except DegreeError as exc:
+            refusal = positions[exc.args[0]], exc.args[1]
+            continue
+        for position, report in zip(positions, line):
+            reports[position] = report
+    if refusal is not None:
+        raise refusal[1]
+    return reports

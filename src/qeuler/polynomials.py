@@ -37,6 +37,7 @@ from .qnum import (
 )
 
 TUPLE_BUDGET = 10 ** 8
+KERNEL_WEIGHTS = 2 ** 12  # weights one series kernel call may hold: 32 KB real, 64 KB complex
 
 
 @dataclass(frozen=True)
@@ -63,37 +64,60 @@ class QEulerSpec:
 def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers,
                  cutoffs) -> list[list[complex]]:
     """The series kernel: for every argument xs[i] and bracket weight
-    weighers[j] (a map from the bracket matrix [m + x]_q to its weights),
+    weighers[j] (a map from rows of the bracket matrix [m + x]_q to their
+    weights),
 
         [2]_q^r  sum_{m < cutoffs[i][j]} (-q)^m c_m weighers[j]([m + xs[i]]_q),
 
     with c_m the order-r composition sums of chi.  One conv_power at the
     largest cutoff serves every cell, since its prefixes are the shorter
-    convolutions, and the cells that share a cutoff are summed together over
-    exactly that many terms: each value equals the one a single-cell call
-    gives, bit for bit.  The bracket matrix has cells x largest cutoff
-    entries; plan_cutoffs keeps it within SERIES_BUDGET.
+    convolutions, and so does one bracket matrix of len(xs) x largest cutoff
+    entries (plan_cutoffs keeps it within SERIES_BUDGET).  The cells that
+    share a cutoff are weighed and summed together over exactly that many
+    terms, so each value equals the one a single-cell call gives, bit for
+    bit.  A kernel call holds at most max(bracket matrix, KERNEL_WEIGHTS)
+    weights, so memory does not grow with the number of weighers.
     """
-    # cells in argument-major order throughout: cutoffs, weight rows, sums
-    cutoffs = np.asarray(cutoffs).ravel().tolist()
-    K = max(cutoffs, default=0)
+    cutoffs = np.asarray(cutoffs).reshape(len(xs), len(weighers))
+    K = int(cutoffs.max(initial=0))
     coeffs = conv_power(chi, r, K) if K else np.zeros(0, dtype=complex)
     brackets = q_number(np.arange(K) + np.asarray(xs, dtype=float)[:, None], ctx)
-    weights = np.stack([weigh(brackets) for weigh in weighers], axis=1).reshape(len(cutoffs), K)
-    groups = {}
-    for cell, k in enumerate(cutoffs):
-        groups.setdefault(k, []).append(cell)
-    sums = [0j] * len(cutoffs)
-    for k, cells in groups.items():
-        rows = weights if len(cells) == len(cutoffs) else weights[cells]
-        for cell, value in zip(cells, alternating_weighted_sum(coeffs[:k], rows, ctx)):
-            sums[cell] = value
+    sums = np.empty(cutoffs.shape, dtype=complex)
+    cap = max(brackets.size, KERNEL_WEIGHTS)
+    pending = {}  # cutoff -> [cells, [(weigher, rows)]] not summed yet
+
+    def flush(k: int) -> None:
+        start, (_, pieces) = 0, pending.pop(k)
+        weights = [weighers[j](brackets[rows, :k]) for j, rows in pieces]
+        sizes = [len(part) for part in weights]
+        weights = weights[0] if len(weights) == 1 else np.concatenate(weights)  # frees the parts
+        values = alternating_weighted_sum(coeffs[:k], weights, ctx)
+        for (j, rows), size in zip(pieces, sizes):
+            sums[rows, j] = values[start:start + size]
+            start += size
+
+    for j, column in enumerate(cutoffs.T.tolist()):
+        if column and column.count(column[0]) == len(column):
+            groups = {column[0]: slice(None)}  # every row, weighed on a view of the brackets
+        else:
+            groups = {}
+            for i, k in enumerate(column):
+                groups.setdefault(k, []).append(i)
+        for k, rows in groups.items():
+            cells = len(xs) if isinstance(rows, slice) else len(rows)
+            if k in pending and (pending[k][0] + cells) * k > cap:
+                flush(k)
+            entry = pending.setdefault(k, [0, []])
+            entry[0] += cells
+            entry[1].append((j, rows))
+    for k in list(pending):
+        flush(k)
     two = q_bracket_two_pow(r, ctx)
-    return [[two * complex(value) for value in sums[i:i + len(weighers)]]
-            for i in range(0, len(sums), len(weighers))]
+    return [[two * value for value in row] for row in sums.tolist()]
 
 
-def _degree(n: int):
+def degree_weights(n: int):
+    """The weigher of E_n for series_table: bracket rows to their n-th powers."""
     return lambda brackets: brackets ** n
 
 
@@ -104,7 +128,7 @@ def qeuler_table(chi: DirichletCharacter, r: int, xs, ns, ctx: QContext,
     cell truncated exactly where qeuler_value would truncate it."""
     bounds = [[degree_weight_bound(ctx, x, n) for n in ns] for x in xs]
     cutoffs = plan_cutoffs(ctx, r, bounds, epsilon, max_terms)
-    return series_table(chi, r, ctx, xs, [_degree(n) for n in ns], cutoffs)
+    return series_table(chi, r, ctx, xs, [degree_weights(n) for n in ns], cutoffs)
 
 
 def qeuler_poly(spec: QEulerSpec) -> complex:
@@ -113,7 +137,7 @@ def qeuler_poly(spec: QEulerSpec) -> complex:
     Truncation error is bounded by spec.plan.tail_bound.  The result is real
     (zero imaginary part) whenever the character is real-valued.
     """
-    return series_table(spec.chi, spec.r, spec.ctx, [spec.x], [_degree(spec.n)],
+    return series_table(spec.chi, spec.r, spec.ctx, [spec.x], [degree_weights(spec.n)],
                         [spec.plan.cutoff_M])[0][0]
 
 

@@ -1,0 +1,209 @@
+"""The two sides of the symmetry identities, evaluated along a sweep line.
+
+Each theorem equates two mirror-image expressions in a pair of odd integers
+(a, b).  One side, in roles (first, second) = (a, b), reads
+
+  l-function form:   [2]_{q^b}^r [b]_q^s  sum over j-tuples below d*a of
+                     (-1)^|j| chi(j_1)...chi(j_r) q^(b|j|)
+                     l_r(s, b x + (b/a)|j| | chi)  at deformation q^a,
+
+  polynomial form:   the same combination with [a]_q^n and E_n at q^a,
+
+  power-sum form:    [2]_{q^b}^r sum_{i<=n} binom(n,i) [a]_q^(n-i) [b]_q^i
+                     E_{n-i}(b x) at q^a  *  S_{n,i}(a d | chi) at q^b,
+
+and the mirror side swaps the roles of a and b.  Every side evaluator below
+takes the roles explicitly and the mirror is produced by literally swapping
+the arguments, so instances with a = b agree bit for bit.
+
+A sweep line is a set of instances equal in every field but the degree n.
+The polynomial and power-sum forms take a line's degrees and return one
+value per degree: the tuple totals, shifted arguments, composition sums and
+bracket matrix of a side depend on the line, not on n, so they are formed
+once.  Each degree keeps its own plan and budget, and the t-sums and i-sums
+keep their scalar order, so every value is bit for bit the one-degree value.
+A side refuses where a one-degree evaluation would first refuse, degree by
+degree, raising DegreeError with that degree's index.
+"""
+
+from __future__ import annotations
+
+import cmath
+import contextlib
+import math
+
+import numpy as np
+
+from .characters import DirichletCharacter, bounded_composition_sums
+from .errors import BudgetExceeded, PlanInfeasible, QEulerError
+from .lfun import lfun_values
+from .polynomials import degree_weights, series_table
+from .qnum import (
+    SERIES_BUDGET,
+    QContext,
+    degree_weight_bound,
+    plan_cutoffs,
+    q_bracket_two_pow,
+    q_number,
+)
+
+# series values of a line held at once: a sixteenth of the bracket matrix
+# budget, about 25 MB as Python complex numbers
+LINE_VALUES = SERIES_BUDGET // 16
+
+
+class DegreeError(Exception):
+    """args (index, error): the first refusal along a line, at its degree's index."""
+
+
+@contextlib.contextmanager
+def at_degree(index: int):
+    """Re-raise a refusal inside (a QEulerError, or the OverflowError of a
+    float power) as a DegreeError at index."""
+    try:
+        yield
+    except (QEulerError, OverflowError) as exc:
+        raise DegreeError(index, exc) from None
+
+
+def _check_rows(rows: int, weight_rows: int) -> None:
+    if rows * weight_rows > SERIES_BUDGET:
+        raise BudgetExceeded(f"a {rows} x {weight_rows} bracket matrix exceeds the budget "
+                             f"{SERIES_BUDGET:g}")
+
+
+def tuple_totals(chi: DirichletCharacter, r: int, upper: int, weight_rows: int) -> np.ndarray:
+    """bounded_composition_sums(chi, r, upper), once its totals x weight_rows fit SERIES_BUDGET."""
+    _check_rows(r * (upper - 1) + 1, weight_rows)
+    return bounded_composition_sums(chi, r, upper)
+
+
+def power_sums(hist: np.ndarray, n: int, indices, upper: int, ctx: QContext) -> list[complex]:
+    """S_{n,i}(upper | chi) for every i in indices, from hist, the tuple-total
+    histogram tuple_totals(chi, r, upper, ...), within the budget of
+    len(indices) weight rows; a sum that is not a finite double raises
+    PlanInfeasible."""
+    _check_rows(hist.size, len(indices))
+    totals = np.arange(hist.size, dtype=float)  # float exponents never wrap, whatever n is
+    signs, brackets = (-1.0) ** totals, q_number(totals, ctx)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            weights = np.array([signs * ctx.q ** ((n - i + 1) * totals) * brackets ** i
+                                for i in indices])
+            sums = np.sum(weights * hist, axis=-1)
+    except OverflowError:  # an exponent past the double range
+        sums = np.array([math.nan])
+    if not np.isfinite(sums).all():
+        raise PlanInfeasible(f"a power sum S_{{{n},i}}({upper}) at q={ctx.q!r} is not a "
+                             "finite double")
+    return sums.tolist()
+
+
+def role_argument(second: int, x: float, first: int, t: int) -> float:
+    # b*x + (b/a)*t as one exact integer ratio; int true division rounds once
+    num, den = x.as_integer_ratio()
+    return second * (num * first + t * den) / (first * den)
+
+
+def _shift_weights(inst, first: int, second: int):
+    """The j-tuples below d*first by their total t, each total a row of the
+    batch: the weights w_t (-1)^t q^(second t), w_t the tuple-total
+    histogram, and the arguments second x + (second/first) t."""
+    chi, r, ctx = inst.chi, inst.r, inst.ctx
+    totals = tuple_totals(chi, r, chi.modulus_d * first, 1)
+    weights = [w_t * (-1.0) ** t * ctx.q ** (second * t) for t, w_t in enumerate(totals)]
+    return weights, [role_argument(second, inst.x, first, t) for t in range(len(totals))]
+
+
+def _shifted_total(weights, terms) -> complex:
+    """sum_t weights[t] terms[t], one scalar product after another in the order
+    of t: a numpy product of complex arrays may round differently."""
+    total = 0j
+    for weight, term in zip(weights, terms):
+        total += weight * term
+    return total
+
+
+def lfun_side(inst, first: int, second: int, epsilon: float, max_terms: int) -> complex:
+    """One side of the l-function symmetry in roles (first, second)."""
+    bracket_pow = cmath.exp(complex(inst.s) * math.log(q_number(second, inst.ctx)))
+    weights, args = _shift_weights(inst, first, second)
+    terms = lfun_values(inst.chi, inst.r, inst.s, args, inst.ctx.power(first), epsilon,
+                        max_terms)
+    return (q_bracket_two_pow(inst.r, inst.ctx.power(second)) * bracket_pow
+            * _shifted_total(weights, terms))
+
+
+def poly_side(inst, ns: list, first: int, second: int, epsilon: float,
+              max_terms: int) -> list[complex]:
+    """One side of the polynomial symmetry in roles (first, second) at every
+    degree of ns.  The weights and arguments of the totals t, one conv_power
+    and one bracket matrix serve every degree; each degree keeps the plan of
+    its own len(args) cells and is summed over t on its own."""
+    chi, r, ctx = inst.chi, inst.r, inst.ctx
+    prefactors, cutoffs = [], []
+    for k, n in enumerate(ns):  # each step refuses where check would at that degree
+        with at_degree(k):
+            prefactors.append(q_number(first, ctx) ** n)
+            if k == 0:
+                weights, args = _shift_weights(inst, first, second)
+                ctx_first = ctx.power(first)
+            # the weight bound (1-q)^(-n) is the same at every argument
+            bound = degree_weight_bound(ctx_first, args[0], n)
+            cutoffs.append(int(plan_cutoffs(ctx_first, r, np.full(len(args), bound), epsilon,
+                                            max_terms)[0]))
+            if k == 0:
+                two = q_bracket_two_pow(r, ctx.power(second))
+    values = []
+    step = max(1, LINE_VALUES // len(args))
+    for block in (slice(start, start + step) for start in range(0, len(ns), step)):
+        table = series_table(chi, r, ctx_first, args, [degree_weights(n) for n in ns[block]],
+                             [cutoffs[block]] * len(args))
+        values += [two * prefactor * _shifted_total(weights, terms)
+                   for prefactor, terms in zip(prefactors[block], zip(*table))]
+    return values
+
+
+def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float,
+                   max_terms: int) -> list[complex]:
+    """One side of the power-sum expansion in roles (first, second) at every
+    degree of ns: one table of E_j(second x) at q^first for every j up to the
+    largest degree, and one tuple-total histogram for every S_{n,i}.  Degree n
+    keeps the plan of its own n + 1 cells E_n, ..., E_0 and is summed over i on
+    its own."""
+    chi, r, ctx = inst.chi, inst.r, inst.ctx
+    arg = second * inst.x
+    bounds, cutoffs, refusal = [], [], None  # of E_j(arg), by j
+    try:
+        for k, n in enumerate(ns):  # each step refuses where check would at that degree
+            with at_degree(k):
+                if k == 0:
+                    ctx_second, ctx_first = ctx.power(second), ctx.power(first)
+                # the degrees not bounded yet, largest first, as qeuler_table bounds them
+                bounds += reversed([degree_weight_bound(ctx_first, arg, j)
+                                    for j in range(n, len(bounds) - 1, -1)])
+                cutoffs[:n + 1] = plan_cutoffs(ctx_first, r, bounds[n::-1], epsilon,
+                                               max_terms)[::-1].tolist()
+    except DegreeError as exc:  # the degrees before it may refuse first, below
+        ns, refusal = ns[:exc.args[0]], exc
+    values = []
+    if ns:
+        top = max(ns)
+        e_values = series_table(chi, r, ctx_first, [arg],
+                                [degree_weights(j) for j in range(top + 1)],
+                                [cutoffs[:top + 1]])[0]
+        upper = first * chi.modulus_d
+        bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
+        for k, n in enumerate(ns):
+            with at_degree(k):
+                if k == 0:  # one histogram serves every S_{n,i}
+                    hist = tuple_totals(chi, r, upper, n + 1)
+                total, binomial = 0j, 1  # binomial(n, i), updated exactly
+                for i, s_val in enumerate(power_sums(hist, n, range(n + 1), upper, ctx_second)):
+                    total += (binomial * bracket_first ** (n - i) * bracket_second ** i
+                              * e_values[n - i] * s_val)
+                    binomial = binomial * (n - i) // (i + 1)
+                values.append(q_bracket_two_pow(r, ctx_second) * total)
+    if refusal is not None:
+        raise refusal
+    return values

@@ -330,11 +330,46 @@ def test_csv_verify_has_residual_and_pass_columns(capsys):
 @pytest.mark.parametrize("argv", [
     ["eval-qeuler", "--d", "3", "--chi", "7", "--n", "0", "--q", "0.5"],
     ["char-list", "--d", "3", "--chi", "7"],
+    ["verify", "--identity", "T2", "--d", "45", "--chi", "24", "--q", "0.5"],
 ])
 def test_chi_out_of_range_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert "group size" in err
+
+
+@pytest.mark.parametrize("d,size", [(1, 1), (3, 2), (9, 6), (45, 24), (3001, 3000)])
+def test_verify_checks_chi_against_phi_and_builds_the_group_once(capsys, monkeypatch, d,
+                                                                  size):
+    import qeuler.characters as characters
+    import qeuler.cli as cli
+    import qeuler.identities as identities
+
+    builds = []
+    build = characters.build_character_group
+    for module in (cli, identities):
+        monkeypatch.setattr(module, "build_character_group",
+                            lambda m: builds.append(m) or build(m))
+    argv = ["verify", "--identity", "T2", "--d", str(d), "--q", "0.5", "--chi"]
+    assert run_cli(capsys, argv + [str(size - 1)])[0] == 0
+    assert builds == [d]
+    code, _, err = run_cli(capsys, argv + [str(size)])
+    assert code == 2 and f"--chi must be below the group size {size}" in err
+    assert builds == [d]
+
+
+def test_verify_refuses_a_modulus_past_the_bound_as_before(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--identity", "T2", "--d", "3003", "--q", "0.5"])
+    assert (code, out) == (2, "")
+    assert "modulus 3003 exceeds the construction bound 3001" in err
+
+
+def test_a_degree_sweep_refuses_at_its_first_unbounded_degree(capsys):
+    # the weight bound 2^n overflows at n = 1024: exit 3, nothing written
+    code, out, err = run_cli(capsys, ["verify", "--identity", "EQ12", "--d", "1", "--q", "0.5",
+                                      "--a", "1", "--b", "3", "--n-max", "1100"])
+    assert (code, out) == (3, "")
+    assert "overflows at w=1024" in err
 
 
 def test_usage_error_type_exists():

@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -32,10 +34,13 @@ from qeuler import (
     theorem2_sides,
     theorem3_sides,
 )
+from qeuler import sides
 from qeuler.characters import bounded_composition_sums
-from qeuler.identities import IDENTITIES, _power_sums, _role_argument, check
-from qeuler.polynomials import char_tuple_sum
-from qeuler.report import reports_to_json_lines
+from qeuler.cli import main
+from qeuler.identities import IDENTITIES, _grid_instances, _record, check
+from qeuler.polynomials import char_tuple_sum, series_table
+from qeuler.report import make_error_report, reports_to_json_lines
+from qeuler.sides import power_sums, role_argument, tuple_totals
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +118,7 @@ def test_power_sum_budget_refuses_before_allocating(groups, ctx):
     # totals times weight rows: 2*10^6 - 1 totals fit alone but not six times,
     # and the refusal precedes the fold's own multiply-add budget
     with pytest.raises(BudgetExceeded, match="a 1999999 x 6 bracket matrix"):
-        _power_sums(groups[3][1], 2, 5, range(6), 10 ** 6, ctx)
+        tuple_totals(groups[3][1], 2, 10 ** 6, 6)
 
 
 def test_non_finite_power_sum_is_infeasible(groups):
@@ -139,7 +144,7 @@ def test_power_sum_at_a_huge_degree_is_its_limit(groups, ctx):
 )
 def test_role_argument_is_the_correctly_rounded_rational(x, a, b, t):
     # b*x + (b/a)*t computed exactly, then rounded once
-    assert _role_argument(b, x, a, t) == float(Fraction(x) * b + Fraction(b * t, a))
+    assert role_argument(b, x, a, t) == float(Fraction(x) * b + Fraction(b * t, a))
 
 
 def test_equal_parameters_are_bitwise_exact(groups, ctx):
@@ -371,7 +376,7 @@ def _reference_side(inst, first, second, prefactor, term):
     ctx_first = ctx.power(first)
     total = 0j
     for t, w_t in enumerate(bounded_composition_sums(chi, r, chi.modulus_d * first)):
-        arg = _role_argument(second, inst.x, first, t)
+        arg = role_argument(second, inst.x, first, t)
         total += w_t * (-1.0) ** t * ctx.q ** (second * t) * term(arg, ctx_first)
     return q_bracket_two_pow(r, ctx.power(second)) * prefactor * total
 
@@ -422,7 +427,7 @@ def test_symmetry_sides_equal_the_per_total_loop_bit_for_bit(d, label, r, q, x, 
 def test_batched_power_sums_equal_single_ones(groups, ctx, d, r):
     chi = build_character_group(d)[-1]
     for upper in (1, 4, 15):
-        batch = _power_sums(chi, r, 5, range(6), upper, ctx)
+        batch = power_sums(tuple_totals(chi, r, upper, 6), 5, range(6), upper, ctx)
         assert batch == [power_sum(chi, r, 5, i, upper, ctx) for i in range(6)]
 
 
@@ -471,3 +476,134 @@ def test_error_records_list_the_fields_of_a_successful_record(identity_id, bad):
     assert all(r.error is not None for r in errored)
     assert [list(r.instance) for r in errored] == [list(r.instance) for r in good]
     assert list(good[0].instance) == ["d", "chi", "r", "q", *IDENTITIES[identity_id].axes]
+
+
+_LINE_IDS = ("T2", "T3", "EQ12", "EQ13")
+
+
+def _per_instance(identity_id, grid, **kwargs):
+    """run_suite's contract, one instance at a time through check: the reports,
+    or the (type, message) of the refusal met first in enumeration order."""
+    row = IDENTITIES[identity_id]
+    reports = []
+    for inst in _grid_instances(row, grid):
+        try:
+            reports.append(check(identity_id, inst, **kwargs).to_json_line())
+        except DomainError as exc:
+            reports.append(make_error_report(identity_id, _record(row, inst), exc).to_json_line())
+        except (PlanInfeasible, BudgetExceeded) as exc:
+            return type(exc), str(exc)
+    return reports
+
+
+def _batched(identity_id, grid, **kwargs):
+    try:
+        return [r.to_json_line() for r in run_suite(identity_id, grid, **kwargs)]
+    except (PlanInfeasible, BudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    identity_id=st.sampled_from(_LINE_IDS),
+    d=st.sampled_from([1, 3, 5, 15]),
+    r=st.integers(min_value=1, max_value=3),
+    q=st.floats(min_value=0.2, max_value=0.8),
+    a=_odd,
+    b=_odd,
+    n_max=st.integers(min_value=0, max_value=8),
+    xs=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=2, max_size=2),
+)
+def test_a_batched_line_equals_per_instance_check(identity_id, d, r, q, a, b, n_max, xs):
+    # two x values: the lines of the grid interleave in enumeration order
+    grid = SweepGrid(d_values=(d,), q_values=(q,), r_values=(r,), ab_pairs=((a, b),),
+                     n_values=tuple(range(n_max + 1)), x_values=tuple(xs))
+    reports = run_suite(identity_id, grid)
+    instances = list(_grid_instances(IDENTITIES[identity_id], grid))
+    assert len(reports) == len(instances)
+    for report, inst in zip(reports, instances):
+        assert report.to_json_line() == check(identity_id, inst).to_json_line()
+
+
+@pytest.mark.parametrize("identity_id", _LINE_IDS)
+def test_error_records_of_a_line_stay_in_place(identity_id):
+    # the even a of the middle pair is recorded at each of its instances
+    grid = SweepGrid(d_values=(3,), q_values=(0.5,), r_values=(2,), chi_labels=(1,),
+                     ab_pairs=((1, 3), (2, 3), (3, 1)), n_values=(0, 3, 1, 3, 5),
+                     x_values=(0.5, 1.0))
+    reports = run_suite(identity_id, grid)
+    assert [r.to_json_line() for r in reports] == _per_instance(identity_id, grid)
+    assert [r.error is not None for r in reports] == [a == 2 for a in (1, 2, 3)
+                                                      for _ in range(10)]
+    assert all("ParityViolation" in r.error for r in reports if r.error is not None)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    identity_id=st.sampled_from(_LINE_IDS),
+    d=st.sampled_from([1, 3, 15]),
+    r=st.integers(min_value=1, max_value=3),
+    q=st.sampled_from([0.3, 0.6, 0.9]),
+    pairs=st.lists(st.tuples(_odd, _odd), min_size=1, max_size=2),
+    ns=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+    xs=st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=2),
+    max_terms=st.integers(min_value=20, max_value=400),
+)
+def test_a_sweep_refuses_at_the_instance_check_meets_first(identity_id, d, r, q, pairs, ns,
+                                                           xs, max_terms):
+    # unsorted degrees and small term caps: some degrees refuse, and run_suite
+    # raises the refusal of the first of them in enumeration order, or none
+    grid = SweepGrid(d_values=(d,), q_values=(q,), r_values=(r,), ab_pairs=tuple(pairs),
+                     n_values=tuple(ns), x_values=tuple(xs))
+    assert _batched(identity_id, grid, max_terms=max_terms) == _per_instance(
+        identity_id, grid, max_terms=max_terms)
+
+
+@pytest.mark.parametrize("identity_id", _LINE_IDS)
+def test_a_side_domain_error_is_recorded_at_every_instance(identity_id):
+    # r = 0 is refused inside the sides, not by the axis rules
+    grid = SweepGrid(d_values=(3,), q_values=(0.5,), r_values=(0,), ab_pairs=((1, 3),),
+                     n_values=(0, 1, 2))
+    reports = run_suite(identity_id, grid)
+    assert [r.to_json_line() for r in reports] == _per_instance(identity_id, grid)
+    assert all("order r must be a positive integer" in r.error for r in reports)
+
+
+def test_a_wide_line_plans_each_degree_on_its_own():
+    # 6001 totals: the four degrees together would be 6001 x 4 cells of about
+    # 841 terms, past SERIES_BUDGET, while each degree alone fits
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--identity", "T2", "--d", "3001", "--chi", "1", "--r", "2",
+                     "--q", "0.95", "--a", "1", "--b", "1", "--n-max", "3", "--output", "json"])
+    chi = build_character_group(3001)[1]
+    assert code == 0
+    assert out.getvalue().splitlines() == [
+        check("T2", SymmetryInstance(chi=chi, r=2, ctx=QContext(0.95), n=n)).to_json_line()
+        for n in range(4)]
+
+
+@pytest.mark.parametrize("identity_id", ["T2", "EQ12"])
+@pytest.mark.parametrize("line_values", [1, 200])
+def test_a_line_tabled_in_blocks_of_degrees_equals_per_instance_check(monkeypatch, identity_id,
+                                                                      line_values):
+    # a polynomial side holds at most LINE_VALUES series values at once: with
+    # 89 totals (a = 3) and 29 (b = 1), 200 tables 2 and 6 degrees at a time
+    blocks = {}
+
+    def counted(chi, r, ctx, xs, weighers, cutoffs):
+        if len(xs) > 1:  # a polynomial side; a power-sum side tables one argument
+            blocks.setdefault(len(xs), []).append(len(weighers))
+        return series_table(chi, r, ctx, xs, weighers, cutoffs)
+
+    monkeypatch.setattr(sides, "LINE_VALUES", line_values)
+    monkeypatch.setattr(sides, "series_table", counted)
+    grid = SweepGrid(d_values=(15,), q_values=(0.6,), r_values=(2,), chi_labels=(1,),
+                     ab_pairs=((3, 1),), n_values=tuple(range(7)), x_values=(0.5,))
+    reports = [r.to_json_line() for r in run_suite(identity_id, grid)]
+    for totals, sizes in blocks.items():
+        step = max(1, line_values // totals)
+        assert sizes == [min(step, 7 - start) for start in range(0, 7, step)]
+    assert any(len(sizes) > 1 for sizes in blocks.values())
+    assert reports == [check(identity_id, inst).to_json_line()
+                       for inst in _grid_instances(IDENTITIES[identity_id], grid)]

@@ -362,7 +362,7 @@ def test_weight_bounds_are_the_supremum_of_the_kernel_weights(q, x, n, s):
     brackets = q_number(np.append(np.arange(4000.0), 1e6) + x, ctx)
     loose_degree, loose_power = _loose_weight_bounds(q, x, n, s)
     for bound, weights, loose in (
-        (degree_weight_bound(ctx, x, n), polynomials._degree(n)(brackets), loose_degree),
+        (degree_weight_bound(ctx, x, n), polynomials.degree_weights(n)(brackets), loose_degree),
         (power_weight_bound(ctx, x, s), np.abs(lfun._bracket_power(s)(brackets)), loose_power),
     ):
         peak = float(weights.max())

@@ -61,6 +61,11 @@ VERIFY_JSON = [
     "EQ15 --d 3 --r 1 --q 0.5 --m-max 3 --n-max 3 --x 0.5 --y 0.25",
     "EQ15 --d 15 --chi 6 --r 2 --q 0.5 --m-max 2 --n-max 2 --x 1 --y 0",
     "EQ15 --d 1 --r 3 --q 0.7 --m-max 2 --n-max 3 --x 0 --y 0.5",
+    # the sweep shapes of the benchmark's sweep-symmetry workload
+    "T2 --d 15 --r 2 --q 0.7 --a 3 --b 1 --n-max 12 --x 1",
+    "EQ13 --d 15 --r 2 --q 0.7 --a 3 --b 5 --n-max 10 --x 1",
+    "EQ12 --d 15 --r 2 --q 0.6 --a 1 --b 3 --n-max 15 --x 0.5",
+    "T3 --d 15 --r 2 --q 0.7 --a 1 --b 3 --n-max 8",
 ]
 
 # verify --output {pretty,csv} --identity ...: every layout of a record
