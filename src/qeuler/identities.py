@@ -31,6 +31,7 @@ from .report import IdentityReport, make_error_report, make_report
 from .sides import (
     DegreeError,
     at_degree,
+    finite,
     lfun_side,
     poly_side,
     power_sum_side,
@@ -95,7 +96,7 @@ def _each(side: Callable[[SymmetryInstance, float, int], complex]) -> Side:
         values = []
         for k, n in enumerate(ns):
             with at_degree(k):
-                values.append(side(dataclasses.replace(inst, n=n), epsilon, max_terms))
+                values.append(finite(side(dataclasses.replace(inst, n=n), epsilon, max_terms), n))
         return values
 
     return line
@@ -208,7 +209,8 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
     """Check one identity at one instance, the one-degree line: validate the
     axes its row reads, evaluate both sides with series budget epsilon, and
     report them against rel_tol (the row's default when None).  A side that
-    overflows a double raises PlanInfeasible."""
+    overflows a double, or whose value is not a finite double, raises
+    PlanInfeasible."""
     row = _row(identity_id)
     _validate(identity_id, row, inst)
     try:

@@ -80,16 +80,18 @@ def lfun_values(chi: DirichletCharacter, r: int, s: complex, xs, ctx: QContext,
     """l_r(s, x) for every x in xs, each truncated exactly where lfun_value
     would truncate it: one column of polynomials.series_table."""
     s = complex(s)
-    cutoffs = plan_cutoffs(ctx, r, [[power_weight_bound(ctx, x, s)] for x in xs], epsilon,
+    cutoffs = plan_cutoffs(ctx, r, [power_weight_bound(ctx, x, s) for x in xs], epsilon,
                            max_terms)
-    return [row[0] for row in series_table(chi, r, ctx, xs, [_bracket_power(s)], cutoffs)]
+    [values] = series_table(chi, r, ctx, xs, [_bracket_power(s)], cutoffs[:, None])
+    return values
 
 
 def lfun_eval(spec: LfunSpec) -> complex:
     """Evaluate the truncated grouped series, one cell of series_table; the
     error is below plan.tail_bound."""
-    return series_table(spec.chi, spec.r, spec.ctx, [spec.x], [_bracket_power(spec.s)],
-                        [spec.plan.cutoff_M])[0][0]
+    [[value]] = series_table(spec.chi, spec.r, spec.ctx, [spec.x], [_bracket_power(spec.s)],
+                             spec.plan.cutoff_M)
+    return value
 
 
 def lfun_value(chi: DirichletCharacter, r: int, s: complex, x: float, ctx: QContext,

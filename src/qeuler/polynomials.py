@@ -37,7 +37,6 @@ from .qnum import (
 )
 
 TUPLE_BUDGET = 10 ** 8
-KERNEL_WEIGHTS = 2 ** 12  # weights one series kernel call may hold: 32 KB real, 64 KB complex
 
 
 @dataclass(frozen=True)
@@ -61,59 +60,34 @@ class QEulerSpec:
         return cls(chi, r, n, float(x), ctx, plan)
 
 
-def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers,
-                 cutoffs) -> list[list[complex]]:
-    """The series kernel: for every argument xs[i] and bracket weight
+def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers, cutoffs):
+    """The series kernel, one column per weigher: for each bracket weight
     weighers[j] (a map from rows of the bracket matrix [m + x]_q to their
-    weights),
+    weights), in order, the list over the arguments xs[i] of
 
         [2]_q^r  sum_{m < cutoffs[i][j]} (-q)^m c_m weighers[j]([m + xs[i]]_q),
 
-    with c_m the order-r composition sums of chi.  One conv_power at the
-    largest cutoff serves every cell, since its prefixes are the shorter
-    convolutions, and so does one bracket matrix of len(xs) x largest cutoff
-    entries (plan_cutoffs keeps it within SERIES_BUDGET).  The cells that
-    share a cutoff are weighed and summed together over exactly that many
-    terms, so each value equals the one a single-cell call gives, bit for
-    bit.  A kernel call holds at most max(bracket matrix, KERNEL_WEIGHTS)
-    weights, so memory does not grow with the number of weighers.
+    with c_m the order-r composition sums of chi and cutoffs broadcast to
+    len(xs) x len(weighers).  One conv_power at the largest cutoff serves every
+    cell, since its prefixes are the shorter convolutions, and so does one
+    bracket matrix of len(xs) x largest cutoff entries (plan_cutoffs keeps it
+    within SERIES_BUDGET).  The rows of a column that share a cutoff are
+    weighed and summed in one kernel call over exactly that many terms, so
+    each value equals the one a single-cell call gives, bit for bit, and no
+    call holds more weights than the bracket matrix.
     """
-    cutoffs = np.asarray(cutoffs).reshape(len(xs), len(weighers))
+    cutoffs = np.broadcast_to(cutoffs, (len(xs), len(weighers)))
     K = int(cutoffs.max(initial=0))
     coeffs = conv_power(chi, r, K) if K else np.zeros(0, dtype=complex)
     brackets = q_number(np.arange(K) + np.asarray(xs, dtype=float)[:, None], ctx)
-    sums = np.empty(cutoffs.shape, dtype=complex)
-    cap = max(brackets.size, KERNEL_WEIGHTS)
-    pending = {}  # cutoff -> [cells, [(weigher, rows)]] not summed yet
-
-    def flush(k: int) -> None:
-        start, (_, pieces) = 0, pending.pop(k)
-        weights = [weighers[j](brackets[rows, :k]) for j, rows in pieces]
-        sizes = [len(part) for part in weights]
-        weights = weights[0] if len(weights) == 1 else np.concatenate(weights)  # frees the parts
-        values = alternating_weighted_sum(coeffs[:k], weights, ctx)
-        for (j, rows), size in zip(pieces, sizes):
-            sums[rows, j] = values[start:start + size]
-            start += size
-
-    for j, column in enumerate(cutoffs.T.tolist()):
-        if column and column.count(column[0]) == len(column):
-            groups = {column[0]: slice(None)}  # every row, weighed on a view of the brackets
-        else:
-            groups = {}
-            for i, k in enumerate(column):
-                groups.setdefault(k, []).append(i)
-        for k, rows in groups.items():
-            cells = len(xs) if isinstance(rows, slice) else len(rows)
-            if k in pending and (pending[k][0] + cells) * k > cap:
-                flush(k)
-            entry = pending.setdefault(k, [0, []])
-            entry[0] += cells
-            entry[1].append((j, rows))
-    for k in list(pending):
-        flush(k)
     two = q_bracket_two_pow(r, ctx)
-    return [[two * value for value in row] for row in sums.tolist()]
+    for weigher, column in zip(weighers, cutoffs.T):
+        sums = np.empty(len(xs), dtype=complex)
+        ks = set(column.tolist())
+        for k in ks:  # every row on a view of the brackets when they all share k
+            rows = slice(None) if len(ks) == 1 else np.flatnonzero(column == k)
+            sums[rows] = alternating_weighted_sum(coeffs[:k], weigher(brackets[rows, :k]), ctx)
+        yield [two * value for value in sums.tolist()]
 
 
 def degree_weights(n: int):
@@ -127,8 +101,9 @@ def qeuler_table(chi: DirichletCharacter, r: int, xs, ns, ctx: QContext,
     """E_n(x) for every argument in xs (rows) and degree in ns (columns), each
     cell truncated exactly where qeuler_value would truncate it."""
     bounds = [[degree_weight_bound(ctx, x, n) for n in ns] for x in xs]
-    cutoffs = plan_cutoffs(ctx, r, bounds, epsilon, max_terms)
-    return series_table(chi, r, ctx, xs, [degree_weights(n) for n in ns], cutoffs)
+    cutoffs = plan_cutoffs(ctx, r, bounds, epsilon, max_terms).reshape(len(xs), len(ns))
+    columns = list(series_table(chi, r, ctx, xs, [degree_weights(n) for n in ns], cutoffs))
+    return [[column[i] for column in columns] for i in range(len(xs))]
 
 
 def qeuler_poly(spec: QEulerSpec) -> complex:
@@ -137,8 +112,9 @@ def qeuler_poly(spec: QEulerSpec) -> complex:
     Truncation error is bounded by spec.plan.tail_bound.  The result is real
     (zero imaginary part) whenever the character is real-valued.
     """
-    return series_table(spec.chi, spec.r, spec.ctx, [spec.x], [degree_weights(spec.n)],
-                        [spec.plan.cutoff_M])[0][0]
+    [[value]] = series_table(spec.chi, spec.r, spec.ctx, [spec.x], [degree_weights(spec.n)],
+                             spec.plan.cutoff_M)
+    return value
 
 
 def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:

@@ -23,7 +23,8 @@ bracket matrix of a side depend on the line, not on n, so they are formed
 once.  Each degree keeps its own plan and budget, and the t-sums and i-sums
 keep their scalar order, so every value is bit for bit the one-degree value.
 A side refuses where a one-degree evaluation would first refuse, degree by
-degree, raising DegreeError with that degree's index.
+degree, raising DegreeError with that degree's index; a side value that is
+not a finite double is refused at its degree too.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ from .qnum import (
     q_number,
 )
 
-# series values of a line held at once: a sixteenth of the bracket matrix
-# budget, about 25 MB as Python complex numbers
-LINE_VALUES = SERIES_BUDGET // 16
-
-
 class DegreeError(Exception):
     """args (index, error): the first refusal along a line, at its degree's index."""
 
@@ -64,6 +60,15 @@ def at_degree(index: int):
         yield
     except (QEulerError, OverflowError) as exc:
         raise DegreeError(index, exc) from None
+
+
+def finite(value: complex, n: int | None) -> complex:
+    """value, the side's value at degree n; PlanInfeasible when it is not a
+    finite double."""
+    if not cmath.isfinite(value):
+        at = "" if n is None else f" at n={n}"
+        raise PlanInfeasible(f"a side value{at} is not a finite double: {value!r}")
+    return value
 
 
 def _check_rows(rows: int, weight_rows: int) -> None:
@@ -117,11 +122,13 @@ def _shift_weights(inst, first: int, second: int):
 
 def _shifted_total(weights, terms) -> complex:
     """sum_t weights[t] terms[t], one scalar product after another in the order
-    of t: a numpy product of complex arrays may round differently."""
+    of t: a numpy product of complex arrays may round differently.  An
+    overflow gives a value that is not finite, refused by the caller."""
     total = 0j
-    for weight, term in zip(weights, terms):
-        total += weight * term
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, term in zip(weights, terms):
+            total += weight * term
+    return complex(total)
 
 
 def lfun_side(inst, first: int, second: int, epsilon: float, max_terms: int) -> complex:
@@ -139,28 +146,32 @@ def poly_side(inst, ns: list, first: int, second: int, epsilon: float,
     """One side of the polynomial symmetry in roles (first, second) at every
     degree of ns.  The weights and arguments of the totals t, one conv_power
     and one bracket matrix serve every degree; each degree keeps the plan of
-    its own len(args) cells and is summed over t on its own."""
+    its own len(args) cells and is summed over t from its own column."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
-    prefactors, cutoffs = [], []
-    for k, n in enumerate(ns):  # each step refuses where check would at that degree
-        with at_degree(k):
-            prefactors.append(q_number(first, ctx) ** n)
-            if k == 0:
-                weights, args = _shift_weights(inst, first, second)
-                ctx_first = ctx.power(first)
-            # the weight bound (1-q)^(-n) is the same at every argument
-            bound = degree_weight_bound(ctx_first, args[0], n)
-            cutoffs.append(int(plan_cutoffs(ctx_first, r, np.full(len(args), bound), epsilon,
-                                            max_terms)[0]))
-            if k == 0:
-                two = q_bracket_two_pow(r, ctx.power(second))
+    prefactors, cutoffs, refusal = [], [], None
+    try:
+        for k, n in enumerate(ns):  # each step refuses where check would at that degree
+            with at_degree(k):
+                prefactors.append(q_number(first, ctx) ** n)
+                if k == 0:
+                    weights, args = _shift_weights(inst, first, second)
+                    ctx_first = ctx.power(first)
+                # the weight bound (1-q)^(-n) is the same at every argument
+                bound = degree_weight_bound(ctx_first, args[0], n)
+                cutoffs.append(int(plan_cutoffs(ctx_first, r, np.full(len(args), bound),
+                                                epsilon, max_terms)[0]))
+                if k == 0:
+                    two = q_bracket_two_pow(r, ctx.power(second))
+    except DegreeError as exc:  # the degrees before it may refuse first, below
+        ns, refusal = ns[:exc.args[0]], exc
     values = []
-    step = max(1, LINE_VALUES // len(args))
-    for block in (slice(start, start + step) for start in range(0, len(ns), step)):
-        table = series_table(chi, r, ctx_first, args, [degree_weights(n) for n in ns[block]],
-                             [cutoffs[block]] * len(args))
-        values += [two * prefactor * _shifted_total(weights, terms)
-                   for prefactor, terms in zip(prefactors[block], zip(*table))]
+    if ns:
+        columns = series_table(chi, r, ctx_first, args, [degree_weights(n) for n in ns], cutoffs)
+        for k, (prefactor, terms) in enumerate(zip(prefactors, columns)):
+            with at_degree(k):
+                values.append(finite(two * prefactor * _shifted_total(weights, terms), ns[k]))
+    if refusal is not None:
+        raise refusal
     return values
 
 
@@ -189,9 +200,9 @@ def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float,
     values = []
     if ns:
         top = max(ns)
-        e_values = series_table(chi, r, ctx_first, [arg],
-                                [degree_weights(j) for j in range(top + 1)],
-                                [cutoffs[:top + 1]])[0]
+        e_values = [column[0] for column in series_table(
+            chi, r, ctx_first, [arg], [degree_weights(j) for j in range(top + 1)],
+            cutoffs[:top + 1])]
         upper = first * chi.modulus_d
         bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
         for k, n in enumerate(ns):
@@ -203,7 +214,7 @@ def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float,
                     total += (binomial * bracket_first ** (n - i) * bracket_second ** i
                               * e_values[n - i] * s_val)
                     binomial = binomial * (n - i) // (i + 1)
-                values.append(q_bracket_two_pow(r, ctx_second) * total)
+                values.append(finite(q_bracket_two_pow(r, ctx_second) * total, n))
     if refusal is not None:
         raise refusal
     return values

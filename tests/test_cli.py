@@ -365,11 +365,12 @@ def test_verify_refuses_a_modulus_past_the_bound_as_before(capsys):
 
 
 def test_a_degree_sweep_refuses_at_its_first_unbounded_degree(capsys):
-    # the weight bound 2^n overflows at n = 1024: exit 3, nothing written
+    # the power-sum side is first not a finite double at n = 546, before the
+    # weight bound 2^n overflows at n = 1024: exit 3, nothing written
     code, out, err = run_cli(capsys, ["verify", "--identity", "EQ12", "--d", "1", "--q", "0.5",
                                       "--a", "1", "--b", "3", "--n-max", "1100"])
     assert (code, out) == (3, "")
-    assert "overflows at w=1024" in err
+    assert "a side value at n=546 is not a finite double" in err
 
 
 def test_usage_error_type_exists():
@@ -452,6 +453,8 @@ def _argvs(draw):
                "--max-terms", "10000000"])
 @example(argv=["eval-qeuler", "--d", "1", "--q", "0.9999", "--r", "2", "--n", "0",
                "--max-terms", "10000000"])
+@example(argv=["verify", "--identity", "T2", "--d", "1", "--r", "1", "--q", "0.5", "--a", "3",
+               "--b", "3", "--n-max", "1030", "--x", "1", "--output", "json"])
 def test_every_argv_reaches_a_defined_exit(argv):
     # main() returns one of the four exit codes and lets no exception out;
     # json output is strict JSON, with no NaN or Infinity

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -34,11 +35,12 @@ from qeuler import (
     theorem2_sides,
     theorem3_sides,
 )
-from qeuler import sides
+from qeuler import polynomials, sides
 from qeuler.characters import bounded_composition_sums
 from qeuler.cli import main
-from qeuler.identities import IDENTITIES, _grid_instances, _record, check
+from qeuler.identities import IDENTITIES, IDENTITY_IDS, _grid_instances, _record, check
 from qeuler.polynomials import char_tuple_sum, series_table
+from qeuler.qnum import alternating_weighted_sum
 from qeuler.report import make_error_report, reports_to_json_lines
 from qeuler.sides import power_sums, role_argument, tuple_totals
 
@@ -505,7 +507,7 @@ def _batched(identity_id, grid, **kwargs):
 
 @settings(deadline=None, max_examples=40)
 @given(
-    identity_id=st.sampled_from(_LINE_IDS),
+    identity_id=st.sampled_from(IDENTITY_IDS),
     d=st.sampled_from([1, 3, 5, 15]),
     r=st.integers(min_value=1, max_value=3),
     q=st.floats(min_value=0.2, max_value=0.8),
@@ -513,16 +515,17 @@ def _batched(identity_id, grid, **kwargs):
     b=_odd,
     n_max=st.integers(min_value=0, max_value=8),
     xs=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=2, max_size=2),
+    m_max=st.integers(min_value=0, max_value=3),
+    y=st.floats(min_value=0.0, max_value=1.0),
+    s=st.sampled_from([1.5, -2.0, complex(-0.5, 0.5), complex(0.0, 2.0)]),
 )
-def test_a_batched_line_equals_per_instance_check(identity_id, d, r, q, a, b, n_max, xs):
+def test_a_batched_line_equals_per_instance_check(identity_id, d, r, q, a, b, n_max, xs,
+                                                  m_max, y, s):
     # two x values: the lines of the grid interleave in enumeration order
     grid = SweepGrid(d_values=(d,), q_values=(q,), r_values=(r,), ab_pairs=((a, b),),
-                     n_values=tuple(range(n_max + 1)), x_values=tuple(xs))
-    reports = run_suite(identity_id, grid)
-    instances = list(_grid_instances(IDENTITIES[identity_id], grid))
-    assert len(reports) == len(instances)
-    for report, inst in zip(reports, instances):
-        assert report.to_json_line() == check(identity_id, inst).to_json_line()
+                     n_values=tuple(range(n_max + 1)), x_values=tuple(xs),
+                     m_values=tuple(range(m_max + 1)), y_values=(y,), s_values=(s,))
+    assert _batched(identity_id, grid) == _per_instance(identity_id, grid)
 
 
 @pytest.mark.parametrize("identity_id", _LINE_IDS)
@@ -584,26 +587,45 @@ def test_a_wide_line_plans_each_degree_on_its_own():
 
 
 @pytest.mark.parametrize("identity_id", ["T2", "EQ12"])
-@pytest.mark.parametrize("line_values", [1, 200])
+@pytest.mark.parametrize("degrees", [1, 200])
 def test_a_line_tabled_in_blocks_of_degrees_equals_per_instance_check(monkeypatch, identity_id,
-                                                                      line_values):
-    # a polynomial side holds at most LINE_VALUES series values at once: with
-    # 89 totals (a = 3) and 29 (b = 1), 200 tables 2 and 6 degrees at a time
-    blocks = {}
+                                                                      degrees):
+    # a line is tabled one degree's column at a time: at q^3 = 0.027 many of
+    # its degrees share a cutoff, yet every kernel call weighs one weigher's
+    # column, at most len(args) rows of len(coeffs) terms
+    widths, blocks = [], []
 
-    def counted(chi, r, ctx, xs, weighers, cutoffs):
-        if len(xs) > 1:  # a polynomial side; a power-sum side tables one argument
-            blocks.setdefault(len(xs), []).append(len(weighers))
-        return series_table(chi, r, ctx, xs, weighers, cutoffs)
+    def table(chi, r, ctx, xs, weighers, cutoffs):
+        widths.append(len(xs))
+        yield from series_table(chi, r, ctx, xs, weighers, cutoffs)
 
-    monkeypatch.setattr(sides, "LINE_VALUES", line_values)
-    monkeypatch.setattr(sides, "series_table", counted)
-    grid = SweepGrid(d_values=(15,), q_values=(0.6,), r_values=(2,), chi_labels=(1,),
-                     ab_pairs=((3, 1),), n_values=tuple(range(7)), x_values=(0.5,))
+    def kernel(coeffs, weights, ctx):
+        blocks.append((widths[-1], len(coeffs), weights.shape))
+        return alternating_weighted_sum(coeffs, weights, ctx)
+
+    monkeypatch.setattr(sides, "series_table", table)
+    monkeypatch.setattr(polynomials, "alternating_weighted_sum", kernel)
+    grid = SweepGrid(d_values=(15,), q_values=(0.3,), r_values=(2,), chi_labels=(1,),
+                     ab_pairs=((3, 1),), n_values=tuple(range(degrees)), x_values=(0.5,))
     reports = [r.to_json_line() for r in run_suite(identity_id, grid)]
-    for totals, sizes in blocks.items():
-        step = max(1, line_values // totals)
-        assert sizes == [min(step, 7 - start) for start in range(0, 7, step)]
-    assert any(len(sizes) > 1 for sizes in blocks.values())
+    assert {rows for rows, _, _ in blocks} == ({89, 1} if identity_id == "EQ12" else {89, 29})
+    for rows, terms, shape in blocks:
+        assert len(shape) == 2 and shape[0] <= rows and shape[1] == terms
     assert reports == [check(identity_id, inst).to_json_line()
                        for inst in _grid_instances(IDENTITIES[identity_id], grid)]
+
+
+def test_a_line_refuses_at_its_first_side_that_is_not_finite():
+    # T2's sides first overflow to -inf at n = 1030; the prefactor [3]_q^n
+    # overflows only at n = 1269, after the degrees before it are summed
+    chi = build_character_group(1)[0]
+    grid = SweepGrid(d_values=(1,), q_values=(0.5,), ab_pairs=((3, 3),),
+                     n_values=tuple(range(1501)))
+    assert all(r.passed for r in run_suite("T2", dataclasses.replace(
+        grid, n_values=tuple(range(1030)))))
+    with pytest.raises(PlanInfeasible) as batched:
+        run_suite("T2", grid)
+    with pytest.raises(PlanInfeasible) as single:
+        check("T2", SymmetryInstance(chi=chi, r=1, ctx=QContext(0.5), a=3, b=3, n=1030))
+    assert str(batched.value) == str(single.value)
+    assert "n=1030 is not a finite double" in str(single.value)

@@ -66,6 +66,8 @@ VERIFY_JSON = [
     "EQ13 --d 15 --r 2 --q 0.7 --a 3 --b 5 --n-max 10 --x 1",
     "EQ12 --d 15 --r 2 --q 0.6 --a 1 --b 3 --n-max 15 --x 0.5",
     "T3 --d 15 --r 2 --q 0.7 --a 1 --b 3 --n-max 8",
+    # at q^3 = 0.027 many degrees of the line share a cutoff
+    "T2 --d 15 --r 2 --q 0.3 --a 3 --b 1 --n-max 40 --x 0.5",
 ]
 
 # verify --output {pretty,csv} --identity ...: every layout of a record
@@ -121,6 +123,7 @@ EDGES = [
     "verify --identity T3 --d 45 --r 3 --q 0.5 --a 301 --b 1 --n-max 0 --output json",
     "verify --identity T2 --d 1 --q 0.5 --a 1 --b 3 --n-max 2 --tolerance 1e308 --output json",
     "eval-lfun --d 3 --chi 1 --r 2 --q 0.5 --s 0,400 --x 0.5 --output json",
+    "verify --identity T2 --d 1 --r 1 --q 0.5 --a 3 --b 3 --n-max 1030 --x 1 --output json",
 ]
 
 ARGVS = (
