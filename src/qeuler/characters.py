@@ -101,8 +101,9 @@ class DirichletCharacter:
         """chi(0), chi(1), ..., chi(length-1) as a complex array."""
         if length < 0:
             raise DomainError(f"length must be nonnegative, got {length}")
-        reps = -(-length // self.modulus_d)
-        return np.tile(self.values, reps)[:length]
+        out = np.empty(-(-length // self.modulus_d) * self.modulus_d, dtype=complex)
+        out.reshape(-1, self.modulus_d)[...] = self.values
+        return out[:length]
 
     def to_json_dict(self) -> dict:
         return {

@@ -76,12 +76,13 @@ def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers, c
     each value equals the one a single-cell call gives, bit for bit, and no
     call holds more weights than the bracket matrix.
     """
-    cutoffs = np.broadcast_to(cutoffs, (len(xs), len(weighers)))
-    K = int(cutoffs.max(initial=0))
+    table = np.empty((len(xs), len(weighers)), dtype=np.intp)
+    table[...] = cutoffs
+    K = int(table.max(initial=0))
     coeffs = conv_power(chi, r, K) if K else np.zeros(0, dtype=complex)
     brackets = q_number(np.arange(K) + np.asarray(xs, dtype=float)[:, None], ctx)
     two = q_bracket_two_pow(r, ctx)
-    for weigher, column in zip(weighers, cutoffs.T):
+    for weigher, column in zip(weighers, table.T):
         sums = np.empty(len(xs), dtype=complex)
         ks = set(column.tolist())
         for k in ks:  # every row on a view of the brackets when they all share k

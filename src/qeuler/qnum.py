@@ -16,6 +16,7 @@ error, the smallest such cutoff whose bound meets it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -94,9 +95,11 @@ def _log_bounds(q: float, r: int, ms: np.ndarray) -> np.ndarray:
 def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
           max_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Cutoffs and tail bounds of an array of cells: g_M does not depend on W, so
-    one grid of g and one searchsorted of log epsilon - log W serve every cell.
-    Before any grid, g by lgamma refuses more than min(max_terms, SERIES_BUDGET)
-    terms (PlanInfeasible) and cells x cutoff over SERIES_BUDGET (BudgetExceeded)."""
+    one window of the grid of g, from just below the narrowest cell's cutoff to
+    the widest cell's, and one searchsorted of log W - log epsilon serve every
+    cell.  Before any grid, g by lgamma refuses more than min(max_terms,
+    SERIES_BUDGET) terms (PlanInfeasible) and cells x cutoff over SERIES_BUDGET
+    (BudgetExceeded)."""
     if r < 1:
         raise DomainError(f"order r must be a positive integer, got {r}")
     if not epsilon > 0.0:
@@ -106,15 +109,21 @@ def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
     bounds = np.asarray(weight_bounds, dtype=float)
     if not bounds.min(initial=0.0) >= 0.0:
         raise DomainError(f"weight bound must be nonnegative, got {float(bounds.min())!r}")
-    q, widest = ctx.q, float(bounds.max(initial=0.0))
+    q, log_epsilon, widest = ctx.q, math.log(epsilon), float(bounds.max(initial=0.0))
     log_widest = math.log(widest) if widest > 0.0 else -math.inf
-    need = math.log(epsilon) - log_widest  # the widest cell needs g_M <= need
+    need = log_epsilon - log_widest  # the widest cell needs g_M <= need
     terms, per_cell = min(max_terms, SERIES_BUDGET), SERIES_BUDGET // max(bounds.size, 1)
-    problem = f"(q={q!r}, r={r}, weight bound {widest!r})"
-    no_cutoff = PlanInfeasible(f"no cutoff within {terms} terms certifies error {epsilon!r} "
-                               f"{problem}")
-    over_budget = BudgetExceeded(f"{bounds.size} cells of more than {per_cell} terms exceed "
-                                 f"the bracket matrix budget {SERIES_BUDGET}")
+
+    def problem() -> str:
+        return f"(q={q!r}, r={r}, weight bound {widest!r})"
+
+    def no_cutoff() -> PlanInfeasible:
+        return PlanInfeasible(f"no cutoff within {terms} terms certifies error {epsilon!r} "
+                              f"{problem()}")
+
+    def over_budget() -> BudgetExceeded:
+        return BudgetExceeded(f"{bounds.size} cells of more than {per_cell} terms exceed "
+                              f"the bracket matrix budget {SERIES_BUDGET}")
 
     def closed(M: int) -> tuple[float, float]:  # log t(M)/W and g_M by lgamma, for rho_M < 1
         log_term = (r * math.log1p(q) + M * math.log(q) + math.lgamma(M + r)
@@ -126,32 +135,67 @@ def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
     while first <= terms and not q * (first + r) / (first + 1.0) < 1.0:
         first += 1
     if first > terms or closed(terms)[1] > need:
-        raise no_cutoff
+        raise no_cutoff()
     if log_widest + closed(first)[0] > _LOG_DOUBLE_MAX:  # t(first) is the largest term
-        raise PlanInfeasible(f"the dominating series overflows a double {problem}")
-    if first > per_cell or closed(per_cell)[1] > need:
-        raise over_budget
-    cap, top = min(terms, per_cell), first
-    # guess the widest cutoff: fixed-point steps of M = M + (g_M - need) / -log q
-    for _ in range(3 if need < math.inf else 0):
-        top = math.ceil(min(cap, max(first, top + (closed(top)[1] - need) / -math.log(q))))
-    grid = _log_bounds(q, r, np.arange(first, top + 1.0))
-    while grid[-1] > need and top < cap:  # the guess fell short
+        raise PlanInfeasible(f"the dominating series overflows a double {problem()}")
+    # g decreases, so a per-cell budget of at least terms already passed the check above
+    if per_cell < terms and (first > per_cell or closed(per_cell)[1] > need):
+        raise over_budget()
+    cap = min(terms, per_cell)
+
+    def guess(bound: float) -> int:  # the cutoff of a cell with this weight bound, roughly
+        target = log_epsilon - math.log(bound) if bound > 0.0 else math.inf
+        M = first  # fixed-point steps of M = M + (g_M - target) / -log q
+        for _ in range(3 if target < math.inf else 0):
+            M = math.ceil(min(cap, max(first, M + (closed(M)[1] - target) / -math.log(q))))
+        return M
+
+    def grid_of(lo: int, hi: int) -> np.ndarray:
+        return _log_bounds(q, r, np.arange(lo, hi + 1.0))
+
+    top, narrowest = guess(widest), float(bounds.min(initial=widest))
+    lo = max(first, (top if narrowest == widest else min(top, guess(narrowest))) - 1)
+    hi = top
+    grid = grid_of(lo, hi)
+    last = grid[-1]
+    while last > need and top < cap:  # the guess fell short: the tops a grid from first takes
         top = min(cap, 2 * top - first + 1)
-        grid = _log_bounds(q, r, np.arange(first, top + 1.0))
-    if grid[-1] > need:  # lgamma and the log1p sum disagree in the last bits at the cap
-        raise no_cutoff if cap == terms else over_budget
+        last = grid_of(top, top)[0]
+    if last > need:  # lgamma and the log1p sum disagree in the last bits at the cap
+        raise no_cutoff() if cap == terms else over_budget()
     log_w = np.log(bounds, out=np.full(bounds.shape, -np.inf), where=bounds > 0.0)
-    index = np.minimum(np.searchsorted(-grid, log_w - math.log(epsilon)), top - first)
-    return first + index, np.exp(log_w + grid[index])
+    keys = log_w - log_epsilon  # a cell's cutoff is the first M with -g_M >= its key
+    # g decreases, so searchsorted on a window that ends at or past the widest cell's
+    # cutoff (or at top) and starts before the narrowest cell's (or at first) gives
+    # the index it gives on the grid from first to top
+    while hi < top and -grid[-1] < keys.max(initial=-math.inf):
+        hi, end = min(top, 2 * hi - lo + 1), hi
+        grid = np.concatenate((grid, grid_of(end + 1, hi)))
+    while lo > first and -grid[0] >= keys.min(initial=math.inf):
+        lo, start = max(first, 2 * lo - hi - 1), lo
+        grid = np.concatenate((grid_of(lo, start - 1), grid))
+    index = np.minimum(np.searchsorted(-grid, keys), hi - lo)
+    return lo + index, np.exp(log_w + grid[index])
+
+
+@functools.lru_cache(maxsize=1024)
+def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon: float,
+                max_terms: int) -> tuple[int, float]:
+    """(cutoff, tail bound) of each of `cells` cells that share one weight bound,
+    as plan_cutoffs gives them, memoized: W = (1-q)^(-n) does not depend on x or
+    the character, so every E_n at one (q, r, n) repeats a plan.  A refusal raises
+    and is not cached."""
+    cutoffs, tails = _plan(ctx, r, np.full(cells, weight_bound), epsilon, max_terms)
+    return int(cutoffs[0]), float(tails[0])
 
 
 def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon: float,
                              max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
     """Smallest cutoff M <= min(max_terms, SERIES_BUDGET) whose certified tail
-    bound meets epsilon, with that bound: the one-cell plan of plan_cutoffs."""
-    cutoffs, tails = _plan(ctx, r, [weight_bound], epsilon, max_terms)
-    return TruncationPlan(epsilon, int(cutoffs[0]), float(tails[0]), max_terms)
+    bound meets epsilon, with that bound: the one-cell plan of plan_cutoffs, memoized
+    by plan_shared."""
+    return TruncationPlan(epsilon, *plan_shared(ctx, r, weight_bound, 1, epsilon, max_terms),
+                          max_terms)
 
 
 def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
@@ -196,6 +240,6 @@ def alternating_weighted_sum(coeffs: np.ndarray, weights: np.ndarray, ctx: QCont
     """sum_m (-1)^m q^m coeffs[m] weights[..., m] for each row of weights,
     over the common prefix of coeffs and the row."""
     M = min(len(coeffs), weights.shape[-1])
-    m = np.arange(M)
-    signs = 1.0 - 2.0 * (m % 2)
-    return np.sum(coeffs[:M] * signs * ctx.q ** m * weights[..., :M], axis=-1)
+    signs = np.ones(M)
+    signs[1::2] = -1.0
+    return (coeffs[:M] * signs * ctx.q ** np.arange(M) * weights[..., :M]).sum(axis=-1)

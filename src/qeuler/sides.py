@@ -44,6 +44,7 @@ from .qnum import (
     QContext,
     degree_weight_bound,
     plan_cutoffs,
+    plan_shared,
     q_bracket_two_pow,
     q_number,
 )
@@ -158,8 +159,8 @@ def poly_side(inst, ns: list, first: int, second: int, epsilon: float,
                     ctx_first = ctx.power(first)
                 # the weight bound (1-q)^(-n) is the same at every argument
                 bound = degree_weight_bound(ctx_first, args[0], n)
-                cutoffs.append(int(plan_cutoffs(ctx_first, r, np.full(len(args), bound),
-                                                epsilon, max_terms)[0]))
+                cutoffs.append(plan_shared(ctx_first, r, bound, len(args), epsilon,
+                                           max_terms)[0])
                 if k == 0:
                     two = q_bracket_two_pow(r, ctx.power(second))
     except DegreeError as exc:  # the degrees before it may refuse first, below

@@ -222,6 +222,9 @@ def test_every_cell_keeps_its_own_cutoff(q, r, xs, ns, epsilon):
     epsilon=st.sampled_from([1e-3, 1e-6, 1e-10, 1e-13, 1e-30, 1e-300]),
     max_terms=st.sampled_from([0, 7, 100, DEFAULT_MAX_TERMS]),
 )
+# the fixed-point guess lands two terms past the cutoff: the grid's window widens downward
+@example(q=0.97, r=7, weight=3.1866355453248725e+33, epsilon=8.343799067647704e-109,
+         max_terms=DEFAULT_MAX_TERMS)
 def test_plan_matches_the_reference_scan(q, r, weight, epsilon, max_terms):
     ctx = QContext(q)
     expected = _reference_scan(q, r, weight, epsilon, max_terms)
@@ -233,6 +236,71 @@ def test_plan_matches_the_reference_scan(q, r, weight, epsilon, max_terms):
     assert plan.cutoff_M == expected[0]
     assert plan.tail_bound == pytest.approx(expected[1], rel=1e-12)
     assert plan.tail_bound <= epsilon
+
+
+# pools of bounds drawn with repeats: duplicates, zeros and spreads of up to 600 decades
+_SPREAD_BOUNDS = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)), min_size=1, max_size=6,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    q=st.floats(min_value=0.05, max_value=0.97),
+    r=st.integers(min_value=1, max_value=4),
+    bounds=_SPREAD_BOUNDS,
+    epsilon=st.sampled_from([1e-6, 1e-10, 1e-13]),
+)
+@example(q=0.9, r=3, bounds=[0.0, 1e-300, 1e300, 1.0, 1.0], epsilon=1e-10)
+def test_plan_cutoffs_of_spread_bounds_match_the_reference_scan(q, r, bounds, epsilon):
+    ctx = QContext(q)
+    expected = [_reference_scan(q, r, w, epsilon) for w in bounds]
+    if None in expected:  # the widest cell refuses, and with it the whole array
+        with pytest.raises(PlanInfeasible):
+            plan_cutoffs(ctx, r, np.array(bounds), epsilon)
+        return
+    assert plan_cutoffs(ctx, r, np.array(bounds), epsilon).tolist() == [c for c, _ in expected]
+    tails = qnum._plan(ctx, r, np.array(bounds), epsilon, DEFAULT_MAX_TERMS)[1]
+    assert tails.tolist() == pytest.approx([t for _, t in expected], rel=1e-12)
+
+
+def test_a_one_cell_plan_builds_a_grid_only_around_its_cutoff(monkeypatch):
+    # the grid from the first cutoff with rho_M < 1 out to this one has 3696 entries
+    qnum.plan_shared.cache_clear()
+    lengths = []
+
+    def recorded(q, r, ms):
+        lengths.append(len(ms))
+        return log_bounds(q, r, ms)
+
+    log_bounds = qnum._log_bounds
+    monkeypatch.setattr(qnum, "_log_bounds", recorded)
+    ctx = QContext(0.97)
+    plan = plan_truncation(ctx, 0.5, 20, 3, 1e-10)
+    assert plan.cutoff_M == _reference_scan(0.97, 3, degree_weight_bound(ctx, 0.5, 20), 1e-10)[0]
+    assert 0 < sum(lengths) <= 8
+
+
+def test_memoized_plans_keep_refusals_and_their_own_inputs():
+    qnum.plan_shared.cache_clear()
+    ctx, refusals = QContext(0.99), []
+    # the same bound over other cells, or at another epsilon or term cap, is its own plan
+    plans = {(cells, epsilon, max_terms): qnum.plan_shared(ctx, 1, 1.0, cells, epsilon, max_terms)
+             for cells in (1, 2) for epsilon in (1e-10, 1e-6) for max_terms in (3000, 20000)}
+    for (cells, epsilon, max_terms), plan in plans.items():
+        assert plan[0] == _reference_scan(0.99, 1, 1.0, epsilon, max_terms)[0]
+        cutoffs, tails = qnum._plan(ctx, 1, np.ones(cells), epsilon, max_terms)
+        assert plan == (cutoffs[0], tails[0])
+    cached = qnum.plan_shared.cache_info().currsize
+    for _ in range(2):  # a refusal is not cached: the second call raises it again
+        with pytest.raises(BudgetExceeded) as refused:
+            qnum.plan_shared(ctx, 1, 1.0, SERIES_BUDGET // 2000, 1e-10, DEFAULT_MAX_TERMS)
+        refusals.append(str(refused.value))
+    assert refusals[0] == refusals[1]
+    with pytest.raises(PlanInfeasible, match="no cutoff within 1000 terms"):
+        plan_truncation_weighted(ctx, 1, 1.0, 1e-10, 1000)
+    assert qnum.plan_shared.cache_info().currsize == cached == 8
+    assert plan_truncation_weighted(ctx, 1, 1.0, 1e-10, 3000).max_terms == 3000
 
 
 @pytest.mark.parametrize("d", [1, 3, 15, 45])
@@ -318,6 +386,7 @@ def _no_grid(*args):
      PlanInfeasible, "overflows a double"),
 ], ids=["past-max-terms", "past-the-double-range", "past-the-matrix-budget", "huge-r"])
 def test_plan_refuses_without_building_a_grid(monkeypatch, plan, refusal, needle):
+    qnum.plan_shared.cache_clear()  # a plan cached by an earlier test would build no grid
     monkeypatch.setattr(qnum, "_log_bounds", _no_grid)
     with pytest.raises(refusal, match=needle):
         plan()

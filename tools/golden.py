@@ -68,6 +68,10 @@ VERIFY_JSON = [
     "T3 --d 15 --r 2 --q 0.7 --a 1 --b 3 --n-max 8",
     # at q^3 = 0.027 many degrees of the line share a cutoff
     "T2 --d 15 --r 2 --q 0.3 --a 3 --b 1 --n-max 40 --x 0.5",
+    # deep sweeps whose weight bounds spread, so the planner's window widens
+    "EQ5 --d 15 --r 3 --q 0.9 --n-max 20 --x 0.5",
+    "EQ9 --d 15 --r 3 --q 0.9 --n-max 20 --x 0.75 --y 1",
+    "T1 --d 15 --r 2 --q 0.7 --a 1 --b 5 --s=1.5,0.5 --x 0.75",
 ]
 
 # verify --output {pretty,csv} --identity ...: every layout of a record
