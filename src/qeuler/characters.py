@@ -194,11 +194,29 @@ def build_character_group(d: int) -> CharacterGroup:
 
 
 def _fold(base: np.ndarray, r: int, length: int) -> np.ndarray:
-    """base convolved with itself r-1 times, cut back to length after each fold."""
+    """base to the r-th convolution power by square-and-multiply from the top
+    bit of r, cut back to length after each product: O(log r) products, and
+    for r <= 3 the products base*base and (base*base)*base of folding one
+    factor at a time, operands in that order, so those stay bit for bit."""
     out = base
-    for _ in range(r - 1):
-        out = np.convolve(out, base)[:length]
+    for bit in bin(r)[3:]:
+        out = np.convolve(out, out)[:length]
+        if bit == "1":
+            out = np.convolve(out, base)[:length]
     return out
+
+
+def _fold_macs(width: int, r: int, length: int) -> int:
+    """The multiply-adds of _fold on a base of width entries, a product of
+    lengths m and n taking m n."""
+    macs, size = 0, width
+    for bit in bin(r)[3:]:
+        macs += size * size
+        size = min(2 * size - 1, length)
+        if bit == "1":
+            macs += size * width
+            size = min(size + width - 1, length)
+    return macs
 
 
 def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
@@ -210,9 +228,10 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     the d values are folded to P^r (length r(d-1)+1), and each factor
     1 / (1 - z^d) is one running sum along every residue class m = a + d k,
     taken as a cumulative sum down the columns of the rows of d entries.
-    Only the min(M, d) values below M enter the fold, which runs at length M,
-    so it costs O(r M + r min(M, d) min(M, r d)) operations, never more than
-    the O(r M^2) of folding the periodic sequence itself.  The folded array
+    Only the min(M, d) values below M enter the fold, which runs at length M
+    by square-and-multiply, so it costs O(r M + log(r) min(M, r d)^2)
+    operations, never more than the O(r M^2) of folding the periodic
+    sequence itself one factor at a time.  The folded array
     is never shorter than the period slice, so np.convolve never swaps its
     operands, and the rows are padded with -0.0, the exact additive
     identity, so every prefix c_0..c_{k-1} is bit for bit the result at
@@ -238,15 +257,14 @@ def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.
     Returns the full coefficient vector of (sum_{j < upper} chi(j) z^j)^r,
     length r*(upper-1) + 1; entry t aggregates chi(j_1)...chi(j_r) over all
     r-tuples with j_1 + ... + j_r = t and 0 <= j_l < upper.  Raises
-    BudgetExceeded when the r-1 direct convolutions would take more than
-    CONVOLUTION_BUDGET multiply-adds.
+    BudgetExceeded when the O(log r) direct convolutions of the fold would
+    take more than CONVOLUTION_BUDGET multiply-adds.
     """
     if r < 1:
         raise DomainError(f"order r must be a positive integer, got {r}")
     if upper < 1:
         raise DomainError(f"upper limit must be positive, got {upper}")
-    # fold i < r convolves a length i*(upper-1)+1 vector with one of length upper
-    macs = upper * ((upper - 1) * r * (r - 1) // 2 + r - 1)
+    macs = _fold_macs(upper, r, r * (upper - 1) + 1)
     if macs > CONVOLUTION_BUDGET:
         raise BudgetExceeded(
             f"{r}-part composition sums below {upper} take {macs:g} multiply-adds, "

@@ -30,12 +30,12 @@ from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
 from .report import IdentityReport, make_error_report, make_report
 from .sides import (
     DegreeError,
+    PowerSums,
     at_degree,
     finite,
     lfun_side,
     poly_side,
     power_sum_side,
-    power_sums,
     tuple_totals,
 )
 
@@ -55,7 +55,7 @@ def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
     finite double raises PlanInfeasible."""
     if not 0 <= i <= n:
         raise DomainError(f"need 0 <= i <= n, got i={i}, n={n}")
-    return power_sums(tuple_totals(chi, r, upper_a, 1), n, [i], upper_a, ctx)[0]
+    return PowerSums(tuple_totals(chi, r, upper_a, 1), upper_a, ctx)(n, [i])[0]
 
 
 @dataclass(frozen=True)

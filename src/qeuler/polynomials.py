@@ -29,6 +29,7 @@ from .qnum import (
     QContext,
     TruncationPlan,
     alternating_weighted_sum,
+    bracket_rows,
     degree_weight_bound,
     plan_cutoffs,
     plan_truncation,
@@ -80,7 +81,7 @@ def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers, c
     table[...] = cutoffs
     K = int(table.max(initial=0))
     coeffs = conv_power(chi, r, K) if K else np.zeros(0, dtype=complex)
-    brackets = q_number(np.arange(K) + np.asarray(xs, dtype=float)[:, None], ctx)
+    brackets = bracket_rows(ctx, xs, K)
     two = q_bracket_two_pow(r, ctx)
     for weigher, column in zip(weighers, table.T):
         sums = np.empty(len(xs), dtype=complex)

@@ -28,6 +28,7 @@ from .errors import BudgetExceeded, DomainError, PlanInfeasible
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
 SERIES_BUDGET = 10 ** 7
+PREFIX_BYTES = 2 ** 19
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
@@ -236,10 +237,68 @@ def plan_truncation(ctx: QContext, x: float, n: int, r: int, epsilon: float,
     return plan_truncation_weighted(ctx, r, degree_weight_bound(ctx, x, n), epsilon, max_terms)
 
 
+class PrefixStore:
+    """Arrays whose entries depend only on a key and their own index along the
+    last axis, so that the array formed at one length is a prefix of the one
+    formed at any longer length, bit for bit.  Each key keeps the longest
+    array formed so far, read-only; a hit costs one dict lookup and a slice.
+    Entries stay in the order they were formed, and the oldest go first once
+    the store holds more than bound bytes."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self._arrays: dict = {}
+        self._bytes = 0
+
+    def clear(self) -> None:
+        self._arrays.clear()
+        self._bytes = 0
+
+    def prefix(self, key, length: int, form) -> np.ndarray:
+        """form(length), read-only: a view of the key's array when that is at
+        least length long, else form(length), which replaces the key's array
+        unless it alone is larger than bound."""
+        stored = self._arrays.get(key)
+        if stored is not None and stored.shape[-1] >= length:
+            return stored[..., :length]
+        array = form(length)
+        array.setflags(write=False)
+        if array.nbytes <= self.bound:
+            if stored is not None:
+                self._bytes -= self._arrays.pop(key).nbytes
+            self._arrays[key] = array
+            self._bytes += array.nbytes
+            while self._bytes > self.bound:  # never the array just stored
+                self._bytes -= self._arrays.pop(next(iter(self._arrays))).nbytes
+        return array
+
+
+# the q-only factors of the series kernel, which no character, order, degree
+# or exponent changes; c_m is left out, since it would evict them
+prefixes = PrefixStore(PREFIX_BYTES)
+
+
+def bracket_rows(ctx: QContext, xs, length: int) -> np.ndarray:
+    """The read-only matrix [m + xs[i]]_q, m < length, from the prefix store,
+    keyed by q and the bits of xs."""
+    args = np.asarray(xs, dtype=float)
+    return prefixes.prefix(("brackets", ctx.q, args.tobytes()), length,
+                           lambda size: q_number(np.arange(size) + args[:, None], ctx))
+
+
+def _alternating_powers(q: float, length: int) -> np.ndarray:
+    """(-1)^m and q^m for m < length, as the two rows of one array."""
+    out = np.ones((2, length))
+    out[0, 1::2] = -1.0
+    out[1] = q ** np.arange(length)
+    return out
+
+
 def alternating_weighted_sum(coeffs: np.ndarray, weights: np.ndarray, ctx: QContext):
     """sum_m (-1)^m q^m coeffs[m] weights[..., m] for each row of weights,
-    over the common prefix of coeffs and the row."""
+    over the common prefix of coeffs and the row; (-1)^m and q^m come from the
+    prefix store, keyed by q."""
     M = min(len(coeffs), weights.shape[-1])
-    signs = np.ones(M)
-    signs[1::2] = -1.0
-    return (coeffs[:M] * signs * ctx.q ** np.arange(M) * weights[..., :M]).sum(axis=-1)
+    q = ctx.q
+    signs, powers = prefixes.prefix(("powers", q), M, lambda size: _alternating_powers(q, size))
+    return (coeffs[:M] * signs * powers * weights[..., :M]).sum(axis=-1)

@@ -20,7 +20,7 @@ A sweep line is a set of instances equal in every field but the degree n.
 The polynomial and power-sum forms take a line's degrees and return one
 value per degree: the tuple totals, shifted arguments, composition sums and
 bracket matrix of a side depend on the line, not on n, so they are formed
-once.  Each degree keeps its own plan and budget, and the t-sums and i-sums
+once, and so is each factor row of the power sums.  Each degree keeps its own plan and budget, and the t-sums and i-sums
 keep their scalar order, so every value is bit for bit the one-degree value.
 A side refuses where a one-degree evaluation would first refuse, degree by
 degree, raising DegreeError with that degree's index; a side value that is
@@ -84,25 +84,41 @@ def tuple_totals(chi: DirichletCharacter, r: int, upper: int, weight_rows: int) 
     return bounded_composition_sums(chi, r, upper)
 
 
-def power_sums(hist: np.ndarray, n: int, indices, upper: int, ctx: QContext) -> list[complex]:
-    """S_{n,i}(upper | chi) for every i in indices, from hist, the tuple-total
-    histogram tuple_totals(chi, r, upper, ...), within the budget of
-    len(indices) weight rows; a sum that is not a finite double raises
-    PlanInfeasible."""
-    _check_rows(hist.size, len(indices))
-    totals = np.arange(hist.size, dtype=float)  # float exponents never wrap, whatever n is
-    signs, brackets = (-1.0) ** totals, q_number(totals, ctx)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            weights = np.array([signs * ctx.q ** ((n - i + 1) * totals) * brackets ** i
-                                for i in indices])
-            sums = np.sum(weights * hist, axis=-1)
-    except OverflowError:  # an exponent past the double range
-        sums = np.array([math.nan])
-    if not np.isfinite(sums).all():
-        raise PlanInfeasible(f"a power sum S_{{{n},i}}({upper}) at q={ctx.q!r} is not a "
-                             "finite double")
-    return sums.tolist()
+class PowerSums:
+    """S_{n,i}(upper | chi) at any degree n from hist, the tuple-total histogram
+    tuple_totals(chi, r, upper, ...).  The weight of total t is the product
+    ((-1)^t q^(k t)) [t]_q^i with k = n - i + 1; each factor row is formed
+    once, by k and by i, and kept, so the N degrees of a line form O(N) rows,
+    not O(N^2), and multiply them in the order of one degree alone."""
+
+    def __init__(self, hist: np.ndarray, upper: int, ctx: QContext):
+        self.hist, self.upper, self.ctx = hist, upper, ctx
+        self.totals = np.arange(hist.size, dtype=float)  # float exponents never wrap
+        self.signs, self.brackets = (-1.0) ** self.totals, q_number(self.totals, ctx)
+        self.geometric, self.powers = {}, {}  # (-1)^t q^(k t) by k, [t]_q^i by i
+
+    def _weights(self, n: int, i: int) -> np.ndarray:
+        k = n - i + 1
+        if k not in self.geometric:
+            self.geometric[k] = self.signs * self.ctx.q ** (k * self.totals)
+        if i not in self.powers:
+            self.powers[i] = self.brackets ** i
+        return self.geometric[k] * self.powers[i]
+
+    def __call__(self, n: int, indices) -> list[complex]:
+        """S_{n,i} for every i in indices, within the budget of len(indices)
+        weight rows; a sum that is not a finite double raises PlanInfeasible."""
+        _check_rows(self.hist.size, len(indices))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                weights = np.array([self._weights(n, i) for i in indices])
+                sums = np.sum(weights * self.hist, axis=-1)
+        except OverflowError:  # an exponent past the double range
+            sums = np.array([math.nan])
+        if not np.isfinite(sums).all():
+            raise PlanInfeasible(f"a power sum S_{{{n},i}}({self.upper}) at q={self.ctx.q!r} "
+                                 "is not a finite double")
+        return sums.tolist()
 
 
 def role_argument(second: int, x: float, first: int, t: int) -> float:
@@ -208,10 +224,10 @@ def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float,
         bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
         for k, n in enumerate(ns):
             with at_degree(k):
-                if k == 0:  # one histogram serves every S_{n,i}
-                    hist = tuple_totals(chi, r, upper, n + 1)
+                if k == 0:  # one histogram and its factor rows serve every S_{n,i}
+                    power_sums = PowerSums(tuple_totals(chi, r, upper, n + 1), upper, ctx_second)
                 total, binomial = 0j, 1  # binomial(n, i), updated exactly
-                for i, s_val in enumerate(power_sums(hist, n, range(n + 1), upper, ctx_second)):
+                for i, s_val in enumerate(power_sums(n, range(n + 1))):
                     total += (binomial * bracket_first ** (n - i) * bracket_second ** i
                               * e_values[n - i] * s_val)
                     binomial = binomial * (n - i) // (i + 1)

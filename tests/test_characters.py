@@ -16,6 +16,7 @@ from qeuler import (
     build_character_group,
     conv_power,
 )
+from qeuler import characters
 from qeuler.characters import CONVOLUTION_BUDGET
 
 
@@ -304,13 +305,62 @@ def test_character_values_are_immutable():
         chi.values[0] = 5.0
 
 
-@pytest.mark.parametrize("r,upper", [(2, 10001), (3, 5774), (5, 3163), (40, 359)])
+@pytest.mark.parametrize("r,upper", [(2, 10001), (3, 5774), (5, 3334), (40, 434)])
 def test_fold_budget_counts_every_fold(r, upper):
-    # fold i < r convolves i*(upper-1)+1 totals with upper values; each
-    # (r, upper) is the first upper past the budget at its r
+    # each (r, upper) is the first upper past the budget at its r, by the
+    # multiply-adds of square-and-multiply that the test below counts
     def macs(upper):
-        return sum((i * (upper - 1) + 1) * upper for i in range(1, r))
+        return characters._fold_macs(upper, r, r * (upper - 1) + 1)
 
     assert macs(upper - 1) <= CONVOLUTION_BUDGET < macs(upper)
     with pytest.raises(BudgetExceeded, match=re.escape(f" take {macs(upper):g} multiply-adds")):
         bounded_composition_sums(build_character_group(3)[1], r, upper)
+
+
+def test_fold_macs_are_the_products_the_fold_makes(monkeypatch):
+    # every np.convolve of lengths m and n is m n multiply-adds, and there
+    # are O(log r) of them: at most two per bit of r
+    convolve, work = np.convolve, []
+
+    def counted(a, v):
+        work.append(len(a) * len(v))
+        return convolve(a, v)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    chi = build_character_group(15)[3]
+    for r in range(1, 40):
+        for upper in (1, 2, 5, 16):
+            work.clear()
+            bounded_composition_sums(chi, r, upper)
+            assert sum(work) == characters._fold_macs(upper, r, r * (upper - 1) + 1)
+            assert len(work) <= 2 * (r.bit_length() - 1)
+        for M in (1, 7, 15, 40):
+            work.clear()
+            conv_power(chi, r, M)
+            assert sum(work) == characters._fold_macs(min(M, 15), r, M)
+    work.clear()
+    bounded_composition_sums(chi, 10 ** 6 + 1, 1)
+    assert len(work) == 19 + 7  # a square per bit below the top, a multiply per set one
+
+
+def _one_factor_at_a_time(base, r, length):
+    out = base
+    for _ in range(r - 1):
+        out = np.convolve(out, base)[:length]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 3, 15, 45])
+def test_orders_up_to_three_fold_as_one_factor_at_a_time(d):
+    # square-and-multiply makes the products P*P and (P*P)*P at r <= 3, so the
+    # composition sums and the fold behind conv_power keep their bits
+    for chi in build_character_group(d):
+        for r in (1, 2, 3):
+            for upper in (1, 2, d, 2 * d + 1):
+                expected = _one_factor_at_a_time(chi.periodic_values(upper), r,
+                                                 r * (upper - 1) + 1)
+                assert bounded_composition_sums(chi, r, upper).tobytes() == expected.tobytes()
+            for M in (1, d, 3 * d + 2, 700):
+                base = chi.periodic_values(min(M, d))
+                assert (characters._fold(base, r, M).tobytes()
+                        == _one_factor_at_a_time(base, r, M).tobytes())

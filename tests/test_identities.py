@@ -42,7 +42,7 @@ from qeuler.identities import IDENTITIES, IDENTITY_IDS, _grid_instances, _record
 from qeuler.polynomials import char_tuple_sum, series_table
 from qeuler.qnum import alternating_weighted_sum
 from qeuler.report import make_error_report, reports_to_json_lines
-from qeuler.sides import power_sums, role_argument, tuple_totals
+from qeuler.sides import PowerSums, role_argument, tuple_totals
 
 
 @pytest.fixture(scope="module")
@@ -429,8 +429,31 @@ def test_symmetry_sides_equal_the_per_total_loop_bit_for_bit(d, label, r, q, x, 
 def test_batched_power_sums_equal_single_ones(groups, ctx, d, r):
     chi = build_character_group(d)[-1]
     for upper in (1, 4, 15):
-        batch = power_sums(tuple_totals(chi, r, upper, 6), 5, range(6), upper, ctx)
+        batch = PowerSums(tuple_totals(chi, r, upper, 6), upper, ctx)(5, range(6))
         assert batch == [power_sum(chi, r, 5, i, upper, ctx) for i in range(6)]
+
+
+def test_a_line_forms_each_power_sum_factor_row_once(monkeypatch):
+    # N degrees take N(N+1)/2 weight rows, but only N rows (-1)^t q^(k t),
+    # k = 1..N, and N rows [t]_q^i, i < N, each formed once per side
+    made = []
+
+    class Recorded(PowerSums):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sides, "PowerSums", Recorded)
+    degrees = 40
+    grid = SweepGrid(d_values=(3,), q_values=(0.5,), r_values=(2,), chi_labels=(1,),
+                     ab_pairs=((1, 3),), n_values=tuple(range(degrees)), x_values=(0.5,))
+    reports = [r.to_json_line() for r in run_suite("T3", grid)]
+    assert len(made) == 2  # one histogram per side of the line
+    for power_sums in made:
+        assert sorted(power_sums.geometric) == list(range(1, degrees + 1))
+        assert sorted(power_sums.powers) == list(range(degrees))
+    assert reports == [check("T3", inst).to_json_line()
+                       for inst in _grid_instances(IDENTITIES["T3"], grid)]
 
 
 def test_side_budget_counts_the_work_done(groups, ctx):

@@ -336,6 +336,91 @@ def test_batched_values_equal_single_values_bit_for_bit(q):
     assert lfun_values(chi, 2, s, xs[1:], ctx) == [lfun_value(chi, 2, s, x, ctx) for x in xs[1:]]
 
 
+_STORE_GROUPS = {d: build_character_group(d) for d in (1, 3, 15, 45)}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    q=st.sampled_from([0.3, 0.7, 0.9, 0.97]) | st.floats(min_value=0.05, max_value=0.97),
+    x=st.sampled_from([0.25, 0.5, 1.0]) | st.floats(min_value=0.01, max_value=3.0),
+    other=st.sampled_from([(0.5, 0.0), (1.0, 0.25)]),  # q scaled, x shifted
+    cells=st.lists(st.tuples(st.booleans(), st.sampled_from([1, 3, 15, 45]),
+                             st.integers(0, 23), st.integers(1, 3),
+                             st.integers(0, 20) | st.complex_numbers(max_magnitude=3.0)),
+                   min_size=2, max_size=8),
+    order=st.randoms(use_true_random=False),
+)
+def test_values_do_not_depend_on_what_the_prefix_store_holds(q, x, other, cells, order):
+    # cells at one q and x share their bracket row and q^m, formed at the
+    # longest cutoff any of them reached so far; the other cells differ from
+    # them in q alone or in x alone, so they must not share them
+    contexts = {False: (QContext(q), x),
+                True: (QContext(q * other[0]), x + other[1])}
+
+    def value(cell):
+        shifted, d, label, r, arg = cell
+        ctx, at = contexts[shifted]
+        chi = _STORE_GROUPS[d][label % len(_STORE_GROUPS[d])]
+        try:
+            if isinstance(arg, int):
+                v = qeuler_value(chi, r, arg, at, ctx)
+            else:
+                v = lfun_value(chi, r, arg, at, ctx)
+        except (PlanInfeasible, BudgetExceeded) as exc:
+            return str(exc)
+        return v.real.hex(), v.imag.hex()
+
+    qnum.prefixes.clear()
+    in_order = [value(cell) for cell in cells]
+    qnum.prefixes.clear()
+    shuffled = list(range(len(cells)))
+    order.shuffle(shuffled)
+    reordered = {i: value(cells[i]) for i in shuffled}
+    alone = []
+    for cell in cells:
+        qnum.prefixes.clear()
+        alone.append(value(cell))
+    assert in_order == [reordered[i] for i in range(len(cells))] == alone
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 80)), max_size=60))
+def test_the_prefix_store_stays_within_its_bound(requests):
+    # 512 bytes hold 64 doubles, so a request past 64 is formed and not kept
+    store = qnum.PrefixStore(512)
+    for key, length in requests:
+        got = store.prefix(key, length, lambda size: np.arange(float(size)) + key)
+        assert got.tolist() == (np.arange(float(length)) + key).tolist()
+        held = [a.nbytes for a in store._arrays.values()]
+        assert sum(held) == store._bytes <= 512
+        if length > 64:
+            assert key not in store._arrays or store._arrays[key].size < length
+
+
+def test_the_prefix_store_evicts_its_oldest_and_hands_out_read_only_arrays():
+    store, formed = qnum.PrefixStore(1000), []
+
+    def form(size):
+        formed.append(size)
+        return np.arange(float(size))
+
+    whole = store.prefix("a", 50, form)
+    part = store.prefix("a", 20, form)  # a hit: a view, nothing formed
+    assert formed == [50] and part.base is whole
+    store.prefix("b", 60, form)  # 400 + 480 bytes
+    store.prefix("a", 70, form)  # 560 replaces 400, and b, the oldest, goes
+    assert formed == [50, 60, 70] and list(store._arrays) == ["a"]
+    big = store.prefix("c", 200, form)  # 1600 bytes: formed, not kept
+    assert big.size == 200 and list(store._arrays) == ["a"]
+    for array in (whole, part, store.prefix("a", 10, form), big):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # the kernel's store after cells at several q: within its bound
+    for q in (0.9, 0.95, 0.97, 0.98):
+        qeuler_value(_STORE_GROUPS[45][7], 3, 20, 0.5, QContext(q))
+    assert sum(a.nbytes for a in qnum.prefixes._arrays.values()) <= qnum.PREFIX_BYTES
+
+
 def test_plan_cutoffs_refuses_an_oversized_matrix():
     # about 2700 terms for each of 5000 cells: over budget, refused before allocation
     cells = SERIES_BUDGET // 2000

@@ -72,6 +72,8 @@ VERIFY_JSON = [
     "EQ5 --d 15 --r 3 --q 0.9 --n-max 20 --x 0.5",
     "EQ9 --d 15 --r 3 --q 0.9 --n-max 20 --x 0.75 --y 1",
     "T1 --d 15 --r 2 --q 0.7 --a 1 --b 5 --s=1.5,0.5 --x 0.75",
+    # eval-deep's verify shape: every character reuses one bracket matrix
+    "EQ4 --d 45 --r 2 --q 0.95 --n-max 2 --x 0.5",
 ]
 
 # verify --output {pretty,csv} --identity ...: every layout of a record
@@ -128,6 +130,8 @@ EDGES = [
     "verify --identity T2 --d 1 --q 0.5 --a 1 --b 3 --n-max 2 --tolerance 1e308 --output json",
     "eval-lfun --d 3 --chi 1 --r 2 --q 0.5 --s 0,400 --x 0.5 --output json",
     "verify --identity T2 --d 1 --r 1 --q 0.5 --a 3 --b 3 --n-max 1030 --x 1 --output json",
+    "verify --identity EQ12 --d 1 --q 0.5 --a 1 --b 3 --n-max 1100",
+    "eval-powersum --d 1 --r 1000000 --upper 1 --n 0 --i 0 --q 0.5",
 ]
 
 ARGVS = (
