@@ -8,10 +8,11 @@ degree-n polynomial, which the final sweep checks across a grid of degrees.
 
 from qeuler import (
     QContext,
+    SymmetryInstance,
     build_character_group,
+    check,
     lfun_value,
     qeuler_value,
-    verify_interpolation,
 )
 
 ctx = QContext(0.5)
@@ -35,7 +36,7 @@ for n in range(6):
     rhs = qeuler_value(quad, 2, n, 0.5, ctx, epsilon=1e-12)
     print(f"  n = {n}: {abs(lhs - rhs):.2e}")
 
-# The packaged check returns a structured report.
-report = verify_interpolation(quad, 2, 8, 1.0, ctx)
+# The packaged check of identity EQ4 returns a structured report.
+report = check("EQ4", SymmetryInstance(chi=quad, r=2, ctx=ctx, n=8, x=1.0))
 print(f"\nreport: {report.identity_id} pass={report.passed} "
       f"residual={report.residual:.2e} tolerance={report.tolerance:.0e}")

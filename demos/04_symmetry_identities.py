@@ -11,10 +11,10 @@ from qeuler import (
     SweepGrid,
     SymmetryInstance,
     build_character_group,
+    check,
     power_sum,
     run_suite,
     suite_passed,
-    theorem2_sides,
 )
 
 quad = build_character_group(3)[1]
@@ -22,7 +22,7 @@ ctx = QContext(0.5)
 
 # One instance in detail: the polynomial symmetry at (a, b) = (1, 3).
 inst = SymmetryInstance(chi=quad, r=1, ctx=ctx, a=1, b=3, n=3, x=1.0)
-report = theorem2_sides(inst)
+report = check("T2", inst)
 print("polynomial symmetry at (a, b) = (1, 3), n = 3:")
 print(f"  lhs      = {report.lhs.real:.15f}")
 print(f"  rhs      = {report.rhs.real:.15f}")

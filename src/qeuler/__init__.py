@@ -12,13 +12,8 @@ from .errors import (
     BudgetExceeded, DomainError, NegativeArgument, NotOdd, Overflow, ParityViolation,
     PlanInfeasible, QEulerError, UsageError,
 )
-from .identities import (
-    IDENTITY_IDS, SweepGrid, SymmetryInstance, eq12_bridge, eq15_sides, power_sum, run_suite,
-    theorem1_sides, theorem2_sides, theorem3_sides,
-)
-from .lfun import (
-    LfunSpec, lfun_eval, lfun_value, lfun_values, power_weight_bound, verify_interpolation,
-)
+from .identities import IDENTITY_IDS, SweepGrid, SymmetryInstance, check, power_sum, run_suite
+from .lfun import LfunSpec, lfun_eval, lfun_value, lfun_values, power_weight_bound
 from .polynomials import (
     QEulerSpec, qeuler_addition, qeuler_poly, qeuler_poly_naive, qeuler_table, qeuler_value,
 )
@@ -26,7 +21,7 @@ from .qnum import (
     DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext, TruncationPlan, plan_truncation,
     plan_truncation_weighted, q_bracket_two_pow, q_number,
 )
-from .report import IdentityReport, reports_to_json_lines, suite_passed
+from .report import IdentityReport, suite_passed
 
 __version__ = "0.1.0"
 
@@ -35,11 +30,9 @@ __all__ = [
     "DirichletCharacter", "DomainError", "IDENTITY_IDS", "IdentityReport", "LfunSpec",
     "NegativeArgument", "NotOdd", "Overflow", "ParityViolation", "PlanInfeasible", "QContext",
     "QEulerError", "QEulerSpec", "SweepGrid", "SymmetryInstance", "TruncationPlan",
-    "UsageError", "bounded_composition_sums", "build_character_group", "conv_power",
-    "eq12_bridge", "eq15_sides", "lfun_eval", "lfun_value", "lfun_values", "plan_truncation",
-    "plan_truncation_weighted", "power_sum", "power_weight_bound", "q_bracket_two_pow",
-    "q_number", "qeuler_addition", "qeuler_poly", "qeuler_poly_naive", "qeuler_table",
-    "qeuler_value",
-    "reports_to_json_lines", "run_suite", "suite_passed", "theorem1_sides", "theorem2_sides",
-    "theorem3_sides", "verify_interpolation",
+    "UsageError", "bounded_composition_sums", "build_character_group", "check", "conv_power",
+    "lfun_eval", "lfun_value", "lfun_values", "plan_truncation", "plan_truncation_weighted",
+    "power_sum", "power_weight_bound", "q_bracket_two_pow", "q_number", "qeuler_addition",
+    "qeuler_poly", "qeuler_poly_naive", "qeuler_table", "qeuler_value", "run_suite",
+    "suite_passed",
 ]

@@ -94,9 +94,6 @@ class DirichletCharacter:
             raise NegativeArgument(f"character argument must be nonnegative, got {m}")
         return complex(self.values[m % self.modulus_d])
 
-    def is_principal(self) -> bool:
-        return self.label == 0
-
     def periodic_values(self, length: int) -> np.ndarray:
         """chi(0), chi(1), ..., chi(length-1) as a complex array."""
         if length < 0:

@@ -51,7 +51,7 @@ _I_RULE = "must satisfy 0 <= i <= n"
 _POSITIVE = (lambda v: v < 1, "must be a positive integer")
 _NONNEGATIVE = (lambda v: v < 0, "must be nonnegative")
 _FINITE = (lambda v: not cmath.isfinite(v), "must be finite")
-# degree sweeps are built in full before any work budget applies
+# one degree axis; run_suite bounds the whole sweep by identities.SWEEP_BUDGET
 _DEGREE_CEILING = (lambda v: v > 10 ** 4, "must be at most 10000")
 
 

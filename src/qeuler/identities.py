@@ -22,9 +22,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .characters import DirichletCharacter, build_character_group
-from .errors import DomainError, ParityViolation, PlanInfeasible
-from .lfun import DEFAULT_INTERPOLATION_TOL, lfun_value
+from .characters import DirichletCharacter, build_character_group, group_order
+from .errors import BudgetExceeded, DomainError, ParityViolation, PlanInfeasible
+from .lfun import lfun_value
 from .polynomials import binomial_shift_sum, qeuler_addition, qeuler_value
 from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
 from .report import IdentityReport, make_error_report, make_report
@@ -41,6 +41,10 @@ from .sides import (
 
 DEFAULT_REL_TOL = 1e-7
 BRIDGE_REL_TOL = 1e-8
+INTERPOLATION_REL_TOL = 1e-8
+# instances one sweep may list, about 0.2 GB of them: a grid's size is the
+# product of its axes, so no per-axis ceiling bounds it
+SWEEP_BUDGET = 10 ** 6
 
 
 def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
@@ -134,7 +138,7 @@ IDENTITIES = {
     "EQ4": _mapped(("n", "x"),
                    lambda i, eps, M: lfun_value(i.chi, i.r, complex(-i.n), i.x, i.ctx, eps, M),
                    lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
-                   DEFAULT_INTERPOLATION_TOL),
+                   INTERPOLATION_REL_TOL),
     # expansion of E_n(x) through the q-Euler numbers E_i(0)
     "EQ5": _mapped(("n", "x"),
                    lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, 0.0, eps, M),
@@ -222,52 +226,26 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
     return make_report(identity_id, _record(row, inst), lhs, rhs, rel)
 
 
-def theorem1_sides(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
-                   max_terms: int = DEFAULT_MAX_TERMS,
-                   rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
-    """l-function symmetry: both sides at complex exponent inst.s, x > 0."""
-    return check("T1", inst, epsilon, max_terms, rel_tol)
+# perfbench/tracer.py times the identities layer by binding these names;
+# they leave with ROADMAP item 8, once the library emits its own spans.
+def theorem1_sides(inst: SymmetryInstance) -> IdentityReport:
+    return check("T1", inst)
 
 
-def theorem2_sides(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
-                   max_terms: int = DEFAULT_MAX_TERMS,
-                   rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
-    """Polynomial symmetry at integer degree inst.n, x >= 0."""
-    return check("T2", inst, epsilon, max_terms, rel_tol)
+def theorem2_sides(inst: SymmetryInstance) -> IdentityReport:
+    return check("T2", inst)
 
 
-def theorem3_sides(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
-                   max_terms: int = DEFAULT_MAX_TERMS,
-                   rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
-    """Power-sum symmetry: both orientations of the binomial expansion."""
-    return check("T3", inst, epsilon, max_terms, rel_tol)
+def theorem3_sides(inst: SymmetryInstance) -> IdentityReport:
+    return check("T3", inst)
 
 
-def eq12_bridge(inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
-                max_terms: int = DEFAULT_MAX_TERMS, rel_tol: float = BRIDGE_REL_TOL,
-                mirrored: bool = False) -> IdentityReport:
-    """Polynomial form against power-sum form in one orientation.
-
-    This validates the rearrangement that converts the j-sum of shifted
-    polynomial values into binomially weighted power sums.  With
-    mirrored=True the roles of a and b are exchanged first, giving the
-    mirror-orientation check."""
-    return check("EQ13" if mirrored else "EQ12", inst, epsilon, max_terms, rel_tol)
+def eq12_bridge(inst: SymmetryInstance) -> IdentityReport:
+    return check("EQ12", inst)
 
 
-def eq15_sides(chi: DirichletCharacter, r: int, m: int, n: int, x: float, y: float,
-               ctx: QContext, epsilon: float = DEFAULT_EPSILON,
-               max_terms: int = DEFAULT_MAX_TERMS,
-               rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
-    """Two-index shift symmetry between degrees m and n:
-
-        sum_{k<=m} binom(m,k) q^(kx) E_{n+k}(y) [x]_q^(m-k)
-      = sum_{k<=n} binom(n,k) q^(-kx) E_{m+k}(x+y) [-x]_q^(n-k).
-
-    At x = 0 both sides collapse to E_{m+n}(y) through the same evaluation,
-    so the residual vanishes identically."""
-    inst = SymmetryInstance(chi=chi, r=r, ctx=ctx, m=m, n=n, x=x, y=y)
-    return check("EQ15", inst, epsilon, max_terms, rel_tol)
+def eq15_sides(inst: SymmetryInstance) -> IdentityReport:
+    return check("EQ15", inst)
 
 
 @dataclass(frozen=True)
@@ -288,16 +266,23 @@ class SweepGrid:
 
 
 def _grid_instances(row: Identity, grid: SweepGrid):
-    """Deterministic enumeration: d, chi, r, q, then the row's axes in order."""
+    """Deterministic enumeration: d, chi, r, q, then the row's axes in order.
+    A grid of more than SWEEP_BUDGET instances raises BudgetExceeded first,
+    counted from group_order and the axis lengths, before any table is built."""
     values = {"ab": grid.ab_pairs, "s": grid.s_values, "m": grid.m_values,
               "n": grid.n_values, "x": grid.x_values, "y": grid.y_values}
+    axes = [values[axis] for axis in row.axes]
+    size = math.prod(map(len, (grid.r_values, grid.q_values, *axes))) * sum(
+        group_order(d) if grid.chi_labels is None else len(grid.chi_labels)
+        for d in grid.d_values)
+    if size > SWEEP_BUDGET:
+        raise BudgetExceeded(f"the sweep has {size} instances, over the budget "
+                             f"{SWEEP_BUDGET:g}")
     for d in grid.d_values:
         group = build_character_group(d)
         labels = grid.chi_labels if grid.chi_labels is not None else range(len(group))
         contexts = [QContext(q) for q in grid.q_values]
-        for label, r, ctx, *point in itertools.product(
-            labels, grid.r_values, contexts, *(values[axis] for axis in row.axes)
-        ):
+        for label, r, ctx, *point in itertools.product(labels, grid.r_values, contexts, *axes):
             fields = dict(zip(row.axes, point))
             if "ab" in fields:
                 fields["a"], fields["b"] = fields.pop("ab")
@@ -364,7 +349,8 @@ def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILO
     recorded in place as an error report, while a PlanInfeasible or
     BudgetExceeded ends the sweep, as in every other command: the one check
     meets first in enumeration order is raised.  An unknown identity id raises
-    DomainError before anything is enumerated."""
+    DomainError, and a grid of more than SWEEP_BUDGET instances BudgetExceeded,
+    before anything is enumerated."""
     row = _row(identity_id)
     instances = list(_grid_instances(row, grid))
     lines = {}

@@ -32,9 +32,6 @@ from .qnum import (
     q_number,
     weight_sup,
 )
-from .report import IdentityReport
-
-DEFAULT_INTERPOLATION_TOL = 1e-8
 
 
 def power_weight_bound(ctx: QContext, x: float, s: complex) -> float:
@@ -101,14 +98,8 @@ def lfun_value(chi: DirichletCharacter, r: int, s: complex, x: float, ctx: QCont
     return lfun_eval(LfunSpec.create(chi, r, s, x, ctx, epsilon, max_terms))
 
 
-def verify_interpolation(chi: DirichletCharacter, r: int, n: int, x: float, ctx: QContext,
-                         epsilon: float = DEFAULT_INTERPOLATION_TOL,
-                         max_terms: int = DEFAULT_MAX_TERMS) -> IdentityReport:
-    """Check l_r(-n, x | chi) against E_n(x); passes when the gap is at most
-    epsilon * max(|l|, |E|, 1).  Both sides use the series budget
-    DEFAULT_EPSILON, as `qeuler verify --identity EQ4 --tolerance epsilon`
-    does.  This is identity EQ4 of the identity table at one instance."""
-    from .identities import SymmetryInstance, check  # identities imports this module
+# perfbench/tracer.py binds this name; it leaves with ROADMAP item 8.
+def verify_interpolation(inst):
+    from .identities import check  # identities imports this module
 
-    inst = SymmetryInstance(chi=chi, r=r, ctx=ctx, n=n, x=x)
-    return check("EQ4", inst, DEFAULT_EPSILON, max_terms, epsilon)
+    return check("EQ4", inst)

@@ -77,12 +77,10 @@ def q_bracket_two_pow(r: int, ctx: QContext) -> float:
 @dataclass(frozen=True)
 class TruncationPlan:
     """Cutoff certificate: summing indices m < cutoff_M leaves a tail of at
-    most tail_bound, which is at most epsilon whenever planning succeeded."""
+    most tail_bound, which is at most the epsilon it was planned for."""
 
-    epsilon: float
     cutoff_M: int
     tail_bound: float
-    max_terms: int
 
 
 def _log_bounds(q: float, r: int, ms: np.ndarray) -> np.ndarray:
@@ -195,8 +193,7 @@ def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon
     """Smallest cutoff M <= min(max_terms, SERIES_BUDGET) whose certified tail
     bound meets epsilon, with that bound: the one-cell plan of plan_cutoffs, memoized
     by plan_shared."""
-    return TruncationPlan(epsilon, *plan_shared(ctx, r, weight_bound, 1, epsilon, max_terms),
-                          max_terms)
+    return TruncationPlan(*plan_shared(ctx, r, weight_bound, 1, epsilon, max_terms))
 
 
 def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,

@@ -83,10 +83,6 @@ def make_error_report(identity_id: str, instance: dict,
     )
 
 
-def reports_to_json_lines(reports: list[IdentityReport]) -> str:
-    return "\n".join(r.to_json_line() for r in reports)
-
-
 def suite_passed(reports: list[IdentityReport]) -> bool:
     """A sweep passes only if every instance passed; empty sweeps pass."""
     return all(r.passed for r in reports)

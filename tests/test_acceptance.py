@@ -17,12 +17,13 @@ from qeuler import (
     QContext,
     QEulerSpec,
     SweepGrid,
+    SymmetryInstance,
     build_character_group,
+    check,
     qeuler_poly,
     qeuler_poly_naive,
     qeuler_value,
     run_suite,
-    verify_interpolation,
 )
 
 GROUPS = {d: build_character_group(d) for d in (1, 3, 5)}
@@ -69,8 +70,8 @@ def test_criterion_2_interpolation():
             for r in (1, 2):
                 for n in range(9):
                     for x in (0.5, 1.0):
-                        report = verify_interpolation(chi, r, n, x, ctx,
-                                                      epsilon=1e-8)
+                        inst = SymmetryInstance(chi=chi, r=r, ctx=ctx, n=n, x=x)
+                        report = check("EQ4", inst, rel_tol=1e-8)
                         assert report.passed
                         worst = max(worst, report.residual)
                         count += 1
@@ -216,7 +217,7 @@ def test_criterion_8_character_groups():
         assert len(group) == phi, d
         for chi in group:
             values = chi.values
-            if not chi.is_principal():
+            if chi.label != 0:  # not the principal character
                 assert abs(values.sum()) <= 1e-12, (d, chi.label)
             for m in range(d):
                 for k in range(d):

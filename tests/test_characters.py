@@ -49,7 +49,7 @@ def test_group_mod_three():
     assert len(group) == 2
     assert list(group[0].values) == [0, 1, 1]
     assert list(group[1].values) == [0, 1, -1]
-    assert group[0].is_principal()
+    assert group[0].label == 0  # the principal character comes first
 
 
 def test_group_mod_five_has_order_four_characters():
@@ -136,7 +136,7 @@ def test_group_properties(d):
                 lhs = values[m * n % d]
                 assert abs(lhs - values[m] * values[n]) <= 1e-12
         # orthogonality for non-principal characters
-        if not chi.is_principal():
+        if chi.label != 0:
             assert abs(np.sum(values)) <= 1e-12
 
 

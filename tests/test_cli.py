@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -371,6 +373,24 @@ def test_a_degree_sweep_refuses_at_its_first_unbounded_degree(capsys):
                                       "--a", "1", "--b", "3", "--n-max", "1100"])
     assert (code, out) == (3, "")
     assert "a side value at n=546 is not a finite double" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --identity T2 --d 3001 --q 0.5 --n-max 10000",  # 3000 x 10001 instances
+    "verify --identity EQ15 --d 1 --q 0.5 --m-max 10000 --n-max 10000",  # 10001^2
+])
+def test_a_sweep_past_the_budget_exits_3_before_listing_it(argv):
+    # each flag is within its rule, but listing the grid would take gigabytes:
+    # the child gets 1 GiB of address space, so a regression fails, not swaps
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qeuler", *argv.split()], capture_output=True,
+                          preexec_fn=cap, timeout=60)
+    assert (done.returncode, done.stdout) == (3, b"")
+    assert b"over the budget 1e+06" in done.stderr
+    assert time.perf_counter() - start < 10
 
 
 def test_usage_error_type_exists():

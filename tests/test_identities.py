@@ -1,10 +1,14 @@
 import cmath
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +26,7 @@ from qeuler import (
     SweepGrid,
     SymmetryInstance,
     build_character_group,
-    eq12_bridge,
-    eq15_sides,
+    check,
     lfun_eval,
     power_sum,
     q_bracket_two_pow,
@@ -31,17 +34,14 @@ from qeuler import (
     qeuler_poly,
     run_suite,
     suite_passed,
-    theorem1_sides,
-    theorem2_sides,
-    theorem3_sides,
 )
-from qeuler import polynomials, sides
+from qeuler import identities, lfun, polynomials, sides
 from qeuler.characters import bounded_composition_sums
 from qeuler.cli import main
-from qeuler.identities import IDENTITIES, IDENTITY_IDS, _grid_instances, _record, check
+from qeuler.identities import IDENTITIES, IDENTITY_IDS, _grid_instances, _record
 from qeuler.polynomials import char_tuple_sum, series_table
 from qeuler.qnum import alternating_weighted_sum
-from qeuler.report import make_error_report, reports_to_json_lines
+from qeuler.report import make_error_report
 from qeuler.sides import PowerSums, role_argument, tuple_totals
 
 
@@ -152,20 +152,18 @@ def test_role_argument_is_the_correctly_rounded_rational(x, a, b, t):
 def test_equal_parameters_are_bitwise_exact(groups, ctx):
     inst = SymmetryInstance(chi=groups[3][1], r=2, ctx=ctx, a=3, b=3, n=4,
                             s=1.5 + 0.5j, x=0.5)
-    for sides in (theorem1_sides, theorem2_sides, theorem3_sides):
-        report = sides(inst)
+    for identity_id in ("T1", "T2", "T3"):
+        report = check(identity_id, inst)
         assert report.lhs == report.rhs
         assert report.residual == 0.0
         assert report.passed
 
 
 def test_theorem2_mirror_swaps_sides_bitwise(groups, ctx):
-    forward = theorem2_sides(
-        SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=1, b=3, n=3, x=1.0)
-    )
-    backward = theorem2_sides(
-        SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=3, b=1, n=3, x=1.0)
-    )
+    forward = check("T2", SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=1, b=3, n=3,
+                                           x=1.0))
+    backward = check("T2", SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=3, b=1, n=3,
+                                            x=1.0))
     assert forward.lhs == backward.rhs
     assert forward.rhs == backward.lhs
 
@@ -177,7 +175,7 @@ def test_theorem2_small_grid(groups, ctx, a, b):
             for n in (0, 3, 6):
                 for x in (0.0, 1.0):
                     inst = SymmetryInstance(chi=chi, r=1, ctx=ctx, a=a, b=b, n=n, x=x)
-                    report = theorem2_sides(inst)
+                    report = check("T2", inst)
                     assert report.passed, (d, chi.label, n, x, report.residual)
 
 
@@ -185,7 +183,7 @@ def test_theorem1_small_grid(groups, ctx):
     for s in (-3 + 0j, 0.5 + 0j, 2.5 + 0j, 1 + 1j):
         for chi in groups[3]:
             inst = SymmetryInstance(chi=chi, r=1, ctx=ctx, a=1, b=3, s=s, x=1.0)
-            report = theorem1_sides(inst)
+            report = check("T1", inst)
             assert report.identity_id == "T1"
             assert report.passed, (s, chi.label, report.residual)
 
@@ -194,7 +192,7 @@ def test_theorem3_small_grid(groups, ctx):
     for chi in groups[3]:
         for n in (0, 2, 5):
             inst = SymmetryInstance(chi=chi, r=2, ctx=ctx, a=1, b=3, n=n, x=1.0)
-            report = theorem3_sides(inst)
+            report = check("T3", inst)
             assert report.identity_id == "T3"
             assert report.passed, (chi.label, n, report.residual)
 
@@ -202,7 +200,7 @@ def test_theorem3_small_grid(groups, ctx):
 def test_theorem3_degree_zero_reduces_to_single_product(groups, ctx):
     # n = 0: each side is [2]^r E_0(bx) S_{0,0}(ad)
     inst = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=3, b=5, n=0, x=0.5)
-    report = theorem3_sides(inst)
+    report = check("T3", inst)
     assert report.passed
 
 
@@ -210,8 +208,8 @@ def test_bridge_small_grid(groups, ctx):
     for chi in groups[3]:
         for n in (0, 3, 6):
             inst = SymmetryInstance(chi=chi, r=1, ctx=ctx, a=1, b=3, n=n, x=1.0)
-            forward = eq12_bridge(inst)
-            mirrored = eq12_bridge(inst, mirrored=True)
+            forward = check("EQ12", inst)
+            mirrored = check("EQ13", inst)
             assert forward.identity_id == "EQ12"
             assert mirrored.identity_id == "EQ13"
             assert forward.passed, (chi.label, n, forward.residual)
@@ -221,7 +219,7 @@ def test_bridge_small_grid(groups, ctx):
 def test_bridge_collapses_when_everything_is_one(groups, ctx):
     # d = 1, a = b = 1, r = 1: both forms reduce to [2]_q E_n(x) exactly
     inst = SymmetryInstance(chi=groups[1][0], r=1, ctx=ctx, a=1, b=1, n=3, x=0.5)
-    report = eq12_bridge(inst)
+    report = check("EQ12", inst)
     assert report.residual == 0.0
     assert report.passed
 
@@ -230,19 +228,17 @@ def test_theorem1_at_negative_integers_matches_theorem2(groups, ctx):
     # T2 sides equal ([a]_q [b]_q)^n times the T1 sides at s = -n
     for chi in groups[3]:
         for a, b, n in ((1, 3, 2), (3, 5, 3)):
-            t1 = theorem1_sides(
-                SymmetryInstance(chi=chi, r=1, ctx=ctx, a=a, b=b, s=complex(-n), x=1.0)
-            )
-            t2 = theorem2_sides(
-                SymmetryInstance(chi=chi, r=1, ctx=ctx, a=a, b=b, n=n, x=1.0)
-            )
+            t1 = check("T1", SymmetryInstance(chi=chi, r=1, ctx=ctx, a=a, b=b, s=complex(-n),
+                                              x=1.0))
+            t2 = check("T2", SymmetryInstance(chi=chi, r=1, ctx=ctx, a=a, b=b, n=n, x=1.0))
             scale = (q_number(a, ctx) * q_number(b, ctx)) ** n
             assert abs(scale * t1.lhs - t2.lhs) <= 1e-8 * max(1.0, abs(t2.lhs))
             assert abs(scale * t1.rhs - t2.rhs) <= 1e-8 * max(1.0, abs(t2.rhs))
 
 
 def test_eq15_degenerate_x_is_exact(groups, ctx):
-    report = eq15_sides(groups[3][1], 1, 3, 2, 0.0, 0.25, ctx)
+    report = check("EQ15", SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, m=3, n=2, x=0.0,
+                                            y=0.25))
     assert report.lhs == report.rhs
     assert report.residual == 0.0
 
@@ -250,17 +246,18 @@ def test_eq15_degenerate_x_is_exact(groups, ctx):
 def test_eq15_small_grid(groups, ctx):
     for chi in groups[3]:
         for m, n in ((0, 3), (3, 3), (5, 2)):
-            report = eq15_sides(chi, 1, m, n, 0.5, 0.25, ctx)
+            report = check("EQ15", SymmetryInstance(chi=chi, r=1, ctx=ctx, m=m, n=n, x=0.5,
+                                                    y=0.25))
             assert report.passed, (chi.label, m, n, report.residual)
 
 
 def test_parity_violations_are_rejected(groups, ctx):
     even_a = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=2, b=3, n=1, x=1.0)
     with pytest.raises(ParityViolation, match="a must be a positive odd integer, got 2"):
-        theorem2_sides(even_a)
+        check("T2", even_a)
     even_b = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=1, b=4, n=1, x=1.0)
     with pytest.raises(ParityViolation, match="b must be a positive odd integer, got 4"):
-        theorem3_sides(even_b)
+        check("T3", even_b)
 
 
 def test_run_suite_empty_grid_passes_vacuously():
@@ -306,7 +303,7 @@ def test_run_suite_deterministic_order(groups):
             for r in first] == [(chi, r, n, x) for chi in (0, 1) for r in (1, 2)
                                 for n in (0, 1, 2) for x in (0.5, 1.0)]
     assert [r.lhs for r in first] == [r.lhs for r in again]
-    assert reports_to_json_lines(first) == reports_to_json_lines(again)
+    assert [r.to_json_line() for r in first] == [r.to_json_line() for r in again]
 
 
 def test_run_suite_dispatches_every_identity(groups):
@@ -335,8 +332,8 @@ def test_run_suite_dispatches_every_identity(groups):
 
 def test_residuals_do_not_degrade_with_tighter_budgets(groups, ctx):
     inst = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=1, b=3, n=4, x=1.0)
-    loose = theorem2_sides(inst, epsilon=1e-8)
-    tight = theorem2_sides(inst, epsilon=5e-9)
+    loose = check("T2", inst, epsilon=1e-8)
+    tight = check("T2", inst, epsilon=5e-9)
     assert tight.residual <= loose.residual + 1e-8
 
 
@@ -350,7 +347,7 @@ def test_report_json_lines_round_trip(groups, ctx):
         x_values=(1.0,),
     )
     reports = run_suite("T2", grid)
-    lines = reports_to_json_lines(reports).splitlines()
+    lines = [r.to_json_line() for r in reports]
     assert len(lines) == len(reports)
     for line, report in zip(lines, reports):
         parsed = json.loads(line)
@@ -364,7 +361,7 @@ def test_report_json_lines_round_trip(groups, ctx):
 def test_instance_records_are_json_types(groups, ctx):
     inst = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=1, b=3,
                             s=1 + 1j, x=1.0)
-    report = theorem1_sides(inst)
+    report = check("T1", inst)
     blob = json.dumps(report.to_json_dict())
     parsed = json.loads(blob)
     assert parsed["instance"]["s"] == [1.0, 1.0]
@@ -415,11 +412,11 @@ _odd = st.integers(min_value=0, max_value=2).map(lambda k: 2 * k + 1)
 def test_symmetry_sides_equal_the_per_total_loop_bit_for_bit(d, label, r, q, x, a, b, n, s):
     chi = _SIDE_GROUPS[d][label % len(_SIDE_GROUPS[d])]
     inst = SymmetryInstance(chi=chi, r=r, ctx=QContext(q), a=a, b=b, n=n, s=s, x=x)
-    t2 = theorem2_sides(inst)
+    t2 = check("T2", inst)
     assert t2.lhs == _reference_poly_side(inst, a, b)
     assert t2.rhs == _reference_poly_side(inst, b, a)
     if x >= 0.01:  # [x]_q of a tiny x underflows; its plan is infeasible
-        t1 = theorem1_sides(inst)
+        t1 = check("T1", inst)
         assert t1.lhs == _reference_lfun_side(inst, a, b)
         assert t1.rhs == _reference_lfun_side(inst, b, a)
 
@@ -460,12 +457,12 @@ def test_side_budget_counts_the_work_done(groups, ctx):
     # (45*5)^4 tuples were refused, but the side enumerates none of them
     chi = build_character_group(45)[3]
     inst = SymmetryInstance(chi=chi, r=4, ctx=ctx, a=5, b=3, n=0, x=1.0)
-    assert theorem2_sides(inst).passed
+    assert check("T2", inst).passed
     # the convolution behind the composition sums, and the rows of the batch
     with pytest.raises(BudgetExceeded, match="multiply-adds"):
-        theorem2_sides(SymmetryInstance(chi=chi, r=2, ctx=ctx, a=2001, b=3, n=0))
+        check("T2", SymmetryInstance(chi=chi, r=2, ctx=ctx, a=2001, b=3, n=0))
     with pytest.raises(BudgetExceeded, match="bracket matrix"):
-        theorem2_sides(SymmetryInstance(chi=chi, r=1, ctx=ctx, a=300001, b=3, n=0))
+        check("T2", SymmetryInstance(chi=chi, r=1, ctx=ctx, a=300001, b=3, n=0))
 
 
 def test_overflowing_side_is_infeasible():
@@ -473,7 +470,7 @@ def test_overflowing_side_is_infeasible():
     inst = SymmetryInstance(chi=build_character_group(1)[0], r=1, ctx=QContext(0.9), a=5, b=1,
                             n=600, x=5.0)
     with pytest.raises(PlanInfeasible):
-        theorem2_sides(inst)
+        check("T2", inst)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -652,3 +649,68 @@ def test_a_line_refuses_at_its_first_side_that_is_not_finite():
         check("T2", SymmetryInstance(chi=chi, r=1, ctx=QContext(0.5), a=3, b=3, n=1030))
     assert str(batched.value) == str(single.value)
     assert "n=1030 is not a finite double" in str(single.value)
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+# installs the benchmark's tracer and prints how many of its LAYERS it wrapped
+_INSTALL_TRACER = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from tracer import LAYERS, Tracer
+Tracer().install()
+bound = 0
+for module_name, path in (entry for layer in LAYERS.values() for entry in layer):
+    owner = sys.modules["qeuler." + module_name]
+    *cls, attr = path.split(".")
+    owner = getattr(owner, cls[0]) if cls else owner
+    bound += hasattr(getattr(owner, attr), "__wrapped__")
+print(bound)
+"""
+
+
+def test_the_benchmark_tracer_binds_every_name_it_wraps():
+    # perfbench/tracer.py looks each of its LAYERS up by name: renaming or
+    # deleting one of them makes install() raise
+    done = subprocess.run([sys.executable, "-c", _INSTALL_TRACER, str(_ROOT / "src"),
+                           str(_ROOT / "perfbench")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["26"]
+
+
+@pytest.mark.parametrize("module,name,identity_id", [
+    (identities, "theorem1_sides", "T1"), (identities, "theorem2_sides", "T2"),
+    (identities, "theorem3_sides", "T3"), (identities, "eq12_bridge", "EQ12"),
+    (identities, "eq15_sides", "EQ15"), (lfun, "verify_interpolation", "EQ4"),
+])
+def test_each_tracer_stub_is_check_with_its_id(module, name, identity_id):
+    stub = getattr(module, name)
+    assert list(inspect.signature(stub).parameters) == ["inst"]
+    inst = SymmetryInstance(chi=build_character_group(5)[1], r=2, ctx=QContext(0.6), a=1, b=3,
+                            n=3, s=1.5 + 0.5j, m=2, x=0.75, y=0.25)
+    assert stub(inst).to_json_line() == check(identity_id, inst).to_json_line()
+
+
+@pytest.mark.parametrize("identity_id,grid", [
+    ("T2", SweepGrid(d_values=(1,), q_values=(0.5,), n_values=tuple(range(7)))),
+    ("T2", SweepGrid(d_values=(3, 5), q_values=(0.5, 0.7), ab_pairs=((1, 3), (3, 5)),
+                     n_values=(0, 1, 2))),
+    ("T1", SweepGrid(d_values=(15,), q_values=(0.5,), chi_labels=(1, 4), r_values=(1, 2),
+                     ab_pairs=((1, 3),), s_values=(1.5, 2 + 1j), x_values=(0.5, 1.0))),
+    ("EQ15", SweepGrid(d_values=(3,), q_values=(0.5,), m_values=(0, 1, 2), n_values=(0, 1),
+                       x_values=(0.5,), y_values=(0.0, 0.25))),
+])
+def test_the_sweep_budget_counts_a_grid_before_listing_it(monkeypatch, identity_id, grid):
+    builds = []
+    build = identities.build_character_group
+    monkeypatch.setattr(identities, "build_character_group",
+                        lambda d: builds.append(d) or build(d))
+    size = len(list(_grid_instances(IDENTITIES[identity_id], grid)))
+    builds.clear()
+    monkeypatch.setattr(identities, "SWEEP_BUDGET", size)
+    assert len(run_suite(identity_id, grid)) == size
+    assert builds == list(grid.d_values)
+    builds.clear()
+    monkeypatch.setattr(identities, "SWEEP_BUDGET", size - 1)
+    with pytest.raises(BudgetExceeded, match=f"the sweep has {size} instances"):
+        run_suite(identity_id, grid)
+    assert builds == []

@@ -8,12 +8,13 @@ from qeuler import (
     LfunSpec,
     PlanInfeasible,
     QContext,
+    SymmetryInstance,
     TruncationPlan,
     build_character_group,
+    check,
     lfun_eval,
     lfun_value,
     qeuler_value,
-    verify_interpolation,
 )
 from qeuler.cli import main
 
@@ -48,7 +49,8 @@ def test_interpolation_reports(groups, d, r):
     ctx = QContext(0.5)
     for chi in groups[d]:
         for n in (0, 3, 8):
-            report = verify_interpolation(chi, r, n, 1.0, ctx, epsilon=1e-8)
+            report = check("EQ4", SymmetryInstance(chi=chi, r=r, ctx=ctx, n=n, x=1.0),
+                           rel_tol=1e-8)
             assert report.identity_id == "EQ4"
             assert report.passed, report.residual
             assert report.residual <= 1e-8
@@ -59,8 +61,7 @@ def test_truncation_self_oracle(groups):
     ctx = QContext(0.5)
     chi = groups[3][1]
     spec = LfunSpec.create(chi, 1, 2 + 0j, 1.0, ctx, epsilon=1e-8)
-    wide_plan = TruncationPlan(spec.plan.epsilon, 10 * spec.plan.cutoff_M,
-                               spec.plan.tail_bound, spec.plan.max_terms)
+    wide_plan = TruncationPlan(10 * spec.plan.cutoff_M, spec.plan.tail_bound)
     wide = LfunSpec(chi, 1, 2 + 0j, 1.0, ctx, wide_plan)
     assert abs(lfun_eval(spec) - lfun_eval(wide)) <= spec.plan.tail_bound
 
@@ -108,7 +109,7 @@ def test_domain_validation(groups):
     with pytest.raises(DomainError):
         LfunSpec.create(chi, 0, 1 + 0j, 1.0, ctx)
     with pytest.raises(DomainError):
-        verify_interpolation(chi, 1, -1, 1.0, ctx)
+        check("EQ4", SymmetryInstance(chi=chi, r=1, ctx=ctx, n=-1, x=1.0))
 
 
 def test_underflowing_bracket_is_infeasible(groups):
@@ -118,9 +119,10 @@ def test_underflowing_bracket_is_infeasible(groups):
 
 
 def test_verify_interpolation_matches_the_cli(groups, capsys):
-    # epsilon is the relative tolerance only; the series budget is the default
+    # rel_tol is the relative tolerance only; the series budget is the default
     ctx = QContext(0.5)
-    library = [verify_interpolation(chi, 2, n, 1.0, ctx, epsilon=1e-12).to_json_line()
+    library = [check("EQ4", SymmetryInstance(chi=chi, r=2, ctx=ctx, n=n, x=1.0),
+                     rel_tol=1e-12).to_json_line()
                for chi in groups[3] for n in range(4)]
     code = main(["verify", "--identity", "EQ4", "--d", "3", "--r", "2", "--q", "0.5",
                  "--n-max", "3", "--tolerance", "1e-12", "--output", "json"])

@@ -132,8 +132,8 @@ def _reference_scan(q, r, weight, epsilon, max_terms=DEFAULT_MAX_TERMS):
 def test_plan_bound_is_certified_and_minimal():
     ctx = QContext(0.5)
     plan = plan_truncation(ctx, x=0.0, n=0, r=1, epsilon=1e-12)
-    assert plan.tail_bound <= plan.epsilon
-    assert plan.cutoff_M <= plan.max_terms
+    assert plan.tail_bound <= 1e-12
+    assert plan.cutoff_M <= DEFAULT_MAX_TERMS
     # independent recomputation of the ratio-test bound at the cutoff
     M = plan.cutoff_M
     rho = 0.5 * (M + 1) / (M + 1)
@@ -141,7 +141,7 @@ def test_plan_bound_is_certified_and_minimal():
     assert bound == pytest.approx(plan.tail_bound, rel=1e-12)
     # minimality: one index earlier the same bound misses epsilon
     bound_prev = _dominating_term(0.5, 1, 1.0, M - 1) / (1 - rho)
-    assert bound_prev > plan.epsilon
+    assert bound_prev > 1e-12
     # geometric tail at q=1/2 needs a cutoff in the low forties for 1e-12
     assert 38 <= M <= 48
 
@@ -187,8 +187,7 @@ def test_plan_tail_bound_is_empirically_sound(q, d, r, n, x):
     chi = build_character_group(d)[d // 2]
     plan = plan_truncation(ctx, x, n, r, epsilon=1e-8)
     spec = QEulerSpec(chi, r, n, x, ctx, plan)
-    wide = TruncationPlan(plan.epsilon, 2 * max(plan.cutoff_M, 1),
-                          plan.tail_bound, plan.max_terms)
+    wide = TruncationPlan(2 * max(plan.cutoff_M, 1), plan.tail_bound)
     spec_wide = QEulerSpec(chi, r, n, x, ctx, wide)
     assert abs(qeuler_poly(spec) - qeuler_poly(spec_wide)) <= plan.tail_bound
 
@@ -300,7 +299,8 @@ def test_memoized_plans_keep_refusals_and_their_own_inputs():
     with pytest.raises(PlanInfeasible, match="no cutoff within 1000 terms"):
         plan_truncation_weighted(ctx, 1, 1.0, 1e-10, 1000)
     assert qnum.plan_shared.cache_info().currsize == cached == 8
-    assert plan_truncation_weighted(ctx, 1, 1.0, 1e-10, 3000).max_terms == 3000
+    assert plan_truncation_weighted(ctx, 1, 1.0, 1e-10, 3000) == TruncationPlan(
+        *plans[(1, 1e-10, 3000)])
 
 
 @pytest.mark.parametrize("d", [1, 3, 15, 45])

@@ -6,6 +6,10 @@ line per argv:
 
     EXIT SHA256(stdout)[:16] ARGV
 
+then runs each script in demos/ the same way and prints one line per demo:
+
+    EXIT SHA256(stdout)[:16] demos/NAME.py
+
 A golden check is a diff of two runs, one per checkout:
 
     PYTHONPATH=src python3 tools/golden.py > after.txt
@@ -20,6 +24,9 @@ import hashlib
 import shlex
 import subprocess
 import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # verify --output json --identity ...: the sweep set every refactor is held to
 VERIFY_JSON = [
@@ -132,6 +139,9 @@ EDGES = [
     "verify --identity T2 --d 1 --r 1 --q 0.5 --a 3 --b 3 --n-max 1030 --x 1 --output json",
     "verify --identity EQ12 --d 1 --q 0.5 --a 1 --b 3 --n-max 1100",
     "eval-powersum --d 1 --r 1000000 --upper 1 --n 0 --i 0 --q 0.5",
+    # grids past SWEEP_BUDGET instances, refused before any is listed
+    "verify --identity T2 --d 3001 --q 0.5 --n-max 10000",
+    "verify --identity EQ15 --d 1 --q 0.5 --m-max 10000 --n-max 10000",
 ]
 
 ARGVS = (
@@ -142,12 +152,16 @@ ARGVS = (
 )
 
 
+def _line(command: list[str], name: str) -> str:
+    done = subprocess.run([sys.executable, *command], capture_output=True)
+    return f"{done.returncode} {hashlib.sha256(done.stdout).hexdigest()[:16]} {name}"
+
+
 def main() -> int:
     for argv in ARGVS:
-        done = subprocess.run([sys.executable, "-m", "qeuler", *shlex.split(argv)],
-                              capture_output=True)
-        digest = hashlib.sha256(done.stdout).hexdigest()[:16]
-        print(f"{done.returncode} {digest} {argv}", flush=True)
+        print(_line(["-m", "qeuler", *shlex.split(argv)], argv), flush=True)
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        print(_line([str(demo)], demo.relative_to(ROOT).as_posix()), flush=True)
     return 0
 
 
