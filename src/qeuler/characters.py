@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,23 +68,22 @@ def _primitive_root(p: int, e: int) -> int:
     return g
 
 
-@dataclass(eq=False)
 class DirichletCharacter:
     """A d-periodic completely multiplicative map, zero off units mod d.
 
-    values[m] holds chi(m) for residues 0 <= m < d.  The unique character mod
-    1 is identically one, including at 0, so that series starting at index 0
-    keep their constant term in the unramified case.  label is the position
-    of the character's exponent tuple in lexicographic order; label 0 is the
-    principal character.
+    values[m] holds chi(m) for residues 0 <= m < d, read-only.  The unique
+    character mod 1 is identically one, including at 0, so that series
+    starting at index 0 keep their constant term in the unramified case.
+    label is the position of the character's exponent tuple in lexicographic
+    order; label 0 is the principal character.  Characters compare by
+    identity.
     """
 
-    modulus_d: int
-    label: int
-    values: np.ndarray
+    __slots__ = ("modulus_d", "label", "values")
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=complex)
+    def __init__(self, modulus_d: int, label: int, values) -> None:
+        self.modulus_d, self.label = modulus_d, label
+        self.values = np.asarray(values, dtype=complex)
         self.values.setflags(write=False)
 
     def __call__(self, m: int) -> complex:
@@ -110,7 +108,6 @@ class DirichletCharacter:
         }
 
 
-@dataclass(eq=False)
 class CharacterGroup:
     """All phi(d) characters modulo an odd d, principal first.
 
@@ -119,9 +116,11 @@ class CharacterGroup:
     exponent tuples with respect to that factor order.
     """
 
-    modulus_d: int
-    characters: list[DirichletCharacter]
-    structure: list[tuple[int, int, int]] = field(default_factory=list)
+    __slots__ = ("modulus_d", "characters", "structure")
+
+    def __init__(self, modulus_d: int, characters: list[DirichletCharacter],
+                 structure: list[tuple[int, int, int]]) -> None:
+        self.modulus_d, self.characters, self.structure = modulus_d, characters, structure
 
     def __len__(self) -> int:
         return len(self.characters)

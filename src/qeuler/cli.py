@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
-import csv
 import io
 import itertools
 import json
@@ -204,6 +203,8 @@ def _emit(chunks, out_path: str | None) -> None:
 def _csv(rows) -> str:
     """CSV of rows, one rule per cell: text as it is, None empty, anything else
     its json.dumps (a finite float's repr, a bool's true or false)."""
+    import csv  # here, so that only --output csv loads it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
         [c if isinstance(c, str) else "" if c is None else json.dumps(c) for c in row]

@@ -16,11 +16,10 @@ run_suite() sweeps a row's axes over a SweepGrid, one line at a time.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import DirichletCharacter, build_character_group, group_order
 from .errors import BudgetExceeded, DomainError, ParityViolation, PlanInfeasible
@@ -62,8 +61,7 @@ def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
     return PowerSums(tuple_totals(chi, r, upper_a, 1), upper_a, ctx)(n, [i])[0]
 
 
-@dataclass(frozen=True)
-class SymmetryInstance:
+class SymmetryInstance(NamedTuple):
     """Parameter point for one symmetry check.  a and b must be odd for the
     theorems to apply; check() validates them, so sweeps can record the
     violation instead of aborting."""
@@ -100,14 +98,13 @@ def _each(side: Callable[[SymmetryInstance, float, int], complex]) -> Side:
         values = []
         for k, n in enumerate(ns):
             with at_degree(k):
-                values.append(finite(side(dataclasses.replace(inst, n=n), epsilon, max_terms), n))
+                values.append(finite(side(inst._replace(n=n), epsilon, max_terms), n))
         return values
 
     return line
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One row of the identity table: the grid axes read after d, chi, r, q in
     enumeration order ("ab" is the odd pair, the rest name SymmetryInstance
     fields), the two sides, and the default relative tolerance."""
@@ -248,8 +245,7 @@ def eq15_sides(inst: SymmetryInstance) -> IdentityReport:
     return check("EQ15", inst)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     """Cartesian parameter grid for run_suite; axes irrelevant to an identity
     are ignored.  chi_labels=None selects every character of each modulus."""
 
@@ -267,14 +263,20 @@ class SweepGrid:
 
 def _grid_instances(row: Identity, grid: SweepGrid):
     """Deterministic enumeration: d, chi, r, q, then the row's axes in order.
-    A grid of more than SWEEP_BUDGET instances raises BudgetExceeded first,
-    counted from group_order and the axis lengths, before any table is built."""
+    Before any table is built, a chi label outside [0, phi(d)) raises
+    DomainError and a grid of more than SWEEP_BUDGET instances BudgetExceeded,
+    both read from group_order and the axis lengths."""
     values = {"ab": grid.ab_pairs, "s": grid.s_values, "m": grid.m_values,
               "n": grid.n_values, "x": grid.x_values, "y": grid.y_values}
     axes = [values[axis] for axis in row.axes]
+    orders = [group_order(d) for d in grid.d_values]
+    for d, order in zip(grid.d_values, orders):
+        for label in grid.chi_labels or ():
+            if not 0 <= label < order:
+                raise DomainError(f"chi label must be nonnegative and below the group size "
+                                  f"{order} of d={d}, got {label}")
     size = math.prod(map(len, (grid.r_values, grid.q_values, *axes))) * sum(
-        group_order(d) if grid.chi_labels is None else len(grid.chi_labels)
-        for d in grid.d_values)
+        order if grid.chi_labels is None else len(grid.chi_labels) for order in orders)
     if size > SWEEP_BUDGET:
         raise BudgetExceeded(f"the sweep has {size} instances, over the budget "
                              f"{SWEEP_BUDGET:g}")
@@ -355,7 +357,7 @@ def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILO
     instances = list(_grid_instances(row, grid))
     lines = {}
     for position, inst in enumerate(instances):
-        lines.setdefault(dataclasses.replace(inst, n=None), []).append(position)
+        lines.setdefault(inst._replace(n=None), []).append(position)
     reports, refusal = [None] * len(instances), None
     for positions in lines.values():  # in the order of their first instances
         if refusal is not None:  # only an earlier instance can refuse first

@@ -15,7 +15,7 @@ polynomials: l_r(-n, x | chi) = E_n(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ def power_weight_bound(ctx: QContext, x: float, s: complex) -> float:
     return weight_sup(ctx, x, -s)
 
 
-@dataclass(frozen=True)
-class LfunSpec:
+class LfunSpec(NamedTuple):
     """One l-function evaluation with its certified truncation plan."""
 
     chi: DirichletCharacter

@@ -16,8 +16,8 @@ share the grouping step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .qnum import (
 TUPLE_BUDGET = 10 ** 8
 
 
-@dataclass(frozen=True)
-class QEulerSpec:
+class QEulerSpec(NamedTuple):
     """One polynomial evaluation: character, order, degree, argument, context,
     and the truncation plan certified for exactly these parameters."""
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,20 +32,33 @@ PREFIX_BYTES = 2 ** 19
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
 class QContext:
     """Deformation parameter q strictly inside (0,1).
 
     q is kept real: principal powers q^x are then unambiguous for every real x
     and the bracket [m+x]_q stays positive for m + x > 0, so no branch choices
-    arise anywhere downstream.
+    arise anywhere downstream.  Immutable, equal and hashed by q: plan_shared
+    memoizes on it.
     """
 
-    q: float
+    __slots__ = ("q",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must lie strictly inside (0,1), got {self.q}")
+    def __init__(self, q: float) -> None:
+        if not 0.0 < q < 1.0:
+            raise DomainError(f"q must lie strictly inside (0,1), got {q}")
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"QContext is immutable, cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self.q == other.q if other.__class__ is QContext else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q,))
+
+    def __repr__(self) -> str:
+        return f"QContext(q={self.q!r})"
 
     def power(self, a: int) -> QContext:
         """Derived context with q replaced by q^a (a positive integer); a q^a
@@ -74,8 +87,7 @@ def q_bracket_two_pow(r: int, ctx: QContext) -> float:
     return (1.0 + ctx.q) ** r
 
 
-@dataclass(frozen=True)
-class TruncationPlan:
+class TruncationPlan(NamedTuple):
     """Cutoff certificate: summing indices m < cutoff_M leaves a tail of at
     most tail_bound, which is at most the epsilon it was planned for."""
 

@@ -10,7 +10,7 @@ numbers are emitted as [re, im] pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _encode(value):
@@ -19,8 +19,7 @@ def _encode(value):
     return value
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity instance; passed is residual <= tolerance."""
 
     identity_id: str

@@ -1,6 +1,5 @@
 import cmath
 import contextlib
-import dataclasses
 import inspect
 import io
 import json
@@ -641,8 +640,7 @@ def test_a_line_refuses_at_its_first_side_that_is_not_finite():
     chi = build_character_group(1)[0]
     grid = SweepGrid(d_values=(1,), q_values=(0.5,), ab_pairs=((3, 3),),
                      n_values=tuple(range(1501)))
-    assert all(r.passed for r in run_suite("T2", dataclasses.replace(
-        grid, n_values=tuple(range(1030)))))
+    assert all(r.passed for r in run_suite("T2", grid._replace(n_values=tuple(range(1030)))))
     with pytest.raises(PlanInfeasible) as batched:
         run_suite("T2", grid)
     with pytest.raises(PlanInfeasible) as single:
@@ -688,6 +686,48 @@ def test_each_tracer_stub_is_check_with_its_id(module, name, identity_id):
     inst = SymmetryInstance(chi=build_character_group(5)[1], r=2, ctx=QContext(0.6), a=1, b=3,
                             n=3, s=1.5 + 0.5j, m=2, x=0.75, y=0.25)
     assert stub(inst).to_json_line() == check(identity_id, inst).to_json_line()
+
+
+def test_the_spec_constructors_stay_classmethods():
+    # perfbench/tracer.py finds create in each class's __dict__ and rewraps it
+    chi, ctx = build_character_group(3)[1], QContext(0.5)
+    for cls, weigher in ((QEulerSpec, 3), (LfunSpec, 1.5 + 0.5j)):
+        assert isinstance(cls.__dict__["create"], classmethod)
+        spec = cls.create(chi, 2, weigher, 0.75, ctx)
+        assert type(spec) is cls and spec.chi is chi and spec.plan.cutoff_M > 0
+        with pytest.raises(AttributeError):
+            spec.r = 3
+
+
+def test_a_sweep_line_is_every_field_but_the_degree():
+    # run_suite groups instances by inst._replace(n=None): characters compare by
+    # identity, contexts by q, every other field by value
+    grid = SweepGrid(d_values=(3, 15), q_values=(0.5, 0.7), chi_labels=(0, 1),
+                     ab_pairs=((1, 3), (3, 1)), n_values=(0, 1, 2), x_values=(0.5, 1.0))
+    by_key, by_fields = {}, {}
+    for k, inst in enumerate(_grid_instances(IDENTITIES["T2"], grid)):
+        by_key.setdefault(inst._replace(n=None), []).append(k)
+        by_fields.setdefault((id(inst.chi), inst.r, inst.ctx.q, inst.a, inst.b, inst.s,
+                              inst.m, inst.x, inst.y), []).append(k)
+    assert list(by_key.values()) == list(by_fields.values())
+    assert len(by_key) == 32 and all(len(line) == 3 for line in by_key.values())
+    chi = build_character_group(3)[1]
+    line = SymmetryInstance(chi=chi, r=2, ctx=QContext(0.5), a=3, n=4)._replace(n=None)
+    assert line == SymmetryInstance(chi=chi, r=2, ctx=QContext(0.5), a=3)
+    assert hash(line) == hash(SymmetryInstance(chi=chi, r=2, ctx=QContext(0.5), a=3))
+    assert line != SymmetryInstance(chi=build_character_group(3)[1], r=2, ctx=QContext(0.5),
+                                    a=3)
+
+
+@pytest.mark.parametrize("labels", [(5,), (-1,), (0, 2)])
+def test_a_chi_label_outside_the_group_is_refused_before_any_build(monkeypatch, labels):
+    builds = []
+    build = identities.build_character_group
+    monkeypatch.setattr(identities, "build_character_group",
+                        lambda d: builds.append(d) or build(d))
+    with pytest.raises(DomainError, match="below the group size 2 of d=3, got"):
+        run_suite("T2", SweepGrid(d_values=(3,), q_values=(0.5,), chi_labels=labels))
+    assert builds == []
 
 
 @pytest.mark.parametrize("identity_id,grid", [

@@ -42,6 +42,20 @@ def test_qcontext_rejects_bad_parameters():
         QContext(1.5)
 
 
+def test_equal_contexts_are_one_plan_key_that_cannot_change():
+    # plan_shared memoizes on QContext: contexts equal in q are one cache entry
+    qnum.plan_shared.cache_clear()
+    plan = qnum.plan_shared(QContext(0.37), 2, 1.0, 1, 1e-10, DEFAULT_MAX_TERMS)
+    assert qnum.plan_shared(QContext(0.37), 2, 1.0, 1, 1e-10, DEFAULT_MAX_TERMS) is plan
+    assert qnum.plan_shared.cache_info().currsize == 1
+    assert QContext(0.37) == QContext(0.37) != QContext(0.38)
+    assert hash(QContext(0.37)) == hash(QContext(0.37))
+    ctx = QContext(0.37)
+    with pytest.raises(AttributeError):
+        ctx.q = 0.5
+    assert ctx.q == 0.37
+
+
 def test_q_number_small_values():
     ctx = QContext(0.5)
     assert q_number(0, ctx) == 0.0
