@@ -9,34 +9,28 @@ polynomial values into power sums.
 Every identity is one row of the table IDENTITIES: the grid axes it reads,
 its two sides, and its default relative tolerance.  A side evaluates a sweep
 line, the instances of a row that are equal in every field but the degree n,
-and returns one value per degree, each bit for bit its one-degree value.
-check() validates an instance and evaluates it as a one-degree line;
-run_suite() sweeps a row's axes over a SweepGrid, one line at a time.
+by the protocol stated at Side.  check() validates an instance and evaluates
+it as a one-degree line; run_suite() sweeps a row's axes over a SweepGrid,
+one line at a time.  Both read a line's values and its refusal from
+_sides(), so a line refuses where check() would first refuse.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
-from collections.abc import Callable
+import numbers
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .characters import DirichletCharacter, build_character_group, group_order
-from .errors import BudgetExceeded, DomainError, ParityViolation, PlanInfeasible
+from .errors import BudgetExceeded, DomainError, ParityViolation, PlanInfeasible, QEulerError
 from .lfun import lfun_value
 from .polynomials import binomial_shift_sum, qeuler_addition, qeuler_value
 from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
 from .report import IdentityReport, make_error_report, make_report
-from .sides import (
-    DegreeError,
-    PowerSums,
-    at_degree,
-    finite,
-    lfun_side,
-    poly_side,
-    power_sum_side,
-    tuple_totals,
-)
+from .sides import PowerSums, lfun_side, poly_side, power_sum_side, tuple_totals
 
 DEFAULT_REL_TOL = 1e-7
 BRIDGE_REL_TOL = 1e-8
@@ -78,9 +72,14 @@ class SymmetryInstance(NamedTuple):
     y: float = 0.0
 
 
-# A side maps (the line's instance, its degrees, epsilon, max_terms) to one
-# value per degree, and raises DegreeError at the first degree it refuses.
-Side = Callable[[SymmetryInstance, list, float, int], list[complex]]
+# A side maps (the line's instance, its degrees, epsilon, max_terms) to an
+# iterator that yields one raw value per degree, each bit for bit its
+# one-degree value.  At the first degree whose one-degree evaluation refuses,
+# it raises that refusal (a QEulerError, or the OverflowError of a float
+# power) once it has yielded the degrees before it.  _values() collects a side
+# and owns both side rules: a value that is not a finite double, and a float
+# overflow, are refused as PlanInfeasible.
+Side = Callable[[SymmetryInstance, list, float, int], Iterator[complex]]
 
 
 def _roles(side, mirrored: bool = False) -> Side:
@@ -94,14 +93,8 @@ def _roles(side, mirrored: bool = False) -> Side:
 
 def _each(side: Callable[[SymmetryInstance, float, int], complex]) -> Side:
     """A one-instance side mapped over a line, one degree after another."""
-    def line(inst: SymmetryInstance, ns: list, epsilon: float, max_terms: int):
-        values = []
-        for k, n in enumerate(ns):
-            with at_degree(k):
-                values.append(finite(side(inst._replace(n=n), epsilon, max_terms), n))
-        return values
-
-    return line
+    return lambda inst, ns, epsilon, max_terms: (side(inst._replace(n=n), epsilon, max_terms)
+                                                 for n in ns)
 
 
 class Identity(NamedTuple):
@@ -192,17 +185,42 @@ def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> None:
             raise ParityViolation(f"{name} must be a positive odd integer, got {value}")
     if "s" in row.axes and inst.s is None:
         raise DomainError(f"{identity_id} needs the exponent s")
-    for name in ("m", "n", "x", "y"):
+    for name in (axis for axis in ("m", "n", "x", "y") if axis in row.axes):
         value = getattr(inst, name)
-        if name in row.axes and (value is None or not 0 <= value < math.inf):
+        if value is None or not 0 <= value < math.inf:
             raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
+        if name in ("m", "n") and not isinstance(value, numbers.Integral):
+            raise DomainError(f"{identity_id} needs an integer degree {name}, got {value!r}")
 
 
-def _side_error(identity_id: str, error: Exception) -> Exception:
-    """The error a side's refusal raises: a float overflow is PlanInfeasible."""
-    if isinstance(error, OverflowError):
-        return PlanInfeasible(f"a side of {identity_id} overflows a double: {error}")
-    return error
+def _values(identity_id: str, side: Side, inst: SymmetryInstance, ns: list, epsilon: float,
+            max_terms: int) -> tuple[list[complex], QEulerError | None]:
+    """The values a side yields over the degrees ns, up to its first refusal,
+    and that refusal or None.  A value that is not a finite double, and a
+    float overflow, are refused as PlanInfeasible."""
+    values = []
+    try:
+        for n, value in zip(ns, side(inst, ns, epsilon, max_terms)):
+            if not cmath.isfinite(value):
+                at = "" if n is None else f" at n={n}"
+                return values, PlanInfeasible(f"a side value{at} is not a finite double: "
+                                              f"{value!r}")
+            values.append(value)
+    except OverflowError as exc:
+        return values, PlanInfeasible(f"a side of {identity_id} overflows a double: {exc}")
+    except QEulerError as exc:
+        return values, exc
+    return values, None
+
+
+def _sides(identity_id: str, row: Identity, inst: SymmetryInstance, ns: list, epsilon: float,
+           max_terms: int) -> tuple[list[complex], list[complex], QEulerError | None]:
+    """(lhs, rhs, refusal): the lhs over ns, then the rhs over the degrees the
+    lhs evaluated.  The refusal is the one check meets first, at the degree
+    index len(rhs): the rhs's if it has one, else the lhs's."""
+    lhs, lhs_refusal = _values(identity_id, row.lhs, inst, ns, epsilon, max_terms)
+    rhs, rhs_refusal = _values(identity_id, row.rhs, inst, ns[:len(lhs)], epsilon, max_terms)
+    return lhs, rhs, rhs_refusal or lhs_refusal
 
 
 def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
@@ -214,13 +232,11 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
     PlanInfeasible."""
     row = _row(identity_id)
     _validate(identity_id, row, inst)
-    try:
-        [lhs] = row.lhs(inst, [inst.n], epsilon, max_terms)
-        [rhs] = row.rhs(inst, [inst.n], epsilon, max_terms)
-    except DegreeError as exc:
-        raise _side_error(identity_id, exc.args[1]) from None
+    lhs, rhs, refusal = _sides(identity_id, row, inst, [inst.n], epsilon, max_terms)
+    if refusal is not None:
+        raise refusal
     rel = row.rel_tol if rel_tol is None else rel_tol
-    return make_report(identity_id, _record(row, inst), lhs, rhs, rel)
+    return make_report(identity_id, _record(row, inst), lhs[0], rhs[0], rel)
 
 
 # perfbench/tracer.py times the identities layer by binding these names;
@@ -291,22 +307,14 @@ def _grid_instances(row: Identity, grid: SweepGrid):
             yield SymmetryInstance(chi=group[label], r=r, ctx=ctx, **fields)
 
 
-def _evaluate_instance(identity_id: str, inst: SymmetryInstance, epsilon: float,
-                       max_terms: int, rel_tol: float | None) -> IdentityReport:
-    try:
-        return check(identity_id, inst, epsilon, max_terms, rel_tol)
-    except DomainError as exc:
-        return make_error_report(identity_id, _record(IDENTITIES[identity_id], inst), exc)
-
-
 def _line_reports(identity_id: str, row: Identity, insts: list, epsilon: float,
-                  max_terms: int, rel_tol: float | None) -> list[IdentityReport]:
-    """The reports of one sweep line's instances in order, each equal to
-    check's.  An instance outside its row's axes is recorded in place, and the
-    others go through each side once.  The refusal check would meet first
-    (degree by degree, lhs before rhs) is raised as a DegreeError at its
-    instance's index; a DomainError inside a side sends the line through check
-    one instance at a time, which records it where it arises."""
+                  max_terms: int, rel_tol: float | None):
+    """(reports, refusal) of one sweep line's instances in order, each report
+    equal to check's.  An instance outside its row's axes is recorded in place,
+    and the others go through each side once.  The refusal is None, or
+    (index, error): the refusal check meets first and its instance's index.
+    A DomainError inside a side sends the line through check one instance at
+    a time, which records it where it arises."""
     reports, valid = [None] * len(insts), []
     for k, inst in enumerate(insts):
         try:
@@ -315,29 +323,25 @@ def _line_reports(identity_id: str, row: Identity, insts: list, epsilon: float,
         except DomainError as exc:
             reports[k] = make_error_report(identity_id, _record(row, inst), exc)
     if not valid:
-        return reports
-    base, ns, refusal = insts[valid[0]], [insts[k].n for k in valid], None
-    try:
-        lhs = row.lhs(base, ns, epsilon, max_terms)
-    except DegreeError as exc:  # the rhs can refuse first only below it
-        ns, refusal = ns[:exc.args[0]], exc.args
-    try:
-        rhs = row.rhs(base, ns, epsilon, max_terms) if ns else []
-    except DegreeError as exc:
-        refusal = exc.args
-    if refusal is not None and isinstance(refusal[1], DomainError):
+        return reports, None
+    lhs, rhs, refusal = _sides(identity_id, row, insts[valid[0]], [insts[k].n for k in valid],
+                               epsilon, max_terms)
+    if isinstance(refusal, DomainError):
         reports = []
         for k, inst in enumerate(insts):
-            with at_degree(k):
-                reports.append(_evaluate_instance(identity_id, inst, epsilon, max_terms,
-                                                  rel_tol))
-        return reports
+            try:
+                reports.append(check(identity_id, inst, epsilon, max_terms, rel_tol))
+            except DomainError as exc:
+                reports.append(make_error_report(identity_id, _record(row, inst), exc))
+            except QEulerError as exc:
+                return reports, (k, exc)
+        return reports, None
     if refusal is not None:
-        raise DegreeError(valid[refusal[0]], _side_error(identity_id, refusal[1]))
+        return reports, (valid[len(rhs)], refusal)
     rel = row.rel_tol if rel_tol is None else rel_tol
     for k, lhs_k, rhs_k in zip(valid, lhs, rhs):
         reports[k] = make_report(identity_id, _record(row, insts[k]), lhs_k, rhs_k, rel)
-    return reports
+    return reports, None
 
 
 def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILON,
@@ -364,14 +368,12 @@ def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILO
             positions = [p for p in positions if p < refusal[0]]
             if not positions:
                 break
-        try:
-            line = _line_reports(identity_id, row, [instances[p] for p in positions],
-                                 epsilon, max_terms, rel_tol)
-        except DegreeError as exc:
-            refusal = positions[exc.args[0]], exc.args[1]
-            continue
+        line, stop = _line_reports(identity_id, row, [instances[p] for p in positions],
+                                   epsilon, max_terms, rel_tol)
         for position, report in zip(positions, line):
             reports[position] = report
+        if stop is not None:
+            refusal = positions[stop[0]], stop[1]
     if refusal is not None:
         raise refusal[1]
     return reports

@@ -17,20 +17,20 @@ takes the roles explicitly and the mirror is produced by literally swapping
 the arguments, so instances with a = b agree bit for bit.
 
 A sweep line is a set of instances equal in every field but the degree n.
-The polynomial and power-sum forms take a line's degrees and return one
-value per degree: the tuple totals, shifted arguments, composition sums and
+The polynomial and power-sum forms take a line's degrees and yield one value
+per degree: the tuple totals, shifted arguments, composition sums and
 bracket matrix of a side depend on the line, not on n, so they are formed
-once, and so is each factor row of the power sums.  Each degree keeps its own plan and budget, and the t-sums and i-sums
-keep their scalar order, so every value is bit for bit the one-degree value.
-A side refuses where a one-degree evaluation would first refuse, degree by
-degree, raising DegreeError with that degree's index; a side value that is
-not a finite double is refused at its degree too.
+once, and so is each factor row of the power sums.  Each degree keeps its
+own plan and budget, and the t-sums and i-sums keep their scalar order, so
+every value is bit for bit the one-degree value.  Both forms are generators
+and follow the side protocol stated at identities.Side: a line that cannot
+be planned at some degree yields the degrees before it and then raises that
+degree's refusal.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 
 import numpy as np
@@ -48,29 +48,6 @@ from .qnum import (
     q_bracket_two_pow,
     q_number,
 )
-
-class DegreeError(Exception):
-    """args (index, error): the first refusal along a line, at its degree's index."""
-
-
-@contextlib.contextmanager
-def at_degree(index: int):
-    """Re-raise a refusal inside (a QEulerError, or the OverflowError of a
-    float power) as a DegreeError at index."""
-    try:
-        yield
-    except (QEulerError, OverflowError) as exc:
-        raise DegreeError(index, exc) from None
-
-
-def finite(value: complex, n: int | None) -> complex:
-    """value, the side's value at degree n; PlanInfeasible when it is not a
-    finite double."""
-    if not cmath.isfinite(value):
-        at = "" if n is None else f" at n={n}"
-        raise PlanInfeasible(f"a side value{at} is not a finite double: {value!r}")
-    return value
-
 
 def _check_rows(rows: int, weight_rows: int) -> None:
     if rows * weight_rows > SERIES_BUDGET:
@@ -158,63 +135,55 @@ def lfun_side(inst, first: int, second: int, epsilon: float, max_terms: int) -> 
             * _shifted_total(weights, terms))
 
 
-def poly_side(inst, ns: list, first: int, second: int, epsilon: float,
-              max_terms: int) -> list[complex]:
-    """One side of the polynomial symmetry in roles (first, second) at every
-    degree of ns.  The weights and arguments of the totals t, one conv_power
-    and one bracket matrix serve every degree; each degree keeps the plan of
-    its own len(args) cells and is summed over t from its own column."""
+def poly_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
+    """One side of the polynomial symmetry in roles (first, second), yielded
+    at every degree of ns.  The weights and arguments of the totals t, one
+    conv_power and one bracket matrix serve every degree; each degree keeps
+    the plan of its own len(args) cells and is summed over t from its own
+    column."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
     prefactors, cutoffs, refusal = [], [], None
     try:
         for k, n in enumerate(ns):  # each step refuses where check would at that degree
-            with at_degree(k):
-                prefactors.append(q_number(first, ctx) ** n)
-                if k == 0:
-                    weights, args = _shift_weights(inst, first, second)
-                    ctx_first = ctx.power(first)
-                # the weight bound (1-q)^(-n) is the same at every argument
-                bound = degree_weight_bound(ctx_first, args[0], n)
-                cutoffs.append(plan_shared(ctx_first, r, bound, len(args), epsilon,
-                                           max_terms)[0])
-                if k == 0:
-                    two = q_bracket_two_pow(r, ctx.power(second))
-    except DegreeError as exc:  # the degrees before it may refuse first, below
-        ns, refusal = ns[:exc.args[0]], exc
-    values = []
+            prefactors.append(q_number(first, ctx) ** n)
+            if k == 0:
+                weights, args = _shift_weights(inst, first, second)
+                ctx_first = ctx.power(first)
+            # the weight bound (1-q)^(-n) is the same at every argument
+            bound = degree_weight_bound(ctx_first, args[0], n)
+            cutoffs.append(plan_shared(ctx_first, r, bound, len(args), epsilon, max_terms)[0])
+            if k == 0:
+                two = q_bracket_two_pow(r, ctx.power(second))
+    except (QEulerError, OverflowError) as exc:  # raised after the degrees before it
+        ns, refusal = ns[:k], exc
     if ns:
         columns = series_table(chi, r, ctx_first, args, [degree_weights(n) for n in ns], cutoffs)
-        for k, (prefactor, terms) in enumerate(zip(prefactors, columns)):
-            with at_degree(k):
-                values.append(finite(two * prefactor * _shifted_total(weights, terms), ns[k]))
+        for prefactor, terms in zip(prefactors, columns):
+            yield two * prefactor * _shifted_total(weights, terms)
     if refusal is not None:
         raise refusal
-    return values
 
 
-def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float,
-                   max_terms: int) -> list[complex]:
-    """One side of the power-sum expansion in roles (first, second) at every
-    degree of ns: one table of E_j(second x) at q^first for every j up to the
-    largest degree, and one tuple-total histogram for every S_{n,i}.  Degree n
-    keeps the plan of its own n + 1 cells E_n, ..., E_0 and is summed over i on
-    its own."""
+def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
+    """One side of the power-sum expansion in roles (first, second), yielded
+    at every degree of ns: one table of E_j(second x) at q^first for every j
+    up to the largest degree, and one tuple-total histogram for every
+    S_{n,i}.  Degree n keeps the plan of its own n + 1 cells E_n, ..., E_0 and
+    is summed over i on its own."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
     arg = second * inst.x
     bounds, cutoffs, refusal = [], [], None  # of E_j(arg), by j
     try:
         for k, n in enumerate(ns):  # each step refuses where check would at that degree
-            with at_degree(k):
-                if k == 0:
-                    ctx_second, ctx_first = ctx.power(second), ctx.power(first)
-                # the degrees not bounded yet, largest first, as qeuler_table bounds them
-                bounds += reversed([degree_weight_bound(ctx_first, arg, j)
-                                    for j in range(n, len(bounds) - 1, -1)])
-                cutoffs[:n + 1] = plan_cutoffs(ctx_first, r, bounds[n::-1], epsilon,
-                                               max_terms)[::-1].tolist()
-    except DegreeError as exc:  # the degrees before it may refuse first, below
-        ns, refusal = ns[:exc.args[0]], exc
-    values = []
+            if k == 0:
+                ctx_second, ctx_first = ctx.power(second), ctx.power(first)
+            # the degrees not bounded yet, largest first, as qeuler_table bounds them
+            bounds += reversed([degree_weight_bound(ctx_first, arg, j)
+                                for j in range(n, len(bounds) - 1, -1)])
+            cutoffs[:n + 1] = plan_cutoffs(ctx_first, r, bounds[n::-1], epsilon,
+                                           max_terms)[::-1].tolist()
+    except (QEulerError, OverflowError) as exc:  # raised after the degrees before it
+        ns, refusal = ns[:k], exc
     if ns:
         top = max(ns)
         e_values = [column[0] for column in series_table(
@@ -222,16 +191,14 @@ def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float,
             cutoffs[:top + 1])]
         upper = first * chi.modulus_d
         bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
-        for k, n in enumerate(ns):
-            with at_degree(k):
-                if k == 0:  # one histogram and its factor rows serve every S_{n,i}
-                    power_sums = PowerSums(tuple_totals(chi, r, upper, n + 1), upper, ctx_second)
-                total, binomial = 0j, 1  # binomial(n, i), updated exactly
-                for i, s_val in enumerate(power_sums(n, range(n + 1))):
-                    total += (binomial * bracket_first ** (n - i) * bracket_second ** i
-                              * e_values[n - i] * s_val)
-                    binomial = binomial * (n - i) // (i + 1)
-                values.append(finite(q_bracket_two_pow(r, ctx_second) * total, n))
+        # one histogram and its factor rows serve every S_{n,i}
+        power_sums = PowerSums(tuple_totals(chi, r, upper, ns[0] + 1), upper, ctx_second)
+        for n in ns:
+            total, binomial = 0j, 1  # binomial(n, i), updated exactly
+            for i, s_val in enumerate(power_sums(n, range(n + 1))):
+                total += (binomial * bracket_first ** (n - i) * bracket_second ** i
+                          * e_values[n - i] * s_val)
+                binomial = binomial * (n - i) // (i + 1)
+            yield q_bracket_two_pow(r, ctx_second) * total
     if refusal is not None:
         raise refusal
-    return values

@@ -483,6 +483,31 @@ def test_check_rejects_non_finite_arguments(groups, ctx, field, value):
         check("EQ15" if field == "m" else "EQ9", inst)
 
 
+@pytest.mark.parametrize("identity_id,field,value", [
+    ("T2", "n", 2.5), ("T3", "n", 2.0), ("EQ5", "n", 2.0), ("EQ9", "n", 2.0),
+    ("EQ15", "n", 2.0), ("EQ15", "m", 1.0),
+])
+def test_a_degree_that_is_not_an_integer_is_a_domain_error(groups, ctx, identity_id, field,
+                                                           value):
+    # a float degree reached range() as a raw TypeError, and T2 evaluated n = 2.5
+    fields = {"m": 1, "n": 2, "x": 0.5, "y": 0.25, "a": 1, "b": 3}
+    inst = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, **fields)
+    with pytest.raises(DomainError, match=f"needs an integer degree {field}, got {value!r}"):
+        check(identity_id, inst._replace(**{field: value}))
+    numpy_degree = check(identity_id, inst._replace(**{field: np.int64(fields[field])}))
+    expected = check(identity_id, inst)
+    assert (numpy_degree.lhs, numpy_degree.rhs) == (expected.lhs, expected.rhs)
+
+
+def test_a_sweep_records_a_degree_that_is_not_an_integer():
+    grid = SweepGrid(d_values=(3,), q_values=(0.5,), chi_labels=(1,), ab_pairs=((1, 3),),
+                     n_values=(1, 1.5, 2))
+    reports = run_suite("T3", grid)
+    assert [r.error is not None for r in reports] == [False, True, False]
+    assert "T3 needs an integer degree n, got 1.5" in reports[1].error
+    assert [r.to_json_line() for r in reports] == _per_instance("T3", grid)
+
+
 @pytest.mark.parametrize("identity_id,bad", [
     ("EQ4", {"x_values": (0.0,)}),  # l(s, x) needs x > 0
     ("EQ9", {"y_values": (-0.5,)}),
@@ -589,6 +614,17 @@ def test_a_side_domain_error_is_recorded_at_every_instance(identity_id):
     reports = run_suite(identity_id, grid)
     assert [r.to_json_line() for r in reports] == _per_instance(identity_id, grid)
     assert all("order r must be a positive integer" in r.error for r in reports)
+
+
+def test_a_line_recorded_one_instance_at_a_time_still_refuses_where_check_does():
+    # r = 0 sends each line through check, which records the low degrees'
+    # DomainError; from n = 712 on the prefactor [3]_q^n overflows first
+    grid = SweepGrid(d_values=(3,), q_values=(0.9,), r_values=(0,), ab_pairs=((3, 1),),
+                     n_values=tuple(range(800)), x_values=(1.0, 0.5))
+    refusal = _batched("T2", grid)
+    assert refusal == _per_instance("T2", grid)
+    assert refusal[0] is PlanInfeasible
+    assert refusal[1].startswith("a side of T2 overflows a double")
 
 
 def test_a_wide_line_plans_each_degree_on_its_own():

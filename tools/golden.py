@@ -4,17 +4,18 @@ Runs a fixed set of argvs, each as `python -m qeuler ARGV` with the
 interpreter running this script and the caller's PYTHONPATH, and prints one
 line per argv:
 
-    EXIT SHA256(stdout)[:16] ARGV
+    EXIT SHA256(stdout)[:16] SHA256(stderr)[:16] ARGV
 
 then runs each script in demos/ the same way and prints one line per demo:
 
-    EXIT SHA256(stdout)[:16] demos/NAME.py
+    EXIT SHA256(stdout)[:16] SHA256(stderr)[:16] demos/NAME.py
 
 A golden check is a diff of two runs, one per checkout:
 
     PYTHONPATH=src python3 tools/golden.py > after.txt
 
-A line that differs names an argv whose exit code or stdout changed.  Only
+A line that differs names an argv whose exit code, stdout or stderr changed;
+stderr holds the message of every refusal (exit 2 or 3).  Only
 the standard library is used; the file is not a test module.
 """
 
@@ -138,6 +139,9 @@ EDGES = [
     "eval-lfun --d 3 --chi 1 --r 2 --q 0.5 --s 0,400 --x 0.5 --output json",
     "verify --identity T2 --d 1 --r 1 --q 0.5 --a 3 --b 3 --n-max 1030 --x 1 --output json",
     "verify --identity EQ12 --d 1 --q 0.5 --a 1 --b 3 --n-max 1100",
+    # lines that refuse in their middle, after degrees that evaluate
+    "verify --identity EQ12 --d 15 --r 2 --q 0.6 --a 1 --b 3 --n-max 15 --max-terms 60",
+    "verify --identity T3 --d 15 --r 2 --q 0.9 --a 1 --b 3 --n-max 30 --max-terms 300",
     "eval-powersum --d 1 --r 1000000 --upper 1 --n 0 --i 0 --q 0.5",
     # grids past SWEEP_BUDGET instances, refused before any is listed
     "verify --identity T2 --d 3001 --q 0.5 --n-max 10000",
@@ -154,7 +158,8 @@ ARGVS = (
 
 def _line(command: list[str], name: str) -> str:
     done = subprocess.run([sys.executable, *command], capture_output=True)
-    return f"{done.returncode} {hashlib.sha256(done.stdout).hexdigest()[:16]} {name}"
+    out, err = (hashlib.sha256(data).hexdigest()[:16] for data in (done.stdout, done.stderr))
+    return f"{done.returncode} {out} {err} {name}"
 
 
 def main() -> int:
