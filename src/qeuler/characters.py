@@ -25,7 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, NegativeArgument, NotOdd, Overflow
+from .errors import (BudgetExceeded, DomainError, NegativeArgument, NotOdd, Overflow, is_integer,
+                     require_positive_int)
 
 MODULUS_BOUND = 3001  # tables of at most phi(d) * d <= 9.0e6 entries
 CONVOLUTION_BUDGET = 10 ** 8
@@ -132,26 +133,29 @@ class CharacterGroup:
         return iter(self.characters)
 
 
-def _check_modulus(d: int) -> None:
-    """The moduli a character group is built for: odd, positive, at most MODULUS_BOUND."""
+def _check_modulus(d: int) -> int:
+    """d as an int, for the moduli a character group is built for: integers
+    (numpy's too) that are odd, positive and at most MODULUS_BOUND."""
+    if not is_integer(d):
+        raise DomainError(f"modulus must be an integer, got {d!r}")
     if d < 1:
         raise DomainError(f"modulus must be positive, got {d}")
     if d % 2 == 0:
         raise NotOdd(f"modulus must be odd, got {d}")
     if d > MODULUS_BOUND:
         raise Overflow(f"modulus {d} exceeds the construction bound {MODULUS_BOUND}")
+    return int(d)
 
 
 def group_order(d: int) -> int:
     """phi(d), the number of characters build_character_group(d) returns,
     from the factorization alone; d is checked by the same rules."""
-    _check_modulus(d)
-    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factorize(d))
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factorize(_check_modulus(d)))
 
 
 def build_character_group(d: int) -> CharacterGroup:
     """Construct the full character group modulo an odd positive integer d."""
-    _check_modulus(d)
+    d = _check_modulus(d)
     if d == 1:
         trivial = DirichletCharacter(1, 0, np.array([1.0 + 0.0j]))
         return CharacterGroup(1, [trivial], [])
@@ -233,8 +237,7 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     identity, so every prefix c_0..c_{k-1} is bit for bit the result at
     length k.
     """
-    if r < 1:
-        raise DomainError(f"order r must be a positive integer, got {r}")
+    require_positive_int(r, "order r")
     if M < 1:
         raise DomainError(f"series length M must be positive, got {M}")
     d = chi.modulus_d
@@ -256,8 +259,7 @@ def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.
     BudgetExceeded when the O(log r) direct convolutions of the fold would
     take more than CONVOLUTION_BUDGET multiply-adds.
     """
-    if r < 1:
-        raise DomainError(f"order r must be a positive integer, got {r}")
+    require_positive_int(r, "order r")
     if upper < 1:
         raise DomainError(f"upper limit must be positive, got {upper}")
     macs = _fold_macs(upper, r, r * (upper - 1) + 1)

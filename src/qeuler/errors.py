@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import numbers
 
 
 class QEulerError(Exception):
@@ -35,3 +37,15 @@ class ParityViolation(DomainError):
 
 class UsageError(QEulerError):
     """Invalid command-line arguments; maps to exit code 2."""
+
+
+def is_integer(value) -> bool:
+    """The package's integer rule: a numbers.Integral, so an int or a numpy
+    integer; int, the common case, is tested first as it is the fastest."""
+    return type(value) is int or isinstance(value, numbers.Integral)
+
+
+def require_positive_int(value, name: str) -> None:
+    """Refuse, as DomainError, a value that is not an integer of at least 1."""
+    if not is_integer(value) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value}")

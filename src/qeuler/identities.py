@@ -9,10 +9,12 @@ polynomial values into power sums.
 Every identity is one row of the table IDENTITIES: the grid axes it reads,
 its two sides, and its default relative tolerance.  A side evaluates a sweep
 line, the instances of a row that are equal in every field but the degree n,
-by the protocol stated at Side.  check() validates an instance and evaluates
-it as a one-degree line; run_suite() sweeps a row's axes over a SweepGrid,
-one line at a time.  Both read a line's values and its refusal from
-_sides(), so a line refuses where check() would first refuse.
+by the protocol stated at Side.  One line checker, _line(), validates a
+line's instances, evaluates both sides over its degrees and reports them.
+check() is its call on a one-instance line; run_suite() sweeps a row's axes
+over a SweepGrid and calls it once per line, so a line refuses where check()
+would first refuse.  A line with a DomainError is checked one instance at
+a time, as check() checks it, and the error is recorded where it arises.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .characters import DirichletCharacter, build_character_group, group_order
-from .errors import BudgetExceeded, DomainError, ParityViolation, PlanInfeasible, QEulerError
+from .errors import (BudgetExceeded, DomainError, ParityViolation, PlanInfeasible, QEulerError,
+                     is_integer)
 from .lfun import lfun_value
 from .polynomials import binomial_shift_sum, qeuler_addition, qeuler_value
 from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
@@ -163,17 +165,22 @@ def _row(identity_id: str) -> Identity:
         raise DomainError(f"unknown identity id {identity_id!r}") from None
 
 
+def _int(value):
+    """An integer, numpy's too, as an int; any other value as it is."""
+    return int(value) if type(value) is not int and is_integer(value) else value
+
+
 def _record(row: Identity, inst: SymmetryInstance) -> dict:
     """The instance fields of a report, successful or not: d, chi, r, q, then
-    the row's axes in order."""
-    record = {"d": inst.chi.modulus_d, "chi": inst.chi.label, "r": inst.r, "q": inst.ctx.q}
+    the row's axes in order, with r, a, b, m and n as an int when integers."""
+    record = {"d": inst.chi.modulus_d, "chi": inst.chi.label, "r": _int(inst.r), "q": inst.ctx.q}
     for axis in row.axes:
         if axis == "ab":
-            record |= {"a": inst.a, "b": inst.b}
+            record |= {"a": _int(inst.a), "b": _int(inst.b)}
         elif axis == "s":
             record["s"] = None if inst.s is None else complex(inst.s)
         else:
-            record[axis] = getattr(inst, axis)
+            record[axis] = _int(getattr(inst, axis)) if axis in ("m", "n") else getattr(inst, axis)
     return record
 
 
@@ -181,7 +188,7 @@ def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> None:
     """Every axis rule of the row, checked before any side is evaluated."""
     for name in ("a", "b") if "ab" in row.axes else ():
         value = getattr(inst, name)
-        if value < 1 or value % 2 == 0:
+        if not is_integer(value) or value < 1 or value % 2 == 0:
             raise ParityViolation(f"{name} must be a positive odd integer, got {value}")
     if "s" in row.axes and inst.s is None:
         raise DomainError(f"{identity_id} needs the exponent s")
@@ -189,7 +196,7 @@ def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> None:
         value = getattr(inst, name)
         if value is None or not 0 <= value < math.inf:
             raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
-        if name in ("m", "n") and not isinstance(value, numbers.Integral):
+        if name in ("m", "n") and not is_integer(value):
             raise DomainError(f"{identity_id} needs an integer degree {name}, got {value!r}")
 
 
@@ -213,30 +220,36 @@ def _values(identity_id: str, side: Side, inst: SymmetryInstance, ns: list, epsi
     return values, None
 
 
-def _sides(identity_id: str, row: Identity, inst: SymmetryInstance, ns: list, epsilon: float,
-           max_terms: int) -> tuple[list[complex], list[complex], QEulerError | None]:
-    """(lhs, rhs, refusal): the lhs over ns, then the rhs over the degrees the
-    lhs evaluated.  The refusal is the one check meets first, at the degree
-    index len(rhs): the rhs's if it has one, else the lhs's."""
-    lhs, lhs_refusal = _values(identity_id, row.lhs, inst, ns, epsilon, max_terms)
-    rhs, rhs_refusal = _values(identity_id, row.rhs, inst, ns[:len(lhs)], epsilon, max_terms)
-    return lhs, rhs, rhs_refusal or lhs_refusal
+def _line(identity_id: str, row: Identity, insts: list, epsilon: float, max_terms: int,
+          rel_tol: float | None) -> tuple[list[IdentityReport], QEulerError | None]:
+    """(reports, refusal) of a sweep line: every instance's axis rules, then the
+    lhs over the line's degrees and the rhs over the degrees the lhs evaluated.
+    The refusal is the one check meets first, the rhs's if it has one, else
+    the lhs's, or None; the reports are those of the instances before it."""
+    try:
+        for inst in insts:
+            _validate(identity_id, row, inst)
+    except DomainError as exc:
+        return [], exc
+    ns = [inst.n for inst in insts]
+    lhs, lhs_refusal = _values(identity_id, row.lhs, insts[0], ns, epsilon, max_terms)
+    rhs, refusal = _values(identity_id, row.rhs, insts[0], ns[:len(lhs)], epsilon, max_terms)
+    rel = row.rel_tol if rel_tol is None else rel_tol
+    return [make_report(identity_id, _record(row, inst), lhs_k, rhs_k, rel)
+            for inst, lhs_k, rhs_k in zip(insts, lhs, rhs)], refusal or lhs_refusal
 
 
 def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPSILON,
           max_terms: int = DEFAULT_MAX_TERMS, rel_tol: float | None = None) -> IdentityReport:
-    """Check one identity at one instance, the one-degree line: validate the
+    """Check one identity at one instance, the one-instance line: validate the
     axes its row reads, evaluate both sides with series budget epsilon, and
     report them against rel_tol (the row's default when None).  A side that
     overflows a double, or whose value is not a finite double, raises
     PlanInfeasible."""
-    row = _row(identity_id)
-    _validate(identity_id, row, inst)
-    lhs, rhs, refusal = _sides(identity_id, row, inst, [inst.n], epsilon, max_terms)
+    reports, refusal = _line(identity_id, _row(identity_id), [inst], epsilon, max_terms, rel_tol)
     if refusal is not None:
         raise refusal
-    rel = row.rel_tol if rel_tol is None else rel_tol
-    return make_report(identity_id, _record(row, inst), lhs[0], rhs[0], rel)
+    return reports[0]
 
 
 # perfbench/tracer.py times the identities layer by binding these names;
@@ -307,43 +320,6 @@ def _grid_instances(row: Identity, grid: SweepGrid):
             yield SymmetryInstance(chi=group[label], r=r, ctx=ctx, **fields)
 
 
-def _line_reports(identity_id: str, row: Identity, insts: list, epsilon: float,
-                  max_terms: int, rel_tol: float | None):
-    """(reports, refusal) of one sweep line's instances in order, each report
-    equal to check's.  An instance outside its row's axes is recorded in place,
-    and the others go through each side once.  The refusal is None, or
-    (index, error): the refusal check meets first and its instance's index.
-    A DomainError inside a side sends the line through check one instance at
-    a time, which records it where it arises."""
-    reports, valid = [None] * len(insts), []
-    for k, inst in enumerate(insts):
-        try:
-            _validate(identity_id, row, inst)
-            valid.append(k)
-        except DomainError as exc:
-            reports[k] = make_error_report(identity_id, _record(row, inst), exc)
-    if not valid:
-        return reports, None
-    lhs, rhs, refusal = _sides(identity_id, row, insts[valid[0]], [insts[k].n for k in valid],
-                               epsilon, max_terms)
-    if isinstance(refusal, DomainError):
-        reports = []
-        for k, inst in enumerate(insts):
-            try:
-                reports.append(check(identity_id, inst, epsilon, max_terms, rel_tol))
-            except DomainError as exc:
-                reports.append(make_error_report(identity_id, _record(row, inst), exc))
-            except QEulerError as exc:
-                return reports, (k, exc)
-        return reports, None
-    if refusal is not None:
-        return reports, (valid[len(rhs)], refusal)
-    rel = row.rel_tol if rel_tol is None else rel_tol
-    for k, lhs_k, rhs_k in zip(valid, lhs, rhs):
-        reports[k] = make_report(identity_id, _record(row, insts[k]), lhs_k, rhs_k, rel)
-    return reports, None
-
-
 def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILON,
               max_terms: int = DEFAULT_MAX_TERMS,
               rel_tol: float | None = None) -> list[IdentityReport]:
@@ -368,12 +344,21 @@ def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILO
             positions = [p for p in positions if p < refusal[0]]
             if not positions:
                 break
-        line, stop = _line_reports(identity_id, row, [instances[p] for p in positions],
-                                   epsilon, max_terms, rel_tol)
+        insts = [instances[p] for p in positions]
+        line, stop = _line(identity_id, row, insts, epsilon, max_terms, rel_tol)
+        if isinstance(stop, DomainError):  # check each instance, recording DomainErrors
+            line, stop = [], None
+            for inst in insts:
+                one, stop = _line(identity_id, row, [inst], epsilon, max_terms, rel_tol)
+                if isinstance(stop, DomainError):
+                    one, stop = [make_error_report(identity_id, _record(row, inst), stop)], None
+                line += one
+                if stop is not None:
+                    break
         for position, report in zip(positions, line):
             reports[position] = report
         if stop is not None:
-            refusal = positions[stop[0]], stop[1]
+            refusal = positions[len(line)], stop
     if refusal is not None:
         raise refusal[1]
     return reports

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter, conv_power
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, require_positive_int
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
@@ -131,8 +131,7 @@ def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:
     width = len(chiv)
     if width < 1:
         raise DomainError("tuple enumeration needs a nonempty value range")
-    if r < 1:
-        raise DomainError(f"order r must be a positive integer, got {r}")
+    require_positive_int(r, "order r")
     if width ** r > TUPLE_BUDGET:
         raise BudgetExceeded(
             f"enumerating {width}^{r} index tuples exceeds the budget {TUPLE_BUDGET:g}"

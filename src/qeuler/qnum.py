@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, PlanInfeasible
+from .errors import BudgetExceeded, DomainError, PlanInfeasible, require_positive_int
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
@@ -63,8 +63,7 @@ class QContext:
     def power(self, a: int) -> QContext:
         """Derived context with q replaced by q^a (a positive integer); a q^a
         that underflows to zero raises PlanInfeasible."""
-        if a < 1:
-            raise DomainError(f"deformation exponent must be a positive integer, got {a}")
+        require_positive_int(a, "deformation exponent")
         if self.q ** a == 0.0:
             raise PlanInfeasible(f"q^a underflows to zero (q={self.q!r}, a={a})")
         return QContext(self.q ** a)
@@ -82,8 +81,7 @@ def q_number(x, ctx: QContext):
 
 def q_bracket_two_pow(r: int, ctx: QContext) -> float:
     """[2]_q^r = (1 + q)^r, the prefactor of every order-r alternating series."""
-    if r < 1:
-        raise DomainError(f"order r must be a positive integer, got {r}")
+    require_positive_int(r, "order r")
     return (1.0 + ctx.q) ** r
 
 
@@ -111,8 +109,7 @@ def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
     cell.  Before any grid, g by lgamma refuses more than min(max_terms,
     SERIES_BUDGET) terms (PlanInfeasible) and cells x cutoff over SERIES_BUDGET
     (BudgetExceeded)."""
-    if r < 1:
-        raise DomainError(f"order r must be a positive integer, got {r}")
+    require_positive_int(r, "order r")
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if max_terms < 0:

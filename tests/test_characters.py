@@ -69,6 +69,22 @@ def test_group_construction_errors():
         build_character_group(0)
 
 
+@pytest.mark.parametrize("d", [3.0, 2.5, "15"])
+def test_a_modulus_that_is_not_an_integer_is_a_domain_error(d):
+    # pow() in _primitive_root raised a raw TypeError
+    for build in (build_character_group, characters.group_order):
+        with pytest.raises(DomainError, match=re.escape(f"modulus must be an integer, got {d!r}")):
+            build(d)
+
+
+def test_a_numpy_modulus_builds_the_group_of_its_int():
+    group = build_character_group(np.int64(15))
+    assert characters.group_order(np.int64(15)) == len(group) == 8
+    assert type(group.modulus_d) is int
+    assert [json.dumps(chi.to_json_dict()) for chi in group] == [
+        json.dumps(chi.to_json_dict()) for chi in build_character_group(15)]
+
+
 def test_default_bound_refuses_moduli_above_3001():
     with pytest.raises(Overflow, match="exceeds the construction bound 3001"):
         build_character_group(3003)

@@ -502,10 +502,63 @@ def test_a_degree_that_is_not_an_integer_is_a_domain_error(groups, ctx, identity
 def test_a_sweep_records_a_degree_that_is_not_an_integer():
     grid = SweepGrid(d_values=(3,), q_values=(0.5,), chi_labels=(1,), ab_pairs=((1, 3),),
                      n_values=(1, 1.5, 2))
-    reports = run_suite("T3", grid)
-    assert [r.error is not None for r in reports] == [False, True, False]
-    assert "T3 needs an integer degree n, got 1.5" in reports[1].error
-    assert [r.to_json_line() for r in reports] == _per_instance("T3", grid)
+    for identity_id in ("T2", "T3", "EQ12", "EQ13", "EQ5"):
+        reports = run_suite(identity_id, grid)
+        assert [r.error is not None for r in reports] == [False, True, False]
+        assert f"{identity_id} needs an integer degree n, got 1.5" in reports[1].error
+        assert [r.to_json_line() for r in reports] == _per_instance(identity_id, grid)
+
+
+@pytest.mark.parametrize("identity_id,max_terms", [
+    ("T2", 100), ("T3", 100), ("EQ12", 100), ("EQ13", 30), ("EQ5", 100),
+])
+def test_a_line_with_a_degree_that_is_not_an_integer_refuses_where_check_does(identity_id,
+                                                                              max_terms):
+    # the line is checked one instance at a time: 1.5 is recorded, and
+    # n = 20 then refuses for its term cap
+    grid = SweepGrid(d_values=(3,), q_values=(0.7,), r_values=(2,), chi_labels=(1,),
+                     ab_pairs=((1, 3),), n_values=(1, 1.5, 2, 20, 40), x_values=(0.5,))
+    refusal = _batched(identity_id, grid, max_terms=max_terms)
+    assert refusal == _per_instance(identity_id, grid, max_terms=max_terms)
+    assert refusal[0] is PlanInfeasible
+
+
+@pytest.mark.parametrize("identity_id,field", [
+    ("T2", "r"), ("T2", "a"), ("T2", "b"), ("T2", "n"), ("EQ15", "m"), ("EQ15", "n"),
+])
+def test_a_numpy_integer_field_is_written_as_an_int(groups, ctx, identity_id, field):
+    # json.dumps raised "Object of type int64 is not JSON serializable"
+    inst = SymmetryInstance(chi=groups[3][1], r=2, ctx=ctx, a=1, b=3, m=1, n=2, x=0.5, y=0.25)
+    numpy_report = check(identity_id, inst._replace(**{field: np.int64(getattr(inst, field))}))
+    assert numpy_report.to_json_line() == check(identity_id, inst).to_json_line()
+
+
+def test_a_sweep_of_numpy_integers_is_written_as_ints():
+    grid = SweepGrid(d_values=(3,), q_values=(0.5,), ab_pairs=((1, 3),), n_values=(0, 1, 2))
+    numpy_grid = grid._replace(d_values=(np.int64(3),), r_values=(np.int64(1),),
+                               ab_pairs=((np.int64(1), np.int64(3)),),
+                               n_values=tuple(np.arange(3)))
+    assert [r.to_json_line() for r in run_suite("T2", numpy_grid)] == [
+        r.to_json_line() for r in run_suite("T2", grid)]
+
+
+@pytest.mark.parametrize("identity_id", ["T2", "EQ5"])
+def test_an_order_that_is_not_an_integer_is_a_domain_error(groups, ctx, identity_id):
+    inst = SymmetryInstance(chi=groups[3][1], r=2.5, ctx=ctx, a=1, b=3, n=2, x=0.5)
+    with pytest.raises(DomainError, match="^order r must be a positive integer, got 2.5$"):
+        check(identity_id, inst)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0])
+def test_a_role_that_is_not_an_integer_is_a_parity_violation(groups, ctx, value):
+    # both passed the parity rule and ended in a raw TypeError
+    inst = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=value, b=3, n=2, x=0.5)
+    with pytest.raises(ParityViolation, match=f"^a must be a positive odd integer, got {value}$"):
+        check("T2", inst)
+    grid = SweepGrid(d_values=(3,), q_values=(0.5,), ab_pairs=((1, value),), n_values=(0, 1))
+    reports = run_suite("T2", grid)
+    assert [r.error for r in reports] == [
+        f"ParityViolation: b must be a positive odd integer, got {value}"] * 4
 
 
 @pytest.mark.parametrize("identity_id,bad", [

@@ -123,6 +123,31 @@ def test_power_context():
         ctx.power(0)
 
 
+_ORDER_R = "order r must be a positive integer"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda r, chi, ctx: q_bracket_two_pow(r, ctx), _ORDER_R),
+    (lambda r, chi, ctx: plan_truncation(ctx, 0.5, 2, r, 1e-10), _ORDER_R),
+    (lambda r, chi, ctx: conv_power(chi, r, 5), _ORDER_R),
+    (lambda r, chi, ctx: bounded_composition_sums(chi, r, 3), _ORDER_R),
+    (lambda r, chi, ctx: polynomials.char_tuple_sum(chi.periodic_values(3), np.ones(9), r),
+     _ORDER_R),
+    (lambda r, chi, ctx: qeuler_value(chi, r, 2, 0.5, ctx), _ORDER_R),
+    (lambda r, chi, ctx: lfun_value(chi, r, 1.5, 0.5, ctx), _ORDER_R),
+    (lambda a, chi, ctx: ctx.power(a), "deformation exponent must be a positive integer"),
+])
+def test_the_positive_integer_rule_refuses_every_other_number(call, message):
+    # 2.5 and 3.0 reached range() or bin() as a raw TypeError, or were used
+    # as real exponents; an integer keeps its message, a numpy one its value
+    chi, ctx = build_character_group(3)[1], QContext(0.5)
+    for value in (2.5, 3.0, 0, -1):
+        with pytest.raises(DomainError, match=f"^{message}, got {value}$"):
+            call(value, chi, ctx)
+    assert np.array_equal(np.asarray(call(np.int64(2), chi, ctx), dtype=object),
+                          np.asarray(call(2, chi, ctx), dtype=object))
+
+
 def _dominating_term(q, r, weight, m):
     return (1.0 + q) ** r * math.comb(m + r - 1, r - 1) * q ** m * weight
 

@@ -82,6 +82,9 @@ VERIFY_JSON = [
     "T1 --d 15 --r 2 --q 0.7 --a 1 --b 5 --s=1.5,0.5 --x 0.75",
     # eval-deep's verify shape: every character reuses one bracket matrix
     "EQ4 --d 45 --r 2 --q 0.95 --n-max 2 --x 0.5",
+    # l(s, 0) is a DomainError: each character's line goes through check one
+    # instance at a time and records it at every degree
+    "EQ4 --d 15 --r 1 --q 0.5 --n-max 3 --x 0",
 ]
 
 # verify --output {pretty,csv} --identity ...: every layout of a record
