@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DomainError, NegativeArgument, NotOdd, Overflow, is_integer,
+from .errors import (BudgetExceeded, NegativeArgument, NotOdd, Overflow, require_count,
                      require_positive_int)
 
 MODULUS_BOUND = 3001  # tables of at most phi(d) * d <= 9.0e6 entries
@@ -95,8 +95,7 @@ class DirichletCharacter:
 
     def periodic_values(self, length: int) -> np.ndarray:
         """chi(0), chi(1), ..., chi(length-1) as a complex array."""
-        if length < 0:
-            raise DomainError(f"length must be nonnegative, got {length}")
+        require_count(length, "length", 0)
         out = np.empty(-(-length // self.modulus_d) * self.modulus_d, dtype=complex)
         out.reshape(-1, self.modulus_d)[...] = self.values
         return out[:length]
@@ -136,10 +135,7 @@ class CharacterGroup:
 def _check_modulus(d: int) -> int:
     """d as an int, for the moduli a character group is built for: integers
     (numpy's too) that are odd, positive and at most MODULUS_BOUND."""
-    if not is_integer(d):
-        raise DomainError(f"modulus must be an integer, got {d!r}")
-    if d < 1:
-        raise DomainError(f"modulus must be positive, got {d}")
+    require_count(d, "modulus", 1)
     if d % 2 == 0:
         raise NotOdd(f"modulus must be odd, got {d}")
     if d > MODULUS_BOUND:
@@ -238,8 +234,7 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     length k.
     """
     require_positive_int(r, "order r")
-    if M < 1:
-        raise DomainError(f"series length M must be positive, got {M}")
+    require_count(M, "series length M", 1)
     d = chi.modulus_d
     folded = _fold(chi.periodic_values(min(M, d)), r, M)
     out = np.full(-(-M // d) * d, complex(-0.0, -0.0))
@@ -260,8 +255,7 @@ def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.
     take more than CONVOLUTION_BUDGET multiply-adds.
     """
     require_positive_int(r, "order r")
-    if upper < 1:
-        raise DomainError(f"upper limit must be positive, got {upper}")
+    require_count(upper, "upper limit", 1)
     macs = _fold_macs(upper, r, r * (upper - 1) + 1)
     if macs > CONVOLUTION_BUDGET:
         raise BudgetExceeded(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one integer rule."""
+"""Exception types shared across the package, and its integer and real-number rules."""
 
 import numbers
 
@@ -43,6 +43,21 @@ def is_integer(value) -> bool:
     """The package's integer rule: a numbers.Integral, so an int or a numpy
     integer; int, the common case, is tested first as it is the fastest."""
     return type(value) is int or isinstance(value, numbers.Integral)
+
+
+def is_real(value) -> bool:
+    """The package's real-number rule: a numbers.Real, so not a complex or a
+    string; float and int, the common cases, are tested first."""
+    return type(value) is float or type(value) is int or isinstance(value, numbers.Real)
+
+
+def require_count(value, name: str, least: int) -> None:
+    """Refuse, as DomainError, a value that is not an integer, or one below
+    least, which is 0 (nonnegative) or 1 (positive)."""
+    if not is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
 
 
 def require_positive_int(value, name: str) -> None:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .characters import DirichletCharacter, build_character_group, group_order
 from .errors import (BudgetExceeded, DomainError, ParityViolation, PlanInfeasible, QEulerError,
-                     is_integer)
+                     is_integer, is_real)
 from .lfun import lfun_value
 from .polynomials import binomial_shift_sum, qeuler_addition, qeuler_value
 from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
@@ -52,6 +52,8 @@ def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
     an exact finite sum over the tuples grouped by their total |j|, with
     0^0 = 1 at |j| = 0, i = 0.  Requires 0 <= i <= n; a sum that is not a
     finite double raises PlanInfeasible."""
+    if not (is_integer(n) and is_integer(i)):
+        raise DomainError(f"n and i must be integers, got n={n!r}, i={i!r}")
     if not 0 <= i <= n:
         raise DomainError(f"need 0 <= i <= n, got i={i}, n={n}")
     return PowerSums(tuple_totals(chi, r, upper_a, 1), upper_a, ctx)(n, [i])[0]
@@ -194,7 +196,7 @@ def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> None:
         raise DomainError(f"{identity_id} needs the exponent s")
     for name in (axis for axis in ("m", "n", "x", "y") if axis in row.axes):
         value = getattr(inst, name)
-        if value is None or not 0 <= value < math.inf:
+        if value is None or not (is_real(value) and 0 <= value < math.inf):
             raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
         if name in ("m", "n") and not is_integer(value):
             raise DomainError(f"{identity_id} needs an integer degree {name}, got {value!r}")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter
-from .errors import DomainError, PlanInfeasible
+from .errors import DomainError, PlanInfeasible, is_real
 from .polynomials import series_table
 from .qnum import (
     DEFAULT_EPSILON,
@@ -38,7 +38,7 @@ def power_weight_bound(ctx: QContext, x: float, s: complex) -> float:
     """Bound weight_sup(ctx, x, -s) on |[m+x]_q^(-s)| over m >= 0, for x > 0:
     [x]_q^(-Re s) when Re s > 0 and (1-q)^(Re s) otherwise.  The kernel takes
     log [m+x]_q, so a [x]_q that underflows to zero raises PlanInfeasible."""
-    if x <= 0.0:
+    if not (is_real(x) and x > 0.0):
         raise DomainError(f"x must be strictly positive, got {x}")
     if q_number(x, ctx) <= 0.0:
         raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter, conv_power
-from .errors import BudgetExceeded, DomainError, require_positive_int
+from .errors import BudgetExceeded, DomainError, is_real, require_count, require_positive_int
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
@@ -157,8 +157,7 @@ def qeuler_poly_naive(spec: QEulerSpec, M: int) -> complex:
     index sets differ beyond the cutoff (tuples here may have totals up to
     r*(M-1)), so both routes agree only up to the certified tail bound at M.
     """
-    if M < 1:
-        raise DomainError(f"cutoff M must be positive, got {M}")
+    require_count(M, "cutoff M", 1)
     q = spec.ctx.q
     totals = np.arange(spec.r * (M - 1) + 1)
     signs = 1.0 - 2.0 * (totals % 2)
@@ -183,7 +182,7 @@ def qeuler_addition(chi: DirichletCharacter, r: int, n: int, ctx: QContext, x: f
     expansion of E_n(x) through the q-Euler numbers E_i(0).  At x = 0 only
     the i = n term survives (with 0^0 = 1), collapsing to E_n(y) exactly.
     """
-    if x < 0.0 or y < 0.0:
+    if not (is_real(x) and x >= 0.0 and is_real(y) and y >= 0.0):
         raise DomainError(f"arguments must be nonnegative, got x={x}, y={y}")
     return binomial_shift_sum(chi, r, ctx, n, 0, x, y, epsilon, max_terms)
 

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, PlanInfeasible, require_positive_int
+from .errors import (BudgetExceeded, DomainError, PlanInfeasible, is_real, require_count,
+                     require_positive_int)
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
@@ -44,6 +45,8 @@ class QContext:
     __slots__ = ("q",)
 
     def __init__(self, q: float) -> None:
+        if not is_real(q):
+            raise DomainError(f"q must be a real number, got {q!r}")
         if not 0.0 < q < 1.0:
             raise DomainError(f"q must lie strictly inside (0,1), got {q}")
         object.__setattr__(self, "q", q)
@@ -103,12 +106,14 @@ def _log_bounds(q: float, r: int, ms: np.ndarray) -> np.ndarray:
 
 def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
           max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cutoffs and tail bounds of an array of cells: g_M does not depend on W, so
-    one window of the grid of g, from just below the narrowest cell's cutoff to
-    the widest cell's, and one searchsorted of log W - log epsilon serve every
-    cell.  Before any grid, g by lgamma refuses more than min(max_terms,
-    SERIES_BUDGET) terms (PlanInfeasible) and cells x cutoff over SERIES_BUDGET
-    (BudgetExceeded)."""
+    """Cutoffs and tail bounds of an array of cells, by one rule for nonnegative
+    bounds: a cell's cutoff depends on its own weight bound alone, and the array
+    is refused as its widest cell would be among as many cells.  g_M does not
+    depend on W, so one window of the grid of g, from just below the narrowest
+    cell's cutoff to the widest cell's, and one searchsorted of log W - log
+    epsilon serve every cell.  Before any grid, g by lgamma refuses more than
+    min(max_terms, SERIES_BUDGET) terms (PlanInfeasible) and cells x cutoff over
+    SERIES_BUDGET (BudgetExceeded)."""
     require_positive_int(r, "order r")
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
@@ -151,38 +156,30 @@ def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
         raise over_budget()
     cap = min(terms, per_cell)
 
-    def guess(bound: float) -> int:  # the cutoff of a cell with this weight bound, roughly
-        target = log_epsilon - math.log(bound) if bound > 0.0 else math.inf
-        M = first  # fixed-point steps of M = M + (g_M - target) / -log q
-        for _ in range(3 if target < math.inf else 0):
-            M = math.ceil(min(cap, max(first, M + (closed(M)[1] - target) / -math.log(q))))
+    def guess(key: float) -> int:  # the cutoff of a cell with this key, roughly
+        M = first  # fixed-point steps of M = M + (g_M + key) / -log q
+        for _ in range(3 if key > -math.inf else 0):
+            M = math.ceil(min(cap, max(first, M + (closed(M)[1] + key) / -math.log(q))))
         return M
 
     def grid_of(lo: int, hi: int) -> np.ndarray:
         return _log_bounds(q, r, np.arange(lo, hi + 1.0))
 
-    top, narrowest = guess(widest), float(bounds.min(initial=widest))
-    lo = max(first, (top if narrowest == widest else min(top, guess(narrowest))) - 1)
-    hi = top
-    grid = grid_of(lo, hi)
-    last = grid[-1]
-    while last > need and top < cap:  # the guess fell short: the tops a grid from first takes
-        top = min(cap, 2 * top - first + 1)
-        last = grid_of(top, top)[0]
-    if last > need:  # lgamma and the log1p sum disagree in the last bits at the cap
-        raise no_cutoff() if cap == terms else over_budget()
     log_w = np.log(bounds, out=np.full(bounds.shape, -np.inf), where=bounds > 0.0)
     keys = log_w - log_epsilon  # a cell's cutoff is the first M with -g_M >= its key
-    # g decreases, so searchsorted on a window that ends at or past the widest cell's
-    # cutoff (or at top) and starts before the narrowest cell's (or at first) gives
-    # the index it gives on the grid from first to top
-    while hi < top and -grid[-1] < keys.max(initial=-math.inf):
-        hi, end = min(top, 2 * hi - lo + 1), hi
+    widest_key, narrowest_key = keys.max(initial=-math.inf), keys.min(initial=math.inf)
+    hi = guess(widest_key)
+    lo = max(first, (hi if narrowest_key == widest_key else min(hi, guess(narrowest_key))) - 1)
+    grid = grid_of(lo, hi)  # g decreases: from before the narrowest cutoff to the widest
+    while -grid[-1] < widest_key and hi < cap:
+        hi, end = min(cap, 2 * hi - lo + 1), hi
         grid = np.concatenate((grid, grid_of(end + 1, hi)))
-    while lo > first and -grid[0] >= keys.min(initial=math.inf):
+    if -grid[-1] < widest_key:  # lgamma and the log1p sum disagree in the last bits at the cap
+        raise no_cutoff() if cap == terms else over_budget()
+    while lo > first and -grid[0] >= narrowest_key:
         lo, start = max(first, 2 * lo - hi - 1), lo
         grid = np.concatenate((grid_of(lo, start - 1), grid))
-    index = np.minimum(np.searchsorted(-grid, keys), hi - lo)
+    index = np.searchsorted(-grid, keys)
     return lo + index, np.exp(log_w + grid[index])
 
 
@@ -190,9 +187,10 @@ def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
 def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon: float,
                 max_terms: int) -> tuple[int, float]:
     """(cutoff, tail bound) of each of `cells` cells that share one weight bound,
-    as plan_cutoffs gives them, memoized: W = (1-q)^(-n) does not depend on x or
-    the character, so every E_n at one (q, r, n) repeats a plan.  A refusal raises
-    and is not cached."""
+    memoized: W = (1-q)^(-n) does not depend on x or the character, so every E_n
+    at one (q, r, n) repeats a plan.  By _plan's rule this is also the widest
+    cell's cutoff, and the array's refusal, among `cells` spread bounds.  A
+    refusal raises and is not cached."""
     cutoffs, tails = _plan(ctx, r, np.full(cells, weight_bound), epsilon, max_terms)
     return int(cutoffs[0]), float(tails[0])
 
@@ -228,11 +226,11 @@ def weight_sup(ctx: QContext, x: float, w: complex) -> float:
 
 
 def degree_weight_bound(ctx: QContext, x: float, n: int) -> float:
-    """Bound weight_sup(ctx, x, n) = (1-q)^(-n) on [m+x]_q^n over m >= 0, for x >= 0."""
-    if x < 0.0:
+    """Bound weight_sup(ctx, x, n) = (1-q)^(-n) on [m+x]_q^n over m >= 0, for a
+    real x >= 0 and an integer n >= 0."""
+    if not (is_real(x) and x >= 0.0):
         raise DomainError(f"x must be nonnegative, got {x}")
-    if n < 0:
-        raise DomainError(f"degree n must be nonnegative, got {n}")
+    require_count(n, "degree n", 0)
     return weight_sup(ctx, x, n)
 
 

@@ -38,12 +38,11 @@ import numpy as np
 from .characters import DirichletCharacter, bounded_composition_sums
 from .errors import BudgetExceeded, PlanInfeasible, QEulerError
 from .lfun import lfun_values
-from .polynomials import degree_weights, series_table
+from .polynomials import degree_weights, qeuler_table, series_table
 from .qnum import (
     SERIES_BUDGET,
     QContext,
     degree_weight_bound,
-    plan_cutoffs,
     plan_shared,
     q_bracket_two_pow,
     q_number,
@@ -166,29 +165,24 @@ def poly_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms
 
 def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
     """One side of the power-sum expansion in roles (first, second), yielded
-    at every degree of ns: one table of E_j(second x) at q^first for every j
-    up to the largest degree, and one tuple-total histogram for every
-    S_{n,i}.  Degree n keeps the plan of its own n + 1 cells E_n, ..., E_0 and
-    is summed over i on its own."""
+    at every degree of ns: one qeuler_table of E_j(second x) at q^first for
+    every j up to the largest degree, and one tuple-total histogram for every
+    S_{n,i}.  Degree n is checked by the plan of the widest of its n + 1 cells
+    E_n, ..., E_0, which refuses as they would, and is summed over i on its own."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
-    arg = second * inst.x
-    bounds, cutoffs, refusal = [], [], None  # of E_j(arg), by j
+    arg, refusal = second * inst.x, None
     try:
         for k, n in enumerate(ns):  # each step refuses where check would at that degree
             if k == 0:
                 ctx_second, ctx_first = ctx.power(second), ctx.power(first)
-            # the degrees not bounded yet, largest first, as qeuler_table bounds them
-            bounds += reversed([degree_weight_bound(ctx_first, arg, j)
-                                for j in range(n, len(bounds) - 1, -1)])
-            cutoffs[:n + 1] = plan_cutoffs(ctx_first, r, bounds[n::-1], epsilon,
-                                           max_terms)[::-1].tolist()
+            # (1-q)^(-j) grows with j, so E_n is the widest cell
+            plan_shared(ctx_first, r, degree_weight_bound(ctx_first, arg, n), n + 1, epsilon,
+                        max_terms)
     except (QEulerError, OverflowError) as exc:  # raised after the degrees before it
         ns, refusal = ns[:k], exc
     if ns:
-        top = max(ns)
-        e_values = [column[0] for column in series_table(
-            chi, r, ctx_first, [arg], [degree_weights(j) for j in range(top + 1)],
-            cutoffs[:top + 1])]
+        [e_values] = qeuler_table(chi, r, [arg], range(max(ns) + 1), ctx_first, epsilon,
+                                  max_terms)
         upper = first * chi.modulus_d
         bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
         # one histogram and its factor rows serve every S_{n,i}

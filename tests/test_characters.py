@@ -77,6 +77,20 @@ def test_a_modulus_that_is_not_an_integer_is_a_domain_error(d):
             build(d)
 
 
+@pytest.mark.parametrize("call, name, least", [
+    (lambda chi, k: conv_power(chi, 1, k), "series length M", "positive"),
+    (lambda chi, k: bounded_composition_sums(chi, 1, k), "upper limit", "positive"),
+    (lambda chi, k: chi.periodic_values(k - 1), "length", "nonnegative"),
+])
+def test_a_length_that_is_not_an_integer_is_a_domain_error(call, name, least):
+    # numpy raised a raw TypeError; an integer below the least keeps its message
+    chi = build_character_group(3)[1]
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be an integer, got ")):
+        call(chi, 2.5)
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be {least}, got -1")):
+        call(chi, -1 if least == "positive" else 0)
+
+
 def test_a_numpy_modulus_builds_the_group_of_its_int():
     group = build_character_group(np.int64(15))
     assert characters.group_order(np.int64(15)) == len(group) == 8

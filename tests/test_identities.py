@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
+    DEFAULT_MAX_TERMS,
     BudgetExceeded,
     DomainError,
     LfunSpec,
@@ -110,6 +112,33 @@ def test_power_sum_validation(groups, ctx):
         power_sum(chi, 1, 2, 1, 0, ctx)
     with pytest.raises(BudgetExceeded):
         power_sum(chi, 3, 2, 1, 10 ** 4, ctx)
+
+
+def test_power_sum_refuses_what_is_not_an_integer(groups, ctx):
+    # numpy raised a raw TypeError on the limit; the degrees were evaluated
+    chi = groups[3][1]
+    with pytest.raises(DomainError, match=re.escape("upper limit must be an integer, got 2.5")):
+        power_sum(chi, 1, 2, 1, 2.5, ctx)
+    with pytest.raises(DomainError, match=re.escape("n and i must be integers, got n=2.5, i=1.5")):
+        power_sum(chi, 1, 2.5, 1.5, 3, ctx)
+    with pytest.raises(DomainError, match=re.escape("need 0 <= i <= n, got i=0, n=-1")):
+        power_sum(chi, 1, -1, 0, 3, ctx)
+
+
+@pytest.mark.parametrize("identity_id, axis", [("T2", "x"), ("EQ9", "y"), ("T2", "n"),
+                                               ("EQ15", "m")])
+def test_a_complex_axis_value_is_a_domain_error_recorded_in_place(groups, ctx, identity_id,
+                                                                  axis):
+    # comparing it with 0 raised a raw TypeError out of check and run_suite
+    fields = dict(chi=groups[3][1], r=1, ctx=ctx, a=1, b=3, n=1, m=1, x=0.5, y=0.25)
+    with pytest.raises(DomainError, match=f"{identity_id} needs a finite nonnegative {axis}, "
+                                          r"got 1j"):
+        check(identity_id, SymmetryInstance(**{**fields, axis: 1j}))
+    grid = SweepGrid(d_values=(3,), q_values=(0.5,), chi_labels=(1,), ab_pairs=((1, 3),),
+                     **{f"{axis}_values": (0.5 if axis in "xy" else 1, 1j)})
+    reports = run_suite(identity_id, grid)
+    assert [r.error is not None for r in reports] == [False, True]
+    assert "needs a finite nonnegative" in reports[1].error
 
 
 def test_power_sum_budget_refuses_before_allocating(groups, ctx):
@@ -610,19 +639,22 @@ def _batched(identity_id, grid, **kwargs):
     q=st.floats(min_value=0.2, max_value=0.8),
     a=_odd,
     b=_odd,
-    n_max=st.integers(min_value=0, max_value=8),
+    n_max=st.integers(min_value=0, max_value=20),
     xs=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=2, max_size=2),
     m_max=st.integers(min_value=0, max_value=3),
     y=st.floats(min_value=0.0, max_value=1.0),
     s=st.sampled_from([1.5, -2.0, complex(-0.5, 0.5), complex(0.0, 2.0)]),
+    max_terms=st.sampled_from([DEFAULT_MAX_TERMS, 200, 40]),
 )
 def test_a_batched_line_equals_per_instance_check(identity_id, d, r, q, a, b, n_max, xs,
-                                                  m_max, y, s):
-    # two x values: the lines of the grid interleave in enumeration order
+                                                  m_max, y, s, max_terms):
+    # two x values: the lines of the grid interleave in enumeration order; at the
+    # smaller term caps lines refuse in their middle, the power-sum side's too
     grid = SweepGrid(d_values=(d,), q_values=(q,), r_values=(r,), ab_pairs=((a, b),),
                      n_values=tuple(range(n_max + 1)), x_values=tuple(xs),
                      m_values=tuple(range(m_max + 1)), y_values=(y,), s_values=(s,))
-    assert _batched(identity_id, grid) == _per_instance(identity_id, grid)
+    assert _batched(identity_id, grid, max_terms=max_terms) == _per_instance(
+        identity_id, grid, max_terms=max_terms)
 
 
 @pytest.mark.parametrize("identity_id", _LINE_IDS)
@@ -712,6 +744,8 @@ def test_a_line_tabled_in_blocks_of_degrees_equals_per_instance_check(monkeypatc
         return alternating_weighted_sum(coeffs, weights, ctx)
 
     monkeypatch.setattr(sides, "series_table", table)
+    # the power-sum side tables its E_j through qeuler_table
+    monkeypatch.setattr(polynomials, "series_table", table)
     monkeypatch.setattr(polynomials, "alternating_weighted_sum", kernel)
     grid = SweepGrid(d_values=(15,), q_values=(0.3,), r_values=(2,), chi_labels=(1,),
                      ab_pairs=((3, 1),), n_values=tuple(range(degrees)), x_values=(0.5,))

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +112,14 @@ def test_domain_validation(groups):
         LfunSpec.create(chi, 0, 1 + 0j, 1.0, ctx)
     with pytest.raises(DomainError):
         check("EQ4", SymmetryInstance(chi=chi, r=1, ctx=ctx, n=-1, x=1.0))
+
+
+@pytest.mark.parametrize("s", [-2.0, 1.5])
+@pytest.mark.parametrize("x", [math.nan, 1j])
+def test_an_argument_that_is_not_a_positive_real_is_refused(groups, s, x):
+    # at s = -2 nan gave (nan+nanj); at s = 1.5 only the planner refused it
+    with pytest.raises(DomainError, match=re.escape(f"x must be strictly positive, got {x}")):
+        lfun_value(groups[3][1], 1, s, x, QContext(0.5))
 
 
 def test_underflowing_bracket_is_infeasible(groups):

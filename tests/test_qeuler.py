@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from qeuler import (
     qeuler_addition,
     qeuler_poly,
     qeuler_poly_naive,
+    qeuler_table,
     qeuler_value,
 )
 
@@ -154,6 +158,36 @@ def test_spec_validation(groups):
         QEulerSpec.create(chi, 1, -1, 0.0, ctx)
     with pytest.raises(DomainError):
         QEulerSpec.create(chi, 1, 0, -0.5, ctx)
+
+
+@pytest.mark.parametrize("x", [math.nan, 1j])
+def test_an_argument_that_is_not_a_real_number_at_least_zero_is_refused(groups, x):
+    # nan reached the kernel and gave (nan+nanj); 1j raised a raw TypeError
+    chi, ctx = groups[3][1], QContext(0.5)
+    with pytest.raises(DomainError, match=re.escape(f"x must be nonnegative, got {x}")):
+        qeuler_value(chi, 1, 2, x, ctx)
+    with pytest.raises(DomainError, match=re.escape(f"x must be nonnegative, got {x}")):
+        qeuler_table(chi, 1, [0.5, x], [2], ctx)
+    for args in ((x, 0.5), (0.5, x)):
+        with pytest.raises(DomainError, match="arguments must be nonnegative, got x="):
+            qeuler_addition(chi, 1, 2, ctx, *args)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0])
+def test_a_degree_that_is_not_an_integer_is_refused(groups, n):
+    # check refuses n = 2.0 too; qeuler_value evaluated both
+    with pytest.raises(DomainError, match=re.escape(f"degree n must be an integer, got {n!r}")):
+        qeuler_value(groups[3][1], 1, n, 0.5, QContext(0.5))
+    assert qeuler_value(groups[3][1], 1, np.int64(2), 0.5, QContext(0.5)) == qeuler_value(
+        groups[3][1], 1, 2, 0.5, QContext(0.5))
+
+
+def test_a_naive_cutoff_that_is_not_an_integer_is_refused(groups):
+    spec = QEulerSpec.create(groups[1][0], 1, 2, 1.0, QContext(0.5))
+    with pytest.raises(DomainError, match=re.escape("cutoff M must be an integer, got 2.5")):
+        qeuler_poly_naive(spec, 2.5)
+    with pytest.raises(DomainError, match=re.escape("cutoff M must be positive, got 0")):
+        qeuler_poly_naive(spec, 0)
 
 
 def test_naive_enumerates_orders_past_the_array_dimension_limit(groups):

@@ -1,6 +1,8 @@
 import math
+import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from qeuler import (
     qeuler_value,
 )
 from qeuler import lfun, polynomials, qnum
+from qeuler.errors import is_real
 from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cutoffs
 
 
@@ -38,8 +41,36 @@ def test_qcontext_rejects_bad_parameters():
         QContext(1.0)
     with pytest.raises(DomainError):
         QContext(0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape("q must lie strictly inside (0,1), got 1.5")):
         QContext(1.5)
+
+
+@pytest.mark.parametrize("q", ["0.5", 0.5j, None])
+def test_a_q_that_is_not_a_real_number_is_a_domain_error(q):
+    # comparing it with 0.0 raised a raw TypeError
+    with pytest.raises(DomainError, match=re.escape(f"q must be a real number, got {q!r}")):
+        QContext(q)
+
+
+def test_the_real_number_rule():
+    assert all(is_real(v) for v in (0, 0.5, True, math.nan, np.float32(1), np.int64(2),
+                                    Fraction(1, 3)))
+    assert not any(is_real(v) for v in (1j, np.complex128(1), "0.5", None))
+
+
+@pytest.mark.parametrize("x", [math.nan, 1j, "1"])
+def test_a_weight_bound_refuses_an_x_that_is_not_a_real_number_at_least_zero(x):
+    with pytest.raises(DomainError, match=re.escape(f"x must be nonnegative, got {x}")):
+        degree_weight_bound(QContext(0.5), x, 2)
+
+
+@pytest.mark.parametrize("n, message", [(2.5, "must be an integer, got 2.5"),
+                                        (2.0, "must be an integer, got 2.0"),
+                                        (-1, "must be nonnegative, got -1")])
+def test_a_weight_bound_refuses_a_degree_that_is_not_a_nonnegative_integer(n, message):
+    with pytest.raises(DomainError, match=re.escape(f"degree n {message}")):
+        degree_weight_bound(QContext(0.5), 0.5, n)
+    assert degree_weight_bound(QContext(0.5), 0.5, np.int64(3)) == 8.0
 
 
 def test_equal_contexts_are_one_plan_key_that_cannot_change():
@@ -294,10 +325,17 @@ def test_plan_cutoffs_of_spread_bounds_match_the_reference_scan(q, r, bounds, ep
     ctx = QContext(q)
     expected = [_reference_scan(q, r, w, epsilon) for w in bounds]
     if None in expected:  # the widest cell refuses, and with it the whole array
-        with pytest.raises(PlanInfeasible):
+        with pytest.raises(PlanInfeasible) as array:
             plan_cutoffs(ctx, r, np.array(bounds), epsilon)
+        with pytest.raises(PlanInfeasible) as widest:  # as the widest among as many cells
+            qnum.plan_shared(ctx, r, max(bounds), len(bounds), epsilon, DEFAULT_MAX_TERMS)
+        assert (type(widest.value), str(widest.value)) == (type(array.value), str(array.value))
         return
-    assert plan_cutoffs(ctx, r, np.array(bounds), epsilon).tolist() == [c for c, _ in expected]
+    cutoffs = plan_cutoffs(ctx, r, np.array(bounds), epsilon).tolist()
+    assert cutoffs == [c for c, _ in expected]
+    # each cell's cutoff is the one its own bound gets among as many cells
+    assert cutoffs == [qnum.plan_shared(ctx, r, w, len(bounds), epsilon, DEFAULT_MAX_TERMS)[0]
+                       for w in bounds]
     tails = qnum._plan(ctx, r, np.array(bounds), epsilon, DEFAULT_MAX_TERMS)[1]
     assert tails.tolist() == pytest.approx([t for _, t in expected], rel=1e-12)
 

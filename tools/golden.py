@@ -145,6 +145,8 @@ EDGES = [
     # lines that refuse in their middle, after degrees that evaluate
     "verify --identity EQ12 --d 15 --r 2 --q 0.6 --a 1 --b 3 --n-max 15 --max-terms 60",
     "verify --identity T3 --d 15 --r 2 --q 0.9 --a 1 --b 3 --n-max 30 --max-terms 300",
+    # a power-sum side refuses as its widest cell E_n does, and names that cell's bound
+    "verify --identity EQ13 --d 3 --r 2 --q 0.9 --a 1 --b 3 --n-max 40 --max-terms 200",
     "eval-powersum --d 1 --r 1000000 --upper 1 --n 0 --i 0 --q 0.5",
     # grids past SWEEP_BUDGET instances, refused before any is listed
     "verify --identity T2 --d 3001 --q 0.5 --n-max 10000",
