@@ -186,8 +186,9 @@ def _record(row: Identity, inst: SymmetryInstance) -> dict:
     return record
 
 
-def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> None:
-    """Every axis rule of the row, checked before any side is evaluated."""
+def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> SymmetryInstance:
+    """Every axis rule of the row, checked before any side is evaluated; the
+    instance is returned with its x and y as floats."""
     for name in ("a", "b") if "ab" in row.axes else ():
         value = getattr(inst, name)
         if not is_integer(value) or value < 1 or value % 2 == 0:
@@ -200,6 +201,9 @@ def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> None:
             raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
         if name in ("m", "n") and not is_integer(value):
             raise DomainError(f"{identity_id} needs an integer degree {name}, got {value!r}")
+        if name in ("x", "y") and type(value) is not float:
+            inst = inst._replace(**{name: float(value)})
+    return inst
 
 
 def _values(identity_id: str, side: Side, inst: SymmetryInstance, ns: list, epsilon: float,
@@ -229,8 +233,7 @@ def _line(identity_id: str, row: Identity, insts: list, epsilon: float, max_term
     The refusal is the one check meets first, the rhs's if it has one, else
     the lhs's, or None; the reports are those of the instances before it."""
     try:
-        for inst in insts:
-            _validate(identity_id, row, inst)
+        insts = [_validate(identity_id, row, inst) for inst in insts]
     except DomainError as exc:
         return [], exc
     ns = [inst.n for inst in insts]

@@ -184,7 +184,7 @@ def qeuler_addition(chi: DirichletCharacter, r: int, n: int, ctx: QContext, x: f
     """
     if not (is_real(x) and x >= 0.0 and is_real(y) and y >= 0.0):
         raise DomainError(f"arguments must be nonnegative, got x={x}, y={y}")
-    return binomial_shift_sum(chi, r, ctx, n, 0, x, y, epsilon, max_terms)
+    return binomial_shift_sum(chi, r, ctx, n, 0, float(x), float(y), epsilon, max_terms)
 
 
 def binomial_shift_sum(chi: DirichletCharacter, r: int, ctx: QContext, top: int, base: int,

@@ -38,8 +38,8 @@ class QContext:
 
     q is kept real: principal powers q^x are then unambiguous for every real x
     and the bracket [m+x]_q stays positive for m + x > 0, so no branch choices
-    arise anywhere downstream.  Immutable, equal and hashed by q: plan_shared
-    memoizes on it.
+    arise anywhere downstream.  Kept as a float, whatever real number it was
+    given as.  Immutable, equal and hashed by q: plan_shared memoizes on it.
     """
 
     __slots__ = ("q",)
@@ -49,7 +49,7 @@ class QContext:
             raise DomainError(f"q must be a real number, got {q!r}")
         if not 0.0 < q < 1.0:
             raise DomainError(f"q must lie strictly inside (0,1), got {q}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", float(q))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"QContext is immutable, cannot set {name!r}")
@@ -96,36 +96,39 @@ class TruncationPlan(NamedTuple):
     tail_bound: float
 
 
-def _log_bounds(q: float, r: int, ms: np.ndarray) -> np.ndarray:
-    """g_M = log(t(M)/(W (1-rho_M))) at each cutoff in ms, from that M alone."""
-    log_terms = r * math.log1p(q) + ms * math.log(q)
+def _log_bound(q: float, r: int, M: int) -> float:
+    """g_M = log(t(M)/(W (1-rho_M))) at the cutoff M, by numpy's log1p: math's
+    differs from it in the last bit of some inputs."""
+    log_term = r * math.log1p(q) + M * math.log(q)
     for j in range(1, r):  # log binom(M+r-1, r-1)
-        log_terms += np.log1p(ms / j)
-    return log_terms - np.log1p(-q * (ms + r) / (ms + 1.0))
+        log_term += np.log1p(M / j)
+    return log_term - np.log1p(-q * (M + r) / (M + 1.0))
 
 
-def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
-          max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cutoffs and tail bounds of an array of cells, by one rule for nonnegative
-    bounds: a cell's cutoff depends on its own weight bound alone, and the array
-    is refused as its widest cell would be among as many cells.  g_M does not
-    depend on W, so one window of the grid of g, from just below the narrowest
-    cell's cutoff to the widest cell's, and one searchsorted of log W - log
-    epsilon serve every cell.  Before any grid, g by lgamma refuses more than
-    min(max_terms, SERIES_BUDGET) terms (PlanInfeasible) and cells x cutoff over
-    SERIES_BUDGET (BudgetExceeded)."""
+@functools.lru_cache(maxsize=1024)
+def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon: float,
+                max_terms: int) -> tuple[int, float]:
+    """(cutoff, tail bound) of a cell of weight bound W among `cells` cells, by
+    one rule: its cutoff is the first M with rho_M < 1 and g_M <= log epsilon -
+    log W, so it depends on W alone, and `cells` sets only the budget of each.
+    Before any g_M, g by lgamma refuses more than min(max_terms, SERIES_BUDGET)
+    terms (PlanInfeasible) and cells x cutoff over SERIES_BUDGET
+    (BudgetExceeded).  g decreases, so the cutoff is walked from a fixed-point
+    guess in steps that double, up to an M that meets the key and down to one
+    that misses it, then bisected between the two.  Memoized: W = (1-q)^(-n)
+    does not depend on x or the character, so every E_n at one (q, r, n)
+    repeats a plan.  A refusal raises and is not cached."""
     require_positive_int(r, "order r")
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if max_terms < 0:
         raise DomainError(f"max_terms must be nonnegative, got {max_terms}")
-    bounds = np.asarray(weight_bounds, dtype=float)
-    if not bounds.min(initial=0.0) >= 0.0:
-        raise DomainError(f"weight bound must be nonnegative, got {float(bounds.min())!r}")
-    q, log_epsilon, widest = ctx.q, math.log(epsilon), float(bounds.max(initial=0.0))
+    if not weight_bound >= 0.0:
+        raise DomainError(f"weight bound must be nonnegative, got {float(weight_bound)!r}")
+    q, log_epsilon, widest = ctx.q, math.log(epsilon), float(weight_bound)
     log_widest = math.log(widest) if widest > 0.0 else -math.inf
-    need = log_epsilon - log_widest  # the widest cell needs g_M <= need
-    terms, per_cell = min(max_terms, SERIES_BUDGET), SERIES_BUDGET // max(bounds.size, 1)
+    need = log_epsilon - log_widest  # the cell needs g_M <= need
+    terms, per_cell = min(max_terms, SERIES_BUDGET), SERIES_BUDGET // max(cells, 1)
 
     def problem() -> str:
         return f"(q={q!r}, r={r}, weight bound {widest!r})"
@@ -135,7 +138,7 @@ def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
                               f"{problem()}")
 
     def over_budget() -> BudgetExceeded:
-        return BudgetExceeded(f"{bounds.size} cells of more than {per_cell} terms exceed "
+        return BudgetExceeded(f"{cells} cells of more than {per_cell} terms exceed "
                               f"the bracket matrix budget {SERIES_BUDGET}")
 
     def closed(M: int) -> tuple[float, float]:  # log t(M)/W and g_M by lgamma, for rho_M < 1
@@ -156,57 +159,47 @@ def _plan(ctx: QContext, r: int, weight_bounds, epsilon: float,
         raise over_budget()
     cap = min(terms, per_cell)
 
-    def guess(key: float) -> int:  # the cutoff of a cell with this key, roughly
-        M = first  # fixed-point steps of M = M + (g_M + key) / -log q
-        for _ in range(3 if key > -math.inf else 0):
-            M = math.ceil(min(cap, max(first, M + (closed(M)[1] + key) / -math.log(q))))
-        return M
-
-    def grid_of(lo: int, hi: int) -> np.ndarray:
-        return _log_bounds(q, r, np.arange(lo, hi + 1.0))
-
-    log_w = np.log(bounds, out=np.full(bounds.shape, -np.inf), where=bounds > 0.0)
-    keys = log_w - log_epsilon  # a cell's cutoff is the first M with -g_M >= its key
-    widest_key, narrowest_key = keys.max(initial=-math.inf), keys.min(initial=math.inf)
-    hi = guess(widest_key)
-    lo = max(first, (hi if narrowest_key == widest_key else min(hi, guess(narrowest_key))) - 1)
-    grid = grid_of(lo, hi)  # g decreases: from before the narrowest cutoff to the widest
-    while -grid[-1] < widest_key and hi < cap:
-        hi, end = min(cap, 2 * hi - lo + 1), hi
-        grid = np.concatenate((grid, grid_of(end + 1, hi)))
-    if -grid[-1] < widest_key:  # lgamma and the log1p sum disagree in the last bits at the cap
-        raise no_cutoff() if cap == terms else over_budget()
-    while lo > first and -grid[0] >= narrowest_key:
-        lo, start = max(first, 2 * lo - hi - 1), lo
-        grid = np.concatenate((grid_of(lo, start - 1), grid))
-    index = np.searchsorted(-grid, keys)
-    return lo + index, np.exp(log_w + grid[index])
-
-
-@functools.lru_cache(maxsize=1024)
-def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon: float,
-                max_terms: int) -> tuple[int, float]:
-    """(cutoff, tail bound) of each of `cells` cells that share one weight bound,
-    memoized: W = (1-q)^(-n) does not depend on x or the character, so every E_n
-    at one (q, r, n) repeats a plan.  By _plan's rule this is also the widest
-    cell's cutoff, and the array's refusal, among `cells` spread bounds.  A
-    refusal raises and is not cached."""
-    cutoffs, tails = _plan(ctx, r, np.full(cells, weight_bound), epsilon, max_terms)
-    return int(cutoffs[0]), float(tails[0])
+    log_w = np.log(widest) if widest > 0.0 else -math.inf
+    key = log_w - log_epsilon  # the cutoff is the first M with -g_M >= key
+    M = first  # a guess: fixed-point steps of M = M + (g_M + key) / -log q
+    for _ in range(3 if key > -math.inf else 0):
+        M = math.ceil(min(cap, max(first, M + (closed(M)[1] + key) / -math.log(q))))
+    g, miss, step = _log_bound(q, r, M), first - 1, 1  # miss: the last M known to miss the key
+    while -g < key:  # gallop up to an M that meets it
+        if M == cap:  # lgamma and the log1p sum disagree in the last bits at the cap
+            raise no_cutoff() if cap == terms else over_budget()
+        miss, M, step = M, min(cap, M + step), 2 * step
+        g = _log_bound(q, r, M)
+    step = 1
+    while M - miss > 1:  # gallop down to a miss, then bisect between the two
+        probe = max(M - step, first) if miss < first else (miss + M) // 2
+        step *= 2
+        if -(at := _log_bound(q, r, probe)) >= key:
+            M, g = probe, at
+        else:
+            miss = probe
+    return M, float(np.exp(log_w + g))
 
 
 def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon: float,
                              max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
     """Smallest cutoff M <= min(max_terms, SERIES_BUDGET) whose certified tail
-    bound meets epsilon, with that bound: the one-cell plan of plan_cutoffs, memoized
-    by plan_shared."""
+    bound meets epsilon, with that bound: the one-cell plan of plan_shared."""
     return TruncationPlan(*plan_shared(ctx, r, weight_bound, 1, epsilon, max_terms))
 
 
 def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
                  max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
-    """plan_truncation_weighted's cutoff_M for each entry of an array of bounds."""
-    return _plan(ctx, r, weight_bounds, epsilon, max_terms)[0]
+    """plan_shared's cutoff of each entry of an array of bounds among as many
+    cells, one plan per distinct bound.  The array is refused as plan_shared
+    refuses its least bound if that is negative or nan, else its widest."""
+    bounds = np.asarray(weight_bounds, dtype=float)
+    cells, least = bounds.size, float(bounds.min(initial=0.0))
+    plan_shared(ctx, r, float(bounds.max(initial=0.0)) if least >= 0.0 else least, cells,
+                epsilon, max_terms)
+    flat = bounds.ravel().tolist()
+    cutoffs = {w: plan_shared(ctx, r, w, cells, epsilon, max_terms)[0] for w in set(flat)}
+    return np.array([cutoffs[w] for w in flat], dtype=np.intp).reshape(bounds.shape)
 
 
 def weight_sup(ctx: QContext, x: float, w: complex) -> float:

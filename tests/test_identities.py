@@ -396,6 +396,13 @@ def test_instance_records_are_json_types(groups, ctx):
     assert parsed["instance"]["d"] == 3
 
 
+def test_a_fraction_x_is_checked_and_recorded_as_a_float(groups, ctx):
+    # the record kept the Fraction, which json cannot write
+    inst = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=1, b=3, n=2, x=0.5)
+    assert (check("T2", inst._replace(x=Fraction(1, 2))).to_json_line()
+            == check("T2", inst).to_json_line())
+
+
 def _reference_side(inst, first, second, prefactor, term):
     """One T1/T2 side as a scalar loop over the totals t: a plan and a series
     per t, the evaluation the batched kernel replaces."""

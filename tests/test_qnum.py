@@ -87,6 +87,17 @@ def test_equal_contexts_are_one_plan_key_that_cannot_change():
     assert ctx.q == 0.37
 
 
+def test_a_context_keeps_a_fraction_as_a_float():
+    # a cold plan took the Fraction into numpy's log1p, a raw TypeError
+    chi = build_character_group(3)[1]
+    qnum.plan_shared.cache_clear()
+    exact = QContext(Fraction(1, 2))
+    value = qeuler_value(chi, 1, 2, 0.5, exact)
+    assert type(exact.q) is float and exact == QContext(0.5)
+    qnum.plan_shared.cache_clear()
+    assert value == qeuler_value(chi, 1, 2, 0.5, QContext(0.5))
+
+
 def test_q_number_small_values():
     ctx = QContext(0.5)
     assert q_number(0, ctx) == 0.0
@@ -291,7 +302,7 @@ def test_every_cell_keeps_its_own_cutoff(q, r, xs, ns, epsilon):
     epsilon=st.sampled_from([1e-3, 1e-6, 1e-10, 1e-13, 1e-30, 1e-300]),
     max_terms=st.sampled_from([0, 7, 100, DEFAULT_MAX_TERMS]),
 )
-# the fixed-point guess lands two terms past the cutoff: the grid's window widens downward
+# the fixed-point guess lands two terms past the cutoff: the walk goes down from it
 @example(q=0.97, r=7, weight=3.1866355453248725e+33, epsilon=8.343799067647704e-109,
          max_terms=DEFAULT_MAX_TERMS)
 def test_plan_matches_the_reference_scan(q, r, weight, epsilon, max_terms):
@@ -333,28 +344,40 @@ def test_plan_cutoffs_of_spread_bounds_match_the_reference_scan(q, r, bounds, ep
         return
     cutoffs = plan_cutoffs(ctx, r, np.array(bounds), epsilon).tolist()
     assert cutoffs == [c for c, _ in expected]
-    # each cell's cutoff is the one its own bound gets among as many cells
-    assert cutoffs == [qnum.plan_shared(ctx, r, w, len(bounds), epsilon, DEFAULT_MAX_TERMS)[0]
-                       for w in bounds]
-    tails = qnum._plan(ctx, r, np.array(bounds), epsilon, DEFAULT_MAX_TERMS)[1]
-    assert tails.tolist() == pytest.approx([t for _, t in expected], rel=1e-12)
+    # each cell's plan is the one its own bound gets among as many cells
+    plans = [qnum.plan_shared(ctx, r, w, len(bounds), epsilon, DEFAULT_MAX_TERMS) for w in bounds]
+    assert cutoffs == [c for c, _ in plans]
+    assert [t for _, t in plans] == pytest.approx([t for _, t in expected], rel=1e-12)
 
 
-def test_a_one_cell_plan_builds_a_grid_only_around_its_cutoff(monkeypatch):
-    # the grid from the first cutoff with rho_M < 1 out to this one has 3696 entries
+@pytest.mark.parametrize("bounds, refusal", [
+    ([-1.0, 1e308 / 0.75], "got -1.0"),
+    ([1.0, math.nan, 1e300], "got nan"),
+    ([-2.0] + [1.0] * (SERIES_BUDGET // 2000), "got -2.0"),  # an array over budget
+])
+def test_a_negative_bound_is_refused_before_the_widest_cell(bounds, refusal):
+    ctx, valid = QContext(0.99), np.array([w for w in bounds if w >= 0.0])
+    with pytest.raises((PlanInfeasible, BudgetExceeded)):  # the valid cells alone are refused
+        plan_cutoffs(ctx, 1, valid, 1e-10)
+    with pytest.raises(DomainError, match=f"weight bound must be nonnegative, {refusal}"):
+        plan_cutoffs(ctx, 1, np.array(bounds), 1e-10)
+
+
+def test_a_one_cell_plan_evaluates_g_only_around_its_cutoff(monkeypatch):
+    # from the first cutoff with rho_M < 1 out to this one lie 3696 cutoffs
     qnum.plan_shared.cache_clear()
-    lengths = []
+    points = []
 
-    def recorded(q, r, ms):
-        lengths.append(len(ms))
-        return log_bounds(q, r, ms)
+    def recorded(q, r, M):
+        points.append(M)
+        return log_bound(q, r, M)
 
-    log_bounds = qnum._log_bounds
-    monkeypatch.setattr(qnum, "_log_bounds", recorded)
+    log_bound = qnum._log_bound
+    monkeypatch.setattr(qnum, "_log_bound", recorded)
     ctx = QContext(0.97)
     plan = plan_truncation(ctx, 0.5, 20, 3, 1e-10)
     assert plan.cutoff_M == _reference_scan(0.97, 3, degree_weight_bound(ctx, 0.5, 20), 1e-10)[0]
-    assert 0 < sum(lengths) <= 8
+    assert 0 < len(points) <= 8
 
 
 def test_memoized_plans_keep_refusals_and_their_own_inputs():
@@ -365,8 +388,10 @@ def test_memoized_plans_keep_refusals_and_their_own_inputs():
              for cells in (1, 2) for epsilon in (1e-10, 1e-6) for max_terms in (3000, 20000)}
     for (cells, epsilon, max_terms), plan in plans.items():
         assert plan[0] == _reference_scan(0.99, 1, 1.0, epsilon, max_terms)[0]
-        cutoffs, tails = qnum._plan(ctx, 1, np.ones(cells), epsilon, max_terms)
-        assert plan == (cutoffs[0], tails[0])
+        # the memoized plan is the plan made afresh, and the array's plan of each cell
+        assert plan == qnum.plan_shared.__wrapped__(ctx, 1, 1.0, cells, epsilon, max_terms)
+        cutoffs = plan_cutoffs(ctx, 1, np.ones(cells), epsilon, max_terms)
+        assert cutoffs.tolist() == [plan[0]] * cells
     cached = qnum.plan_shared.cache_info().currsize
     for _ in range(2):  # a refusal is not cached: the second call raises it again
         with pytest.raises(BudgetExceeded) as refused:
@@ -529,8 +554,8 @@ def test_plan_refuses_a_dominating_term_past_the_double_range():
         plan_truncation_weighted(QContext(0.5), 1, 1e308 / 0.75, 1e-10)
 
 
-def _no_grid(*args):
-    raise AssertionError("a refused plan built the grid of g")
+def _no_g(*args):
+    raise AssertionError("a refused plan evaluated g")
 
 
 @pytest.mark.parametrize("plan,refusal,needle", [
@@ -543,13 +568,13 @@ def _no_grid(*args):
     # about 2700 terms for each of 5000 cells
     (lambda: plan_cutoffs(QContext(0.99), 1, np.ones(SERIES_BUDGET // 2000), 1e-10),
      BudgetExceeded, "5000 cells of more than 2000 terms"),
-    # t(first) = 1.01^r binom(M+r-1, r-1) 0.01^M: the grid alone would take r-1 passes
+    # t(first) = 1.01^r binom(M+r-1, r-1) 0.01^M: one g_M alone would take r-1 log1p calls
     (lambda: plan_truncation_weighted(QContext(0.01), 10 ** 7, 1.0, 1e-10, 10 ** 7),
      PlanInfeasible, "overflows a double"),
 ], ids=["past-max-terms", "past-the-double-range", "past-the-matrix-budget", "huge-r"])
-def test_plan_refuses_without_building_a_grid(monkeypatch, plan, refusal, needle):
-    qnum.plan_shared.cache_clear()  # a plan cached by an earlier test would build no grid
-    monkeypatch.setattr(qnum, "_log_bounds", _no_grid)
+def test_plan_refuses_without_evaluating_g(monkeypatch, plan, refusal, needle):
+    qnum.plan_shared.cache_clear()  # a plan cached by an earlier test would evaluate no g
+    monkeypatch.setattr(qnum, "_log_bound", _no_g)
     with pytest.raises(refusal, match=needle):
         plan()
 
