@@ -7,14 +7,14 @@ isolates the shift-expansion rearrangement that turns the j-sum of
 polynomial values into power sums.
 
 Every identity is one row of the table IDENTITIES: the grid axes it reads,
-its two sides, and its default relative tolerance.  A side evaluates a sweep
-line, the instances of a row that are equal in every field but the degree n,
-by the protocol stated at Side.  One line checker, _line(), validates a
-line's instances, evaluates both sides over its degrees and reports them.
-check() is its call on a one-instance line; run_suite() sweeps a row's axes
-over a SweepGrid and calls it once per line, so a line refuses where check()
-would first refuse.  A line with a DomainError is checked one instance at
-a time, as check() checks it, and the error is recorded where it arises.
+its two sides, and its default relative tolerance.  Every side evaluates a
+sweep line, the instances of a row equal in every field but the degree n (a
+repeated grid value repeats an instance), by the protocol stated at Side;
+its E_j and l(-j) come from one polynomials.degree_table.  One line checker,
+_line(), validates a line's instances, evaluates both sides and reports
+them: check() calls it on one instance, run_suite() once per sweep line of a
+SweepGrid, so a line refuses where check() would first refuse.  A line with
+a DomainError is checked one instance at a time, recording it in place.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import NamedTuple
 from .characters import DirichletCharacter, build_character_group, group_order
 from .errors import (BudgetExceeded, DomainError, ParityViolation, PlanInfeasible, QEulerError,
                      is_integer, is_real)
-from .lfun import lfun_value
-from .polynomials import binomial_shift_sum, qeuler_addition, qeuler_value
+from .lfun import INTERPOLATION
+from .polynomials import degree_table, shift_sums
 from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
 from .report import IdentityReport, make_error_report, make_report
 from .sides import PowerSums, lfun_side, poly_side, power_sum_side, tuple_totals
@@ -77,8 +77,8 @@ class SymmetryInstance(NamedTuple):
 
 
 # A side maps (the line's instance, its degrees, epsilon, max_terms) to an
-# iterator that yields one raw value per degree, each bit for bit its
-# one-degree value.  At the first degree whose one-degree evaluation refuses,
+# iterator that yields one raw value per entry of the degrees (None in a row
+# without n), each bit for bit its one-instance value.  At the first degree whose one-degree evaluation refuses,
 # it raises that refusal (a QEulerError, or the OverflowError of a float
 # power) once it has yielded the degrees before it.  _values() collects a side
 # and owns both side rules: a value that is not a finite double, and a float
@@ -95,10 +95,12 @@ def _roles(side, mirrored: bool = False) -> Side:
                                                      max_terms)
 
 
-def _each(side: Callable[[SymmetryInstance, float, int], complex]) -> Side:
-    """A one-instance side mapped over a line, one degree after another."""
-    return lambda inst, ns, epsilon, max_terms: (side(inst._replace(n=n), epsilon, max_terms)
-                                                 for n in ns)
+def _cells(arg, *weighing) -> Side:
+    """The cell n of one degree_table at the argument arg(inst), at every degree
+    n of a line: E_n, or l(-n) with weighing lfun.INTERPOLATION."""
+    return lambda inst, ns, epsilon, max_terms: (table[n][0] for n, table in zip(ns, degree_table(
+        inst.chi, inst.r, inst.ctx, [arg(inst)], [(n, n) for n in ns], epsilon, max_terms,
+        *weighing)))
 
 
 class Identity(NamedTuple):
@@ -112,16 +114,10 @@ class Identity(NamedTuple):
     rel_tol: float
 
 
-def _mapped(axes: tuple[str, ...], lhs: Callable[[SymmetryInstance, float, int], complex],
-            rhs: Callable[[SymmetryInstance, float, int], complex], rel_tol: float) -> Identity:
-    """A row whose one-instance sides are mapped over a line."""
-    return Identity(axes, _each(lhs), _each(rhs), rel_tol)
-
-
 IDENTITIES = {
     # l-function symmetry, x > 0 and complex exponent s
-    "T1": _mapped(("ab", "s", "x"), lambda i, eps, M: lfun_side(i, i.a, i.b, eps, M),
-                  lambda i, eps, M: lfun_side(i, i.b, i.a, eps, M), DEFAULT_REL_TOL),
+    "T1": Identity(("ab", "s", "x"), _roles(lfun_side), _roles(lfun_side, True),
+                   DEFAULT_REL_TOL),
     # polynomial symmetry at integer degree n
     "T2": Identity(("ab", "n", "x"), _roles(poly_side), _roles(poly_side, True),
                    DEFAULT_REL_TOL),
@@ -129,32 +125,30 @@ IDENTITIES = {
     "T3": Identity(("ab", "n", "x"), _roles(power_sum_side),
                    _roles(power_sum_side, True), DEFAULT_REL_TOL),
     # interpolation l(-n, x) = E_n(x)
-    "EQ4": _mapped(("n", "x"),
-                   lambda i, eps, M: lfun_value(i.chi, i.r, complex(-i.n), i.x, i.ctx, eps, M),
-                   lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
-                   INTERPOLATION_REL_TOL),
+    "EQ4": Identity(("n", "x"), _cells(lambda i: i.x, *INTERPOLATION), _cells(lambda i: i.x),
+                    INTERPOLATION_REL_TOL),
     # expansion of E_n(x) through the q-Euler numbers E_i(0)
-    "EQ5": _mapped(("n", "x"),
-                   lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, 0.0, eps, M),
-                   lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x, i.ctx, eps, M),
-                   DEFAULT_REL_TOL),
+    "EQ5": Identity(("n", "x"),
+                    lambda i, ns, eps, M: shift_sums(i.chi, i.r, i.ctx, [(n, 0) for n in ns], i.x,
+                                                     0.0, eps, M),
+                    _cells(lambda i: i.x), DEFAULT_REL_TOL),
     # shift expansion of E_n(x + y)
-    "EQ9": _mapped(("n", "x", "y"),
-                   lambda i, eps, M: qeuler_addition(i.chi, i.r, i.n, i.ctx, i.x, i.y, eps, M),
-                   lambda i, eps, M: qeuler_value(i.chi, i.r, i.n, i.x + i.y, i.ctx, eps, M),
-                   DEFAULT_REL_TOL),
+    "EQ9": Identity(("n", "x", "y"),
+                    lambda i, ns, eps, M: shift_sums(i.chi, i.r, i.ctx, [(n, 0) for n in ns], i.x,
+                                                     i.y, eps, M),
+                    _cells(lambda i: i.x + i.y), DEFAULT_REL_TOL),
     # bridge: polynomial form against power-sum form, roles (a, b) then (b, a)
     "EQ12": Identity(("ab", "n", "x"), _roles(poly_side), _roles(power_sum_side),
                      BRIDGE_REL_TOL),
     "EQ13": Identity(("ab", "n", "x"), _roles(poly_side, True),
                      _roles(power_sum_side, True), BRIDGE_REL_TOL),
     # two-index shift symmetry between degrees m and n
-    "EQ15": _mapped(("m", "n", "x", "y"),
-                    lambda i, eps, M: binomial_shift_sum(i.chi, i.r, i.ctx, i.m, i.n, i.x,
-                                                         i.y, eps, M),
-                    lambda i, eps, M: binomial_shift_sum(i.chi, i.r, i.ctx, i.n, i.m, -i.x,
-                                                         i.x + i.y, eps, M),
-                    DEFAULT_REL_TOL),
+    "EQ15": Identity(("m", "n", "x", "y"),
+                     lambda i, ns, eps, M: shift_sums(i.chi, i.r, i.ctx, [(i.m, n) for n in ns],
+                                                      i.x, i.y, eps, M),
+                     lambda i, ns, eps, M: shift_sums(i.chi, i.r, i.ctx, [(n, i.m) for n in ns],
+                                                      -i.x, i.x + i.y, eps, M),
+                     DEFAULT_REL_TOL),
 }
 
 IDENTITY_IDS = tuple(IDENTITIES)

@@ -82,6 +82,11 @@ def lfun_values(chi: DirichletCharacter, r: int, s: complex, xs, ctx: QContext,
     return values
 
 
+# l(-n, x) as the cell n of a polynomials.degree_table: its weight bound and weigher
+INTERPOLATION = (lambda ctx, x, n: power_weight_bound(ctx, x, complex(-n)),
+                 lambda n: _bracket_power(complex(-n)))
+
+
 def lfun_eval(spec: LfunSpec) -> complex:
     """Evaluate the truncated grouped series, one cell of series_table; the
     error is below plan.tail_bound."""

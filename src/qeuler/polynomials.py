@@ -16,13 +16,14 @@ share the grouping step.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, inf
 from typing import NamedTuple
 
 import numpy as np
 
 from .characters import DirichletCharacter, conv_power
-from .errors import BudgetExceeded, DomainError, is_real, require_count, require_positive_int
+from .errors import (BudgetExceeded, DomainError, QEulerError, is_real, require_count,
+                     require_positive_int)
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
@@ -32,6 +33,7 @@ from .qnum import (
     bracket_rows,
     degree_weight_bound,
     plan_cutoffs,
+    plan_shared,
     plan_truncation,
     q_bracket_two_pow,
     q_number,
@@ -184,17 +186,60 @@ def qeuler_addition(chi: DirichletCharacter, r: int, n: int, ctx: QContext, x: f
     """
     if not (is_real(x) and x >= 0.0 and is_real(y) and y >= 0.0):
         raise DomainError(f"arguments must be nonnegative, got x={x}, y={y}")
-    return binomial_shift_sum(chi, r, ctx, n, 0, float(x), float(y), epsilon, max_terms)
+    if inf in (x, y):
+        raise DomainError(f"arguments must be finite, got x={x}, y={y}")
+    return next(shift_sums(chi, r, ctx, [(n, 0)], float(x), float(y), epsilon, max_terms))
 
 
-def binomial_shift_sum(chi: DirichletCharacter, r: int, ctx: QContext, top: int, base: int,
-                       shift: float, arg: float, epsilon: float = DEFAULT_EPSILON,
-                       max_terms: int = DEFAULT_MAX_TERMS) -> complex:
-    """sum_{k<=top} binom(top,k) q^(k shift) E_{base+k}(arg) [shift]_q^(top-k),
-    the sum behind the shift expansion and the two-index symmetry."""
+def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,
+                 epsilon: float = DEFAULT_EPSILON, max_terms: int = DEFAULT_MAX_TERMS,
+                 bound=degree_weight_bound, weigher=degree_weights):
+    """A dict from cells j to their columns over the arguments xs: E_j(x) by
+    default, or the series of weigher(j) under the weight bound
+    bound(ctx, xs[0], j), which must hold at every x and grow with j.  It is
+    yielded once for each span (low, high) of degrees, in order, holding at
+    least the cells low, ..., high.  Each span is checked as qeuler_table
+    checks its degrees: the bound of every cell not met before, from low up,
+    then the plan of its widest cell E_high among its len(xs) (high - low + 1)
+    cells.  The spans before the first refusal share one series_table, in
+    which each cell keeps its own plan, so every value is bit for bit its
+    single-cell value; the refusal is raised after them."""
+    bounds, cutoffs, refusal = {}, {}, None
+    try:
+        for k, (low, high) in enumerate(spans):
+            for j in range(low, high + 1):
+                if j not in bounds:
+                    bounds[j] = bound(ctx, xs[0], j)
+            among = len(xs) * (high - low + 1)
+            cutoffs[high] = plan_shared(ctx, r, bounds[high], among, epsilon, max_terms)[0]
+            for j in range(low, high):  # planned alone, which cannot refuse once E_high passed
+                if j not in cutoffs:
+                    cutoffs[j] = plan_shared(ctx, r, bounds[j], 1, epsilon, max_terms)[0]
+    except QEulerError as exc:
+        spans, refusal = spans[:k], exc
+    if spans:
+        table = dict(zip(cutoffs, series_table(chi, r, ctx, xs, [weigher(j) for j in cutoffs],
+                                               [list(cutoffs.values())])))
+        for _ in spans:
+            yield table
+    if refusal is not None:
+        raise refusal
+
+
+def shift_sums(chi: DirichletCharacter, r: int, ctx: QContext, pairs, shift: float, arg: float,
+               epsilon: float = DEFAULT_EPSILON, max_terms: int = DEFAULT_MAX_TERMS):
+    """sum_{k<=top} binom(top,k) q^(k shift) E_{base+k}(arg) [shift]_q^(top-k)
+    for each (top, base) of pairs, yielded in order: the sums behind the shift
+    expansion (base 0) and the two-index symmetry.  [shift]_q is formed
+    first, then one degree_table of the spans (base, base + top) serves every
+    pair, and each sum keeps its scalar order, so every value is bit for bit
+    its one-pair value."""
     bracket = q_number(shift, ctx)
-    values = qeuler_table(chi, r, [arg], range(base, base + top + 1), ctx, epsilon, max_terms)
-    total = 0j
-    for k, value in enumerate(values[0]):
-        total += comb(top, k) * ctx.q ** (k * shift) * value * bracket ** (top - k)
-    return total
+    spans = [(base, base + top) for top, base in pairs]
+    for (top, base), table in zip(pairs, degree_table(chi, r, ctx, [arg], spans, epsilon,
+                                                      max_terms)):
+        total = 0j
+        for k in range(top + 1):
+            total += (comb(top, k) * ctx.q ** (k * shift) * table[base + k][0]
+                      * bracket ** (top - k))
+        yield total

@@ -17,15 +17,15 @@ takes the roles explicitly and the mirror is produced by literally swapping
 the arguments, so instances with a = b agree bit for bit.
 
 A sweep line is a set of instances equal in every field but the degree n.
-The polynomial and power-sum forms take a line's degrees and yield one value
-per degree: the tuple totals, shifted arguments, composition sums and
-bracket matrix of a side depend on the line, not on n, so they are formed
-once, and so is each factor row of the power sums.  Each degree keeps its
-own plan and budget, and the t-sums and i-sums keep their scalar order, so
-every value is bit for bit the one-degree value.  Both forms are generators
-and follow the side protocol stated at identities.Side: a line that cannot
-be planned at some degree yields the degrees before it and then raises that
-degree's refusal.
+Each form yields one value per degree of its line; the l-function form,
+with no degree, yields its value once per repeat of its one instance.  The
+tuple totals, shifted arguments and one polynomials.degree_table of the E_j
+a side needs depend on the line, not on n, so they are formed once, and so
+is each factor row of the power sums.  Each degree keeps its own plan and
+budget, and the t-sums and i-sums keep their scalar order, so every value is
+bit for bit the one-degree value.  The forms are generators that follow the
+protocol stated at identities.Side: a line that cannot be planned at some
+degree yields the degrees before it and then raises that degree's refusal.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ import math
 import numpy as np
 
 from .characters import DirichletCharacter, bounded_composition_sums
-from .errors import BudgetExceeded, PlanInfeasible, QEulerError
+from .errors import BudgetExceeded, PlanInfeasible
 from .lfun import lfun_values
-from .polynomials import degree_weights, qeuler_table, series_table
+from .polynomials import degree_table
 from .qnum import (
     SERIES_BUDGET,
     QContext,
-    degree_weight_bound,
-    plan_shared,
     q_bracket_two_pow,
     q_number,
 )
@@ -124,75 +122,55 @@ def _shifted_total(weights, terms) -> complex:
     return complex(total)
 
 
-def lfun_side(inst, first: int, second: int, epsilon: float, max_terms: int) -> complex:
-    """One side of the l-function symmetry in roles (first, second)."""
+def lfun_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
+    """One side of the l-function symmetry in roles (first, second), yielded
+    once for every entry of ns: T1 has no degree, so its line holds equal
+    instances, one for each repeat of a grid value."""
     bracket_pow = cmath.exp(complex(inst.s) * math.log(q_number(second, inst.ctx)))
     weights, args = _shift_weights(inst, first, second)
     terms = lfun_values(inst.chi, inst.r, inst.s, args, inst.ctx.power(first), epsilon,
                         max_terms)
-    return (q_bracket_two_pow(inst.r, inst.ctx.power(second)) * bracket_pow
-            * _shifted_total(weights, terms))
+    yield from [q_bracket_two_pow(inst.r, inst.ctx.power(second)) * bracket_pow
+                * _shifted_total(weights, terms)] * len(ns)
 
 
 def poly_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
     """One side of the polynomial symmetry in roles (first, second), yielded
-    at every degree of ns.  The weights and arguments of the totals t, one
-    conv_power and one bracket matrix serve every degree; each degree keeps
+    at every degree of ns.  The weights and arguments of the totals t and one
+    degree_table of E_n at every argument serve every degree; each degree keeps
     the plan of its own len(args) cells and is summed over t from its own
     column."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
-    prefactors, cutoffs, refusal = [], [], None
-    try:
-        for k, n in enumerate(ns):  # each step refuses where check would at that degree
-            prefactors.append(q_number(first, ctx) ** n)
-            if k == 0:
-                weights, args = _shift_weights(inst, first, second)
-                ctx_first = ctx.power(first)
-            # the weight bound (1-q)^(-n) is the same at every argument
-            bound = degree_weight_bound(ctx_first, args[0], n)
-            cutoffs.append(plan_shared(ctx_first, r, bound, len(args), epsilon, max_terms)[0])
-            if k == 0:
-                two = q_bracket_two_pow(r, ctx.power(second))
-    except (QEulerError, OverflowError) as exc:  # raised after the degrees before it
-        ns, refusal = ns[:k], exc
-    if ns:
-        columns = series_table(chi, r, ctx_first, args, [degree_weights(n) for n in ns], cutoffs)
-        for prefactor, terms in zip(prefactors, columns):
-            yield two * prefactor * _shifted_total(weights, terms)
-    if refusal is not None:
-        raise refusal
+    for k, n in enumerate(ns):  # each step refuses where check would at that degree
+        prefactor = q_number(first, ctx) ** n
+        if k == 0:
+            weights, args = _shift_weights(inst, first, second)
+            tables = degree_table(chi, r, ctx.power(first), args, [(n, n) for n in ns],
+                                  epsilon, max_terms)
+        terms = next(tables)[n]
+        if k == 0:
+            two = q_bracket_two_pow(r, ctx.power(second))
+        yield two * prefactor * _shifted_total(weights, terms)
 
 
 def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
     """One side of the power-sum expansion in roles (first, second), yielded
-    at every degree of ns: one qeuler_table of E_j(second x) at q^first for
-    every j up to the largest degree, and one tuple-total histogram for every
-    S_{n,i}.  Degree n is checked by the plan of the widest of its n + 1 cells
-    E_n, ..., E_0, which refuses as they would, and is summed over i on its own."""
+    at every degree of ns: one degree_table of E_j(second x) at q^first, which
+    checks degree n by the widest of its n + 1 cells E_n, ..., E_0, and one
+    tuple-total histogram for every S_{n,i}.  Each degree is summed over i on
+    its own."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
-    arg, refusal = second * inst.x, None
-    try:
-        for k, n in enumerate(ns):  # each step refuses where check would at that degree
-            if k == 0:
-                ctx_second, ctx_first = ctx.power(second), ctx.power(first)
-            # (1-q)^(-j) grows with j, so E_n is the widest cell
-            plan_shared(ctx_first, r, degree_weight_bound(ctx_first, arg, n), n + 1, epsilon,
-                        max_terms)
-    except (QEulerError, OverflowError) as exc:  # raised after the degrees before it
-        ns, refusal = ns[:k], exc
-    if ns:
-        [e_values] = qeuler_table(chi, r, [arg], range(max(ns) + 1), ctx_first, epsilon,
-                                  max_terms)
-        upper = first * chi.modulus_d
-        bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
-        # one histogram and its factor rows serve every S_{n,i}
-        power_sums = PowerSums(tuple_totals(chi, r, upper, ns[0] + 1), upper, ctx_second)
-        for n in ns:
-            total, binomial = 0j, 1  # binomial(n, i), updated exactly
-            for i, s_val in enumerate(power_sums(n, range(n + 1))):
-                total += (binomial * bracket_first ** (n - i) * bracket_second ** i
-                          * e_values[n - i] * s_val)
-                binomial = binomial * (n - i) // (i + 1)
-            yield q_bracket_two_pow(r, ctx_second) * total
-    if refusal is not None:
-        raise refusal
+    ctx_second, ctx_first = ctx.power(second), ctx.power(first)
+    upper = first * chi.modulus_d
+    bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
+    tables = degree_table(chi, r, ctx_first, [second * inst.x], [(0, n) for n in ns], epsilon,
+                          max_terms)
+    for k, (n, table) in enumerate(zip(ns, tables)):
+        if k == 0:  # one histogram and its factor rows serve every S_{n,i}
+            power_sums = PowerSums(tuple_totals(chi, r, upper, n + 1), upper, ctx_second)
+        total, binomial = 0j, 1  # binomial(n, i), updated exactly
+        for i, s_val in enumerate(power_sums(n, range(n + 1))):
+            total += (binomial * bracket_first ** (n - i) * bracket_second ** i
+                      * table[n - i][0] * s_val)
+            binomial = binomial * (n - i) // (i + 1)
+        yield q_bracket_two_pow(r, ctx_second) * total

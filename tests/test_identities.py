@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
@@ -33,6 +33,7 @@ from qeuler import (
     q_bracket_two_pow,
     q_number,
     qeuler_poly,
+    qeuler_table,
     run_suite,
     suite_passed,
 )
@@ -613,7 +614,8 @@ def test_error_records_list_the_fields_of_a_successful_record(identity_id, bad):
     assert list(good[0].instance) == ["d", "chi", "r", "q", *IDENTITIES[identity_id].axes]
 
 
-_LINE_IDS = ("T2", "T3", "EQ12", "EQ13")
+# the rows with an odd pair and a degree
+_PAIRED_IDS = ("T2", "T3", "EQ12", "EQ13")
 
 
 def _per_instance(identity_id, grid, **kwargs):
@@ -639,6 +641,10 @@ def _batched(identity_id, grid, **kwargs):
 
 
 @settings(deadline=None, max_examples=40)
+# a repeated grid value puts equal instances on one line: T1's has no
+# degree, and its side yields once for each of them
+@example(identity_id="T1", d=3, r=1, q=0.5, a=1, b=3, n_max=0, xs=[1.0, 1.0], m_max=0, y=0.0,
+         s=1.5, max_terms=DEFAULT_MAX_TERMS)
 @given(
     identity_id=st.sampled_from(IDENTITY_IDS),
     d=st.sampled_from([1, 3, 5, 15]),
@@ -664,7 +670,7 @@ def test_a_batched_line_equals_per_instance_check(identity_id, d, r, q, a, b, n_
         identity_id, grid, max_terms=max_terms)
 
 
-@pytest.mark.parametrize("identity_id", _LINE_IDS)
+@pytest.mark.parametrize("identity_id", _PAIRED_IDS)
 def test_error_records_of_a_line_stay_in_place(identity_id):
     # the even a of the middle pair is recorded at each of its instances
     grid = SweepGrid(d_values=(3,), q_values=(0.5,), r_values=(2,), chi_labels=(1,),
@@ -677,32 +683,35 @@ def test_error_records_of_a_line_stay_in_place(identity_id):
     assert all("ParityViolation" in r.error for r in reports if r.error is not None)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=60)
 @given(
-    identity_id=st.sampled_from(_LINE_IDS),
+    identity_id=st.sampled_from(IDENTITY_IDS),
     d=st.sampled_from([1, 3, 15]),
     r=st.integers(min_value=1, max_value=3),
     q=st.sampled_from([0.3, 0.6, 0.9]),
     pairs=st.lists(st.tuples(_odd, _odd), min_size=1, max_size=2),
     ns=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+    ms=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=2),
     xs=st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=2),
+    ys=st.lists(st.sampled_from([0.0, 0.25, 1.5]), min_size=1, max_size=2),
     max_terms=st.integers(min_value=20, max_value=400),
 )
-def test_a_sweep_refuses_at_the_instance_check_meets_first(identity_id, d, r, q, pairs, ns,
-                                                           xs, max_terms):
+def test_a_sweep_refuses_at_the_instance_check_meets_first(identity_id, d, r, q, pairs, ns, ms,
+                                                           xs, ys, max_terms):
     # unsorted degrees and small term caps: some degrees refuse, and run_suite
     # raises the refusal of the first of them in enumeration order, or none
     grid = SweepGrid(d_values=(d,), q_values=(q,), r_values=(r,), ab_pairs=tuple(pairs),
-                     n_values=tuple(ns), x_values=tuple(xs))
+                     n_values=tuple(ns), s_values=(1.5, -2.0), m_values=tuple(ms),
+                     x_values=tuple(xs), y_values=tuple(ys))
     assert _batched(identity_id, grid, max_terms=max_terms) == _per_instance(
         identity_id, grid, max_terms=max_terms)
 
 
-@pytest.mark.parametrize("identity_id", _LINE_IDS)
+@pytest.mark.parametrize("identity_id", IDENTITY_IDS)
 def test_a_side_domain_error_is_recorded_at_every_instance(identity_id):
     # r = 0 is refused inside the sides, not by the axis rules
     grid = SweepGrid(d_values=(3,), q_values=(0.5,), r_values=(0,), ab_pairs=((1, 3),),
-                     n_values=(0, 1, 2))
+                     n_values=(0, 1, 2), s_values=(1.5,), m_values=(0, 2), y_values=(0.25,))
     reports = run_suite(identity_id, grid)
     assert [r.to_json_line() for r in reports] == _per_instance(identity_id, grid)
     assert all("order r must be a positive integer" in r.error for r in reports)
@@ -733,6 +742,38 @@ def test_a_wide_line_plans_each_degree_on_its_own():
         for n in range(4)]
 
 
+def test_a_shared_table_plans_each_degree_on_its_own():
+    # at q = 0.999 the 38 one-cell degrees of an EQ4 line reach cutoffs of
+    # 286,071 terms: one degree alone fits, while 38 cells of that many terms
+    # are past SERIES_BUDGET, so a table planned over the union would refuse
+    ctx, max_terms = QContext(0.999), 400_000
+    with pytest.raises(BudgetExceeded, match="38 cells of more than 263157 terms"):
+        qeuler_table(build_character_group(1)[0], 1, [0.5], range(38), ctx, max_terms=max_terms)
+    grid = SweepGrid(d_values=(1,), q_values=(0.999,), n_values=tuple(range(38)),
+                     x_values=(0.5,))
+    assert _batched("EQ4", grid, max_terms=max_terms) == _per_instance("EQ4", grid,
+                                                                       max_terms=max_terms)
+
+
+@pytest.mark.parametrize("identity_id", ["EQ4", "EQ5", "EQ9", "EQ15"])
+def test_a_line_tables_each_side_once(monkeypatch, identity_id):
+    # one series_table serves every degree of a side's line, not one per degree
+    calls = []
+
+    def table(*args):
+        calls.append(args)
+        yield from series_table(*args)
+
+    monkeypatch.setattr(polynomials, "series_table", table)
+    grid = SweepGrid(d_values=(3,), q_values=(0.7,), r_values=(2,), chi_labels=(1,),
+                     n_values=tuple(range(8)), m_values=(3,), x_values=(0.5,),
+                     y_values=(0.25,))
+    reports = [r.to_json_line() for r in run_suite(identity_id, grid)]
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert reports == _per_instance(identity_id, grid)
+
+
 @pytest.mark.parametrize("identity_id", ["T2", "EQ12"])
 @pytest.mark.parametrize("degrees", [1, 200])
 def test_a_line_tabled_in_blocks_of_degrees_equals_per_instance_check(monkeypatch, identity_id,
@@ -750,8 +791,7 @@ def test_a_line_tabled_in_blocks_of_degrees_equals_per_instance_check(monkeypatc
         blocks.append((widths[-1], len(coeffs), weights.shape))
         return alternating_weighted_sum(coeffs, weights, ctx)
 
-    monkeypatch.setattr(sides, "series_table", table)
-    # the power-sum side tables its E_j through qeuler_table
+    # both sides table their cells through polynomials.degree_table
     monkeypatch.setattr(polynomials, "series_table", table)
     monkeypatch.setattr(polynomials, "alternating_weighted_sum", kernel)
     grid = SweepGrid(d_values=(15,), q_values=(0.3,), r_values=(2,), chi_labels=(1,),

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -171,6 +172,17 @@ def test_an_argument_that_is_not_a_real_number_at_least_zero_is_refused(groups, 
     for args in ((x, 0.5), (0.5, x)):
         with pytest.raises(DomainError, match="arguments must be nonnegative, got x="):
             qeuler_addition(chi, 1, 2, ctx, *args)
+
+
+@pytest.mark.parametrize("args", [(math.inf, 0.0), (0.5, math.inf), (3000.0, math.inf)])
+def test_an_infinite_argument_of_the_shift_expansion_is_refused(groups, args):
+    # (inf, 0) gave (nan+nanj) and (3000, inf) a finite number
+    chi, ctx = groups[3][1], QContext(0.5)
+    with pytest.raises(DomainError, match=re.escape(f"arguments must be finite, got x={args[0]}, "
+                                                    f"y={args[1]}")):
+        qeuler_addition(chi, 1, 2, ctx, *args)
+    # E_n at x = inf is its finite limit, and stays
+    assert cmath.isfinite(qeuler_value(chi, 1, 2, math.inf, ctx))
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0])

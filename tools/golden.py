@@ -85,6 +85,21 @@ VERIFY_JSON = [
     # l(s, 0) is a DomainError: each character's line goes through check one
     # instance at a time and records it at every degree
     "EQ4 --d 15 --r 1 --q 0.5 --n-max 3 --x 0",
+    # shift-sum and interpolation lines that refuse in their middle, at degree 18
+    "EQ15 --d 15 --r 2 --q 0.9 --m-max 3 --n-max 30 --x 0.5 --y 0.25 --max-terms 700",
+    "EQ4 --d 15 --r 2 --q 0.9 --n-max 30 --x 0.5 --max-terms 700",
+    "EQ9 --d 15 --r 2 --q 0.9 --n-max 30 --x 0.5 --y 0.25 --max-terms 700",
+    # l(-n, x) names its weight bound w = n - 0j where it overflows, at n = 1024
+    "EQ4 --d 1 --q 0.5 --n-max 1030 --x 0.5",
+    # the shift expansion's value is not finite at n = 818
+    "EQ5 --d 3 --r 1 --q 0.5 --n-max 900 --x 0.5",
+    # [-x]_q overflows before any plan
+    "EQ15 --d 1 --r 1 --q 0.5 --m-max 1 --n-max 1 --x 2000 --y 0",
+    # the sweep-degree workload's EQ15 shape
+    "EQ15 --d 45 --r 2 --q 0.8 --m-max 7 --n-max 7 --x 1.5 --y 0",
+    # exits 1: nine false FAILs at chi0 and m + n >= 17, where the rhs's rounding
+    # and amplified truncation exceed the tolerance (ROADMAP F1)
+    "EQ15 --d 15 --r 3 --q 0.5 --n-max 20 --m-max 20 --x 0.75 --y 0.25",
 ]
 
 # verify --output {pretty,csv} --identity ...: every layout of a record
