@@ -224,10 +224,10 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     the d values are folded to P^r (length r(d-1)+1), and each factor
     1 / (1 - z^d) is one running sum along every residue class m = a + d k,
     taken as a cumulative sum down the columns of the rows of d entries.
-    Only the min(M, d) values below M enter the fold, which runs at length M
-    by square-and-multiply, so it costs O(r M + log(r) min(M, r d)^2)
-    operations, never more than the O(r M^2) of folding the periodic
-    sequence itself one factor at a time.  The folded array
+    Only the min(M, d) stored values chi.values[:M] enter the fold, which
+    runs at length M by square-and-multiply, so it costs O(r M + log(r)
+    min(M, r d)^2) operations, never more than the O(r M^2) of folding the
+    periodic sequence itself one factor at a time.  The folded array
     is never shorter than the period slice, so np.convolve never swaps its
     operands, and the rows are padded with -0.0, the exact additive
     identity, so every prefix c_0..c_{k-1} is bit for bit the result at
@@ -236,7 +236,7 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     require_positive_int(r, "order r")
     require_count(M, "series length M", 1)
     d = chi.modulus_d
-    folded = _fold(chi.periodic_values(min(M, d)), r, M)
+    folded = _fold(chi.values[:M], r, M)
     out = np.full(-(-M // d) * d, complex(-0.0, -0.0))
     out[:len(folded)] = folded
     rows = out.reshape(-1, d)

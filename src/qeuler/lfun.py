@@ -78,7 +78,7 @@ def lfun_values(chi: DirichletCharacter, r: int, s: complex, xs, ctx: QContext,
     s = complex(s)
     cutoffs = plan_cutoffs(ctx, r, [power_weight_bound(ctx, x, s) for x in xs], epsilon,
                            max_terms)
-    [values] = series_table(chi, r, ctx, xs, [_bracket_power(s)], cutoffs[:, None])
+    [values] = series_table(chi, r, ctx, xs, [_bracket_power(s)], [cutoffs.tolist()])
     return values
 
 
@@ -91,7 +91,7 @@ def lfun_eval(spec: LfunSpec) -> complex:
     """Evaluate the truncated grouped series, one cell of series_table; the
     error is below plan.tail_bound."""
     [[value]] = series_table(spec.chi, spec.r, spec.ctx, [spec.x], [_bracket_power(spec.s)],
-                             spec.plan.cutoff_M)
+                             [[spec.plan.cutoff_M]])
     return value
 
 

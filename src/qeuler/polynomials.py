@@ -62,15 +62,15 @@ class QEulerSpec(NamedTuple):
         return cls(chi, r, n, float(x), ctx, plan)
 
 
-def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers, cutoffs):
+def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers, columns):
     """The series kernel, one column per weigher: for each bracket weight
     weighers[j] (a map from rows of the bracket matrix [m + x]_q to their
     weights), in order, the list over the arguments xs[i] of
 
-        [2]_q^r  sum_{m < cutoffs[i][j]} (-q)^m c_m weighers[j]([m + xs[i]]_q),
+        [2]_q^r  sum_{m < columns[j][i]} (-q)^m c_m weighers[j]([m + xs[i]]_q),
 
-    with c_m the order-r composition sums of chi and cutoffs broadcast to
-    len(xs) x len(weighers).  One conv_power at the largest cutoff serves every
+    with c_m the order-r composition sums of chi and columns[j] the Python list
+    of the column's cutoffs.  One conv_power at the largest cutoff serves every
     cell, since its prefixes are the shorter convolutions, and so does one
     bracket matrix of len(xs) x largest cutoff entries (plan_cutoffs keeps it
     within SERIES_BUDGET).  The rows of a column that share a cutoff are
@@ -78,18 +78,19 @@ def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers, c
     each value equals the one a single-cell call gives, bit for bit, and no
     call holds more weights than the bracket matrix.
     """
-    table = np.empty((len(xs), len(weighers)), dtype=np.intp)
-    table[...] = cutoffs
-    K = int(table.max(initial=0))
+    K = max(map(max, filter(None, columns)), default=0)
     coeffs = conv_power(chi, r, K) if K else np.zeros(0, dtype=complex)
     brackets = bracket_rows(ctx, xs, K)
     two = q_bracket_two_pow(r, ctx)
-    for weigher, column in zip(weighers, table.T):
-        sums = np.empty(len(xs), dtype=complex)
-        ks = set(column.tolist())
-        for k in ks:  # every row on a view of the brackets when they all share k
-            rows = slice(None) if len(ks) == 1 else np.flatnonzero(column == k)
-            sums[rows] = alternating_weighted_sum(coeffs[:k], weigher(brackets[rows, :k]), ctx)
+    for weigher, column in zip(weighers, columns):
+        if len(ks := set(column)) == 1:  # every row, on a view of the brackets
+            [k] = ks
+            sums = alternating_weighted_sum(coeffs[:k], weigher(brackets[:, :k]), ctx)
+        else:
+            sums, cutoffs = np.empty(len(xs), dtype=complex), np.array(column)
+            for k in ks:
+                rows = np.flatnonzero(cutoffs == k)
+                sums[rows] = alternating_weighted_sum(coeffs[:k], weigher(brackets[rows, :k]), ctx)
         yield [two * value for value in sums.tolist()]
 
 
@@ -104,8 +105,8 @@ def qeuler_table(chi: DirichletCharacter, r: int, xs, ns, ctx: QContext,
     """E_n(x) for every argument in xs (rows) and degree in ns (columns), each
     cell truncated exactly where qeuler_value would truncate it."""
     bounds = [[degree_weight_bound(ctx, x, n) for n in ns] for x in xs]
-    cutoffs = plan_cutoffs(ctx, r, bounds, epsilon, max_terms).reshape(len(xs), len(ns))
-    columns = list(series_table(chi, r, ctx, xs, [degree_weights(n) for n in ns], cutoffs))
+    cutoffs = plan_cutoffs(ctx, r, bounds, epsilon, max_terms).reshape(len(xs), len(ns)).T
+    columns = list(series_table(chi, r, ctx, xs, [degree_weights(n) for n in ns], cutoffs.tolist()))
     return [[column[i] for column in columns] for i in range(len(xs))]
 
 
@@ -116,7 +117,7 @@ def qeuler_poly(spec: QEulerSpec) -> complex:
     (zero imaginary part) whenever the character is real-valued.
     """
     [[value]] = series_table(spec.chi, spec.r, spec.ctx, [spec.x], [degree_weights(spec.n)],
-                             spec.plan.cutoff_M)
+                             [[spec.plan.cutoff_M]])
     return value
 
 
@@ -219,7 +220,7 @@ def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,
         spans, refusal = spans[:k], exc
     if spans:
         table = dict(zip(cutoffs, series_table(chi, r, ctx, xs, [weigher(j) for j in cutoffs],
-                                               [list(cutoffs.values())])))
+                                               [[c] * len(xs) for c in cutoffs.values()])))
         for _ in spans:
             yield table
     if refusal is not None:

@@ -105,6 +105,33 @@ def _log_bound(q: float, r: int, M: int) -> float:
     return log_term - np.log1p(-q * (M + r) / (M + 1.0))
 
 
+def _first(q: float, r: int, terms: int) -> int:
+    """The smallest M with rho_M < 1 by the float test, from just below
+    (q r - 1)/(1 - q), or terms + 1 if that is past terms."""
+    first = min(max(0, math.floor((q * r - 1.0) / (1.0 - q)) - 1), terms + 1)
+    while first <= terms and not q * (first + r) / (first + 1.0) < 1.0:
+        first += 1
+    return first
+
+
+def _descend(q: float, r: int, key: float, first: int, hit: int, miss: int, known: dict) -> int:
+    """The least M >= first with -g_M >= key, for a hit M that meets the key
+    and a miss below it, first - 1 or an M that misses it: g decreases, so
+    gallop down from the hit to a miss, then bisect between the two.  Each
+    g_M is read from the dict known, or evaluated and added to it."""
+    step = 1
+    while hit - miss > 1:
+        probe = max(hit - step, first) if miss < first else (miss + hit) // 2
+        step *= 2
+        if probe not in known:
+            known[probe] = _log_bound(q, r, probe)
+        if -known[probe] >= key:
+            hit = probe
+        else:
+            miss = probe
+    return hit
+
+
 @functools.lru_cache(maxsize=1024)
 def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon: float,
                 max_terms: int) -> tuple[int, float]:
@@ -146,10 +173,7 @@ def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon:
                     - math.lgamma(M + 1) - math.lgamma(r))
         return log_term, log_term - math.log1p(-q * (M + r) / (M + 1.0))
 
-    # the smallest M with rho_M < 1 by the float test, from just below (q r - 1)/(1 - q)
-    first = min(max(0, math.floor((q * r - 1.0) / (1.0 - q)) - 1), terms + 1)
-    while first <= terms and not q * (first + r) / (first + 1.0) < 1.0:
-        first += 1
+    first = _first(q, r, terms)
     if first > terms or closed(terms)[1] > need:
         raise no_cutoff()
     if log_widest + closed(first)[0] > _LOG_DOUBLE_MAX:  # t(first) is the largest term
@@ -170,15 +194,9 @@ def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon:
             raise no_cutoff() if cap == terms else over_budget()
         miss, M, step = M, min(cap, M + step), 2 * step
         g = _log_bound(q, r, M)
-    step = 1
-    while M - miss > 1:  # gallop down to a miss, then bisect between the two
-        probe = max(M - step, first) if miss < first else (miss + M) // 2
-        step *= 2
-        if -(at := _log_bound(q, r, probe)) >= key:
-            M, g = probe, at
-        else:
-            miss = probe
-    return M, float(np.exp(log_w + g))
+    known = {M: g}
+    M = _descend(q, r, key, first, M, miss, known)
+    return M, float(np.exp(log_w + known[M]))
 
 
 def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon: float,
@@ -191,14 +209,20 @@ def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon
 def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
                  max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
     """plan_shared's cutoff of each entry of an array of bounds among as many
-    cells, one plan per distinct bound.  The array is refused as plan_shared
-    refuses its least bound if that is negative or nan, else its widest."""
+    cells.  The array is refused as plan_shared refuses its least bound if
+    that is negative or nan, else its widest, and that one plan is the only
+    one memoized.  The cutoff falls with the bound, so the distinct bounds are
+    taken from the widest down, each cutoff descended to from the one before
+    on the g_M this call has evaluated."""
     bounds = np.asarray(weight_bounds, dtype=float)
     cells, least = bounds.size, float(bounds.min(initial=0.0))
-    plan_shared(ctx, r, float(bounds.max(initial=0.0)) if least >= 0.0 else least, cells,
-                epsilon, max_terms)
-    flat = bounds.ravel().tolist()
-    cutoffs = {w: plan_shared(ctx, r, w, cells, epsilon, max_terms)[0] for w in set(flat)}
+    M = plan_shared(ctx, r, float(bounds.max(initial=0.0)) if least >= 0.0 else least, cells,
+                    epsilon, max_terms)[0]
+    q, log_epsilon, flat = ctx.q, math.log(epsilon), bounds.ravel().tolist()
+    first, known, cutoffs = _first(q, r, min(max_terms, SERIES_BUDGET)), {}, {}
+    for w in sorted(set(flat), reverse=True):
+        key = (np.log(w) if w > 0.0 else -math.inf) - log_epsilon  # as plan_shared keys w
+        M = cutoffs[w] = _descend(q, r, key, first, M, first - 1, known)
     return np.array([cutoffs[w] for w in flat], dtype=np.intp).reshape(bounds.shape)
 
 
@@ -284,18 +308,17 @@ def bracket_rows(ctx: QContext, xs, length: int) -> np.ndarray:
 
 
 def _alternating_powers(q: float, length: int) -> np.ndarray:
-    """(-1)^m and q^m for m < length, as the two rows of one array."""
-    out = np.ones((2, length))
-    out[0, 1::2] = -1.0
-    out[1] = q ** np.arange(length)
-    return out
+    """(-1)^m q^m for m < length, one complex row: q^m negated at odd m."""
+    row = q ** np.arange(length)
+    row[1::2] *= -1.0
+    return row.astype(complex)
 
 
 def alternating_weighted_sum(coeffs: np.ndarray, weights: np.ndarray, ctx: QContext):
     """sum_m (-1)^m q^m coeffs[m] weights[..., m] for each row of weights,
-    over the common prefix of coeffs and the row; (-1)^m and q^m come from the
-    prefix store, keyed by q."""
+    over the common prefix of coeffs and the row, by the row (-1)^m q^m from
+    the prefix store, keyed by q.  A sign is exact, so each nonzero term keeps
+    the bits of ((c_m (-1)^m) q^m) w_m over two float rows."""
     M = min(len(coeffs), weights.shape[-1])
-    q = ctx.q
-    signs, powers = prefixes.prefix(("powers", q), M, lambda size: _alternating_powers(q, size))
-    return (coeffs[:M] * signs * powers * weights[..., :M]).sum(axis=-1)
+    signed = prefixes.prefix(("powers", ctx.q), M, lambda size: _alternating_powers(ctx.q, size))
+    return (coeffs[:M] * signed * weights[..., :M]).sum(axis=-1)

@@ -318,13 +318,17 @@ def test_plan_matches_the_reference_scan(q, r, weight, epsilon, max_terms):
     assert plan.tail_bound <= epsilon
 
 
-# pools of bounds drawn with repeats: duplicates, zeros and spreads of up to 600 decades
-_SPREAD_BOUNDS = st.lists(
-    st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)), min_size=1, max_size=6,
-).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+# pools of bounds drawn with repeats: duplicates, zeros and spreads of up to 600
+# decades, or bounds within a factor of four of each other, as [x]_q^(-s) over x
+_SPREAD_BOUNDS = st.one_of(
+    st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)),
+             min_size=1, max_size=6),
+    st.floats(min_value=1e-5, max_value=1e20).flatmap(
+        lambda w: st.lists(st.floats(min_value=w, max_value=4.0 * w), min_size=1, max_size=30)),
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=80)
 @given(
     q=st.floats(min_value=0.05, max_value=0.97),
     r=st.integers(min_value=1, max_value=4),
@@ -332,6 +336,8 @@ _SPREAD_BOUNDS = st.lists(
     epsilon=st.sampled_from([1e-6, 1e-10, 1e-13]),
 )
 @example(q=0.9, r=3, bounds=[0.0, 1e-300, 1e300, 1.0, 1.0], epsilon=1e-10)
+# cutoffs from 27 to 7123: each is descended to from the one above it
+@example(q=0.9, r=4, bounds=[10.0 ** k for k in range(-300, 301, 25)] + [0.0], epsilon=1e-13)
 def test_plan_cutoffs_of_spread_bounds_match_the_reference_scan(q, r, bounds, epsilon):
     ctx = QContext(q)
     expected = [_reference_scan(q, r, w, epsilon) for w in bounds]
@@ -344,10 +350,23 @@ def test_plan_cutoffs_of_spread_bounds_match_the_reference_scan(q, r, bounds, ep
         return
     cutoffs = plan_cutoffs(ctx, r, np.array(bounds), epsilon).tolist()
     assert cutoffs == [c for c, _ in expected]
-    # each cell's plan is the one its own bound gets among as many cells
-    plans = [qnum.plan_shared(ctx, r, w, len(bounds), epsilon, DEFAULT_MAX_TERMS) for w in bounds]
+    # each cell's plan is the one its own bound gets among as many cells, made afresh
+    plans = [qnum.plan_shared.__wrapped__(ctx, r, w, len(bounds), epsilon, DEFAULT_MAX_TERMS)
+             for w in bounds]
     assert cutoffs == [c for c, _ in plans]
     assert [t for _, t in plans] == pytest.approx([t for _, t in expected], rel=1e-12)
+
+
+def test_plan_cutoffs_memoizes_only_the_plan_that_checks_the_array():
+    # a plan per distinct bound filled the memo: 1000 x evicted every other plan
+    qnum.plan_shared.cache_clear()
+    ctx, s = QContext(0.9), 1.5
+    bounds = [power_weight_bound(ctx, x, s) for x in np.linspace(0.01, 5.0, 1000)]
+    cutoffs = plan_cutoffs(ctx, 2, bounds, 1e-10)
+    assert qnum.plan_shared.cache_info().currsize == 1
+    assert len(set(bounds)) == 1000 and len(set(cutoffs.tolist())) == 72
+    assert cutoffs.tolist() == [
+        qnum.plan_shared.__wrapped__(ctx, 2, w, 1000, 1e-10, DEFAULT_MAX_TERMS)[0] for w in bounds]
 
 
 @pytest.mark.parametrize("bounds, refusal", [
@@ -438,6 +457,56 @@ def test_batched_values_equal_single_values_bit_for_bit(q):
     assert lfun_values(chi, 2, s, xs[1:], ctx) == [lfun_value(chi, 2, s, x, ctx) for x in xs[1:]]
 
 
+_KERNEL_GROUPS = {d: build_character_group(d) for d in (1, 3, 5, 15, 45)}
+
+
+def _three_factor_sum(coeffs, weights, q):
+    """The kernel's sum over the float rows (-1)^m and q^m, in the order
+    ((c_m (-1)^m) q^m) w_m."""
+    M = min(len(coeffs), weights.shape[-1])
+    signs = np.ones(M)
+    signs[1::2] = -1.0
+    return (((coeffs[:M] * signs) * q ** np.arange(M)) * weights[..., :M]).sum(axis=-1)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    d=st.sampled_from(sorted(_KERNEL_GROUPS)),
+    label=st.integers(0, 23),
+    r=st.integers(1, 4),
+    M=st.integers(1, 3000),
+    q=st.floats(min_value=0.05, max_value=0.97),
+    x=st.floats(min_value=0.01, max_value=5.0),
+    weight=st.integers(0, 25) | st.floats(-4.0, 4.0) | st.complex_numbers(max_magnitude=4.0),
+    rows=st.integers(0, 3),
+)
+# real characters, whose imaginary sums are signed zeros
+@example(d=1, label=0, r=2, M=2800, q=0.97, x=1.0, weight=10, rows=0)
+@example(d=5, label=2, r=3, M=1, q=0.5, x=0.5, weight=3, rows=1)
+@example(d=5, label=2, r=1, M=640, q=0.9, x=0.25, weight=1.5, rows=2)
+@example(d=45, label=14, r=3, M=2900, q=0.97, x=0.5, weight=20, rows=3)
+@example(d=45, label=14, r=2, M=900, q=0.95, x=0.25, weight=0.5 - 1j, rows=0)
+def test_the_kernel_keeps_the_bits_of_its_three_factor_order(d, label, r, M, q, x, weight,
+                                                              rows):
+    # one stored complex row (-1)^m q^m in place of two float rows: a sign is
+    # exact, so every sum keeps its bits, signed zeros included
+    ctx, chi = QContext(q), _KERNEL_GROUPS[d][label % len(_KERNEL_GROUPS[d])]
+    coeffs = conv_power(chi, r, M)
+    brackets = q_number(np.arange(M) + (x + np.arange(max(rows, 1)))[:, None], ctx)
+    if isinstance(weight, int):  # E_n
+        weights = brackets ** weight
+    else:  # l(s, x) at s = -weight
+        weights = np.exp(complex(weight) * np.log(brackets))
+    if rows == 0:  # one row, as a one-cell call passes it
+        weights = weights[0]
+    got = np.atleast_1d(qnum.alternating_weighted_sum(coeffs, weights, ctx))
+    want = np.atleast_1d(_three_factor_sum(coeffs, weights, q))
+    assert ([(v.real.hex(), v.imag.hex()) for v in got.tolist()]
+            == [(v.real.hex(), v.imag.hex()) for v in want.tolist()])
+    if not np.any(chi.values.imag) and isinstance(weight, (int, float)):
+        assert not np.any(got.imag)
+
+
 _STORE_GROUPS = {d: build_character_group(d) for d in (1, 3, 15, 45)}
 
 
@@ -518,9 +587,19 @@ def test_the_prefix_store_evicts_its_oldest_and_hands_out_read_only_arrays():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     # the kernel's store after cells at several q: within its bound
+    qnum.prefixes.clear()
     for q in (0.9, 0.95, 0.97, 0.98):
         qeuler_value(_STORE_GROUPS[45][7], 3, 20, 0.5, QContext(q))
     assert sum(a.nbytes for a in qnum.prefixes._arrays.values()) <= qnum.PREFIX_BYTES
+    # its signs and powers are one read-only complex row (-1)^m q^m per q, 16 bytes a term
+    rows = {key[1]: a for key, a in qnum.prefixes._arrays.items() if key[0] == "powers"}
+    assert sorted(rows) == [0.9, 0.95, 0.97, 0.98]
+    for q, row in rows.items():
+        assert row.shape == (row.size,) and row.dtype == complex and row.nbytes == 16 * row.size
+        assert not row.flags.writeable
+        for k in (1, 2, 3, row.size // 2, row.size - 1, row.size):
+            shorter = qnum.prefixes.prefix(("powers", q), k, None)  # a hit: nothing formed
+            assert shorter.tobytes() == qnum._alternating_powers(q, k).tobytes()
 
 
 def test_plan_cutoffs_refuses_an_oversized_matrix():

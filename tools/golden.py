@@ -127,6 +127,12 @@ ANY_FORMAT = [
     "eval-powersum --d 3 --chi 1 --r 1 --upper 3 --n 1 --i 1 --q 0.5",
     "eval-powersum --d 5 --chi 3 --r 3 --upper 15 --n 4 --i 2 --q 0.7",
     "eval-powersum --d 1 --r 100 --upper 1 --n 0 --i 0 --q 0.5",
+    # the benchmark's eval-deep shapes: long series at q 0.95 to 0.97
+    "eval-qeuler --d 45 --chi 7 --r 3 --q 0.97 --n 20 --x 0.5",
+    "eval-qeuler --d 15 --chi 0 --r 3 --q 0.97 --n 19 --x 0.75",  # real: imaginary part 0.0
+    "eval-qeuler --d 1 --r 2 --q 0.97 --n 10 --x 1",
+    "eval-lfun --d 45 --chi 17 --r 2 --q 0.95 --x 0.25 --s=-0.5,1.0",
+    "eval-lfun --d 3 --chi 1 --r 1 --q 0.97 --x 0.5 --s -16",
 ]
 
 # argvs that end in an error (exit 2 or 3) or at the edges of the flag rules
