@@ -99,7 +99,7 @@ def _cells(arg, *weighing) -> Side:
     """The cell n of one degree_table at the argument arg(inst), at every degree
     n of a line: E_n, or l(-n) with weighing lfun.INTERPOLATION."""
     return lambda inst, ns, epsilon, max_terms: (table[n][0] for n, table in zip(ns, degree_table(
-        inst.chi, inst.r, inst.ctx, [arg(inst)], [(n, n) for n in ns], epsilon, max_terms,
+        inst.chi, inst.r, inst.ctx, [arg(inst)], [(n,) for n in ns], epsilon, max_terms,
         *weighing)))
 
 

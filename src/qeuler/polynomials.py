@@ -32,7 +32,6 @@ from .qnum import (
     alternating_weighted_sum,
     bracket_rows,
     degree_weight_bound,
-    plan_cutoffs,
     plan_shared,
     plan_truncation,
     q_bracket_two_pow,
@@ -72,7 +71,7 @@ def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers, c
     with c_m the order-r composition sums of chi and columns[j] the Python list
     of the column's cutoffs.  One conv_power at the largest cutoff serves every
     cell, since its prefixes are the shorter convolutions, and so does one
-    bracket matrix of len(xs) x largest cutoff entries (plan_cutoffs keeps it
+    bracket matrix of len(xs) x largest cutoff entries (plan_shared keeps it
     within SERIES_BUDGET).  The rows of a column that share a cutoff are
     weighed and summed in one kernel call over exactly that many terms, so
     each value equals the one a single-cell call gives, bit for bit, and no
@@ -103,11 +102,14 @@ def qeuler_table(chi: DirichletCharacter, r: int, xs, ns, ctx: QContext,
                  epsilon: float = DEFAULT_EPSILON,
                  max_terms: int = DEFAULT_MAX_TERMS) -> list[list[complex]]:
     """E_n(x) for every argument in xs (rows) and degree in ns (columns), each
-    cell truncated exactly where qeuler_value would truncate it."""
-    bounds = [[degree_weight_bound(ctx, x, n) for n in ns] for x in xs]
-    cutoffs = plan_cutoffs(ctx, r, bounds, epsilon, max_terms).reshape(len(xs), len(ns)).T
-    columns = list(series_table(chi, r, ctx, xs, [degree_weights(n) for n in ns], cutoffs.tolist()))
-    return [[column[i] for column in columns] for i in range(len(xs))]
+    cell as qeuler_value gives it: the one-span degree_table of ns, once every
+    (x, n) has its bound in that order; with no cell, r, epsilon and max_terms
+    are still checked."""
+    if not [degree_weight_bound(ctx, x, n) for x in xs for n in ns]:
+        plan_shared(ctx, r, 0.0, 0, epsilon, max_terms)
+        return [[] for _ in xs]
+    [table] = degree_table(chi, r, ctx, xs, [ns], epsilon, max_terms)
+    return [[table[n][i] for n in ns] for i in range(len(xs))]
 
 
 def qeuler_poly(spec: QEulerSpec) -> complex:
@@ -189,6 +191,7 @@ def qeuler_addition(chi: DirichletCharacter, r: int, n: int, ctx: QContext, x: f
         raise DomainError(f"arguments must be nonnegative, got x={x}, y={y}")
     if inf in (x, y):
         raise DomainError(f"arguments must be finite, got x={x}, y={y}")
+    require_count(n, "degree n", 0)
     return next(shift_sums(chi, r, ctx, [(n, 0)], float(x), float(y), epsilon, max_terms))
 
 
@@ -198,22 +201,22 @@ def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,
     """A dict from cells j to their columns over the arguments xs: E_j(x) by
     default, or the series of weigher(j) under the weight bound
     bound(ctx, xs[0], j), which must hold at every x and grow with j.  It is
-    yielded once for each span (low, high) of degrees, in order, holding at
-    least the cells low, ..., high.  Each span is checked as qeuler_table
-    checks its degrees: the bound of every cell not met before, from low up,
-    then the plan of its widest cell E_high among its len(xs) (high - low + 1)
-    cells.  The spans before the first refusal share one series_table, in
-    which each cell keeps its own plan, so every value is bit for bit its
-    single-cell value; the refusal is raised after them."""
+    yielded once for each span, a nonempty sequence of degrees, in order,
+    holding at least the span's cells.  Each span is checked in its order:
+    the bound of every cell not met before, then the plan of its widest cell,
+    its largest degree, among its len(xs) len(span) cells, then each other
+    new cell alone.  The spans before the first refusal share one
+    series_table, in which each cell keeps its own plan, so every value is
+    bit for bit its single-cell value; the refusal is raised after them."""
     bounds, cutoffs, refusal = {}, {}, None
     try:
-        for k, (low, high) in enumerate(spans):
-            for j in range(low, high + 1):
+        for k, span in enumerate(spans):
+            for j in span:
                 if j not in bounds:
                     bounds[j] = bound(ctx, xs[0], j)
-            among = len(xs) * (high - low + 1)
+            high, among = max(span), len(xs) * len(span)
             cutoffs[high] = plan_shared(ctx, r, bounds[high], among, epsilon, max_terms)[0]
-            for j in range(low, high):  # planned alone, which cannot refuse once E_high passed
+            for j in span:  # planned alone, which cannot refuse once the widest passed
                 if j not in cutoffs:
                     cutoffs[j] = plan_shared(ctx, r, bounds[j], 1, epsilon, max_terms)[0]
     except QEulerError as exc:
@@ -227,20 +230,28 @@ def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,
         raise refusal
 
 
+def ordered_sum(terms) -> complex:
+    """The sum of terms, added one at a time in their order from 0j: a side
+    sums its terms so, since a numpy reduction may round differently.  An
+    overflow gives a value that is not finite, refused by the side's reader."""
+    total = 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in terms:
+            total += term
+    return complex(total)
+
+
 def shift_sums(chi: DirichletCharacter, r: int, ctx: QContext, pairs, shift: float, arg: float,
                epsilon: float = DEFAULT_EPSILON, max_terms: int = DEFAULT_MAX_TERMS):
     """sum_{k<=top} binom(top,k) q^(k shift) E_{base+k}(arg) [shift]_q^(top-k)
     for each (top, base) of pairs, yielded in order: the sums behind the shift
     expansion (base 0) and the two-index symmetry.  [shift]_q is formed
-    first, then one degree_table of the spans (base, base + top) serves every
-    pair, and each sum keeps its scalar order, so every value is bit for bit
-    its one-pair value."""
+    first, then one degree_table of the spans base, ..., base + top serves
+    every pair, and each sum is an ordered_sum over k, so every value is bit
+    for bit its one-pair value."""
     bracket = q_number(shift, ctx)
-    spans = [(base, base + top) for top, base in pairs]
+    spans = [range(base, base + top + 1) for top, base in pairs]
     for (top, base), table in zip(pairs, degree_table(chi, r, ctx, [arg], spans, epsilon,
                                                       max_terms)):
-        total = 0j
-        for k in range(top + 1):
-            total += (comb(top, k) * ctx.q ** (k * shift) * table[base + k][0]
-                      * bracket ** (top - k))
-        yield total
+        yield ordered_sum(comb(top, k) * ctx.q ** (k * shift) * table[base + k][0]
+                          * bracket ** (top - k) for k in range(top + 1))

@@ -209,11 +209,12 @@ def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon
 def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
                  max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
     """plan_shared's cutoff of each entry of an array of bounds among as many
-    cells.  The array is refused as plan_shared refuses its least bound if
-    that is negative or nan, else its widest, and that one plan is the only
-    one memoized.  The cutoff falls with the bound, so the distinct bounds are
-    taken from the widest down, each cutoff descended to from the one before
-    on the g_M this call has evaluated."""
+    cells: the plan of lfun_values (E_n tables plan by degree, in
+    polynomials.degree_table).  The array is refused as plan_shared refuses
+    its least bound if that is negative or nan, else its widest, and that one
+    plan is the only one memoized.  The cutoff falls with the bound, so the
+    distinct bounds are taken from the widest down, each cutoff descended to
+    from the one before on the g_M this call has evaluated."""
     bounds = np.asarray(weight_bounds, dtype=float)
     cells, least = bounds.size, float(bounds.min(initial=0.0))
     M = plan_shared(ctx, r, float(bounds.max(initial=0.0)) if least >= 0.0 else least, cells,

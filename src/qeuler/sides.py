@@ -22,29 +22,27 @@ with no degree, yields its value once per repeat of its one instance.  The
 tuple totals, shifted arguments and one polynomials.degree_table of the E_j
 a side needs depend on the line, not on n, so they are formed once, and so
 is each factor row of the power sums.  Each degree keeps its own plan and
-budget, and the t-sums and i-sums keep their scalar order, so every value is
-bit for bit the one-degree value.  The forms are generators that follow the
-protocol stated at identities.Side: a line that cannot be planned at some
-degree yields the degrees before it and then raises that degree's refusal.
+budget, and every t-sum and i-sum is a polynomials.ordered_sum, so every
+value is bit for bit the one-degree value.  The forms are generators that
+follow the protocol stated at identities.Side: a line that cannot be planned
+at some degree yields the degrees before it and then raises that degree's
+refusal.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
 from .characters import DirichletCharacter, bounded_composition_sums
 from .errors import BudgetExceeded, PlanInfeasible
 from .lfun import lfun_values
-from .polynomials import degree_table
-from .qnum import (
-    SERIES_BUDGET,
-    QContext,
-    q_bracket_two_pow,
-    q_number,
-)
+from .polynomials import degree_table, ordered_sum
+from .qnum import SERIES_BUDGET, QContext, q_bracket_two_pow, q_number
+
 
 def _check_rows(rows: int, weight_rows: int) -> None:
     if rows * weight_rows > SERIES_BUDGET:
@@ -111,17 +109,6 @@ def _shift_weights(inst, first: int, second: int):
     return weights, [role_argument(second, inst.x, first, t) for t in range(len(totals))]
 
 
-def _shifted_total(weights, terms) -> complex:
-    """sum_t weights[t] terms[t], one scalar product after another in the order
-    of t: a numpy product of complex arrays may round differently.  An
-    overflow gives a value that is not finite, refused by the caller."""
-    total = 0j
-    with np.errstate(over="ignore", invalid="ignore"):
-        for weight, term in zip(weights, terms):
-            total += weight * term
-    return complex(total)
-
-
 def lfun_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
     """One side of the l-function symmetry in roles (first, second), yielded
     once for every entry of ns: T1 has no degree, so its line holds equal
@@ -131,7 +118,7 @@ def lfun_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms
     terms = lfun_values(inst.chi, inst.r, inst.s, args, inst.ctx.power(first), epsilon,
                         max_terms)
     yield from [q_bracket_two_pow(inst.r, inst.ctx.power(second)) * bracket_pow
-                * _shifted_total(weights, terms)] * len(ns)
+                * ordered_sum(map(operator.mul, weights, terms))] * len(ns)
 
 
 def poly_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
@@ -145,32 +132,30 @@ def poly_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms
         prefactor = q_number(first, ctx) ** n
         if k == 0:
             weights, args = _shift_weights(inst, first, second)
-            tables = degree_table(chi, r, ctx.power(first), args, [(n, n) for n in ns],
-                                  epsilon, max_terms)
+            tables = degree_table(chi, r, ctx.power(first), args, [(n,) for n in ns], epsilon,
+                                  max_terms)
         terms = next(tables)[n]
         if k == 0:
             two = q_bracket_two_pow(r, ctx.power(second))
-        yield two * prefactor * _shifted_total(weights, terms)
+        yield two * prefactor * ordered_sum(map(operator.mul, weights, terms))
 
 
 def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
     """One side of the power-sum expansion in roles (first, second), yielded
     at every degree of ns: one degree_table of E_j(second x) at q^first, which
     checks degree n by the widest of its n + 1 cells E_n, ..., E_0, and one
-    tuple-total histogram for every S_{n,i}.  Each degree is summed over i on
-    its own."""
+    tuple-total histogram for every S_{n,i}.  Each degree is one ordered_sum
+    over i."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
     ctx_second, ctx_first = ctx.power(second), ctx.power(first)
     upper = first * chi.modulus_d
     bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
-    tables = degree_table(chi, r, ctx_first, [second * inst.x], [(0, n) for n in ns], epsilon,
-                          max_terms)
+    tables = degree_table(chi, r, ctx_first, [second * inst.x], [range(n + 1) for n in ns],
+                          epsilon, max_terms)
     for k, (n, table) in enumerate(zip(ns, tables)):
         if k == 0:  # one histogram and its factor rows serve every S_{n,i}
             power_sums = PowerSums(tuple_totals(chi, r, upper, n + 1), upper, ctx_second)
-        total, binomial = 0j, 1  # binomial(n, i), updated exactly
-        for i, s_val in enumerate(power_sums(n, range(n + 1))):
-            total += (binomial * bracket_first ** (n - i) * bracket_second ** i
-                      * table[n - i][0] * s_val)
-            binomial = binomial * (n - i) // (i + 1)
+        total = ordered_sum(math.comb(n, i) * bracket_first ** (n - i) * bracket_second ** i
+                            * table[n - i][0] * s_val
+                            for i, s_val in enumerate(power_sums(n, range(n + 1))))
         yield q_bracket_two_pow(r, ctx_second) * total

@@ -394,3 +394,14 @@ def test_orders_up_to_three_fold_as_one_factor_at_a_time(d):
                 base = chi.periodic_values(min(M, d))
                 assert (characters._fold(base, r, M).tobytes()
                         == _one_factor_at_a_time(base, r, M).tobytes())
+
+
+def test_a_generator_mod_p_that_fails_mod_p_squared_is_lifted_by_p():
+    # 5 generates (Z/pZ)* at p = 40487 but 5^(p-1) = 1 mod p^2, so (Z/p^2 Z)*
+    # takes 5 + p; no modulus below MODULUS_BOUND has such a prime
+    p = 40487
+    assert characters._primitive_root(p, 1) == 5 and pow(5, p - 1, p * p) == 1
+    g = characters._primitive_root(p, 2)
+    order = p * (p - 1)
+    assert g == p + 5
+    assert all(pow(g, order // f, p * p) != 1 for f, _ in characters._factorize(order))

@@ -489,3 +489,33 @@ def test_every_argv_reaches_a_defined_exit(argv):
     if code in (0, 1) and "--output" in argv and argv[argv.index("--output") + 1] == "json":
         for line in out.getvalue().splitlines():
             json.loads(line, parse_constant=_reject_constant)
+
+
+def test_pretty_verify_prints_a_recorded_error_on_its_line(capsys):
+    # x = 0 is outside T1's domain: each character records the DomainError
+    code, out, err = run_cli(capsys, ["verify", "--identity", "T1", "--d", "3", "--q", "0.5",
+                                      "--a", "1", "--b", "3", "--s", "1", "--x", "0"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"FAIL T1 d=3 chi={chi} r=1 q=0.5 a=1 b=3 s=(1+0j) x=0.0 error: DomainError: "
+        "x must be strictly positive, got 0.0" for chi in (0, 1)] + ["0/2 instances passed"]
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run_cli(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qeuler")
+
+
+def test_a_reader_that_left_drops_the_output_quietly(capsys, monkeypatch):
+    # in-process: a write to a closed pipe raises BrokenPipeError, and stdout
+    # is then dropped so that the exit-time flush cannot raise it again
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["char-list", "--d", "15", "--output", "csv"]) == 0
+    assert sys.stdout is None
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""

@@ -34,6 +34,7 @@ from qeuler import (
     q_number,
     qeuler_poly,
     qeuler_table,
+    qeuler_value,
     run_suite,
     suite_passed,
 )
@@ -455,6 +456,86 @@ def test_symmetry_sides_equal_the_per_total_loop_bit_for_bit(d, label, r, q, x, 
         t1 = check("T1", inst)
         assert t1.lhs == _reference_lfun_side(inst, a, b)
         assert t1.rhs == _reference_lfun_side(inst, b, a)
+
+
+def _reference_power_sum_side(inst, first, second):
+    """One power-sum side as a scalar loop over i with a running binomial: a
+    plan and a series per E_{n-i}, and one PowerSums row of every S_{n,i}."""
+    chi, r, ctx, n = inst.chi, inst.r, inst.ctx, inst.n
+    upper = first * chi.modulus_d
+    s_vals = PowerSums(tuple_totals(chi, r, upper, n + 1), upper, ctx.power(second))(
+        n, range(n + 1))
+    total, binomial = 0j, 1
+    for i, s_val in enumerate(s_vals):
+        total += (binomial * q_number(first, ctx) ** (n - i) * q_number(second, ctx) ** i
+                  * qeuler_value(chi, r, n - i, second * inst.x, ctx.power(first)) * s_val)
+        binomial = binomial * (n - i) // (i + 1)
+    return q_bracket_two_pow(r, ctx.power(second)) * total
+
+
+def _reference_shift_sum(inst, top, base, shift, arg):
+    """sum_{k<=top} binom(top,k) q^(k shift) E_{base+k}(arg) [shift]_q^(top-k)
+    as a scalar loop over k, a plan and a series per E_{base+k}."""
+    total, bracket = 0j, q_number(shift, inst.ctx)
+    for k in range(top + 1):
+        total += (math.comb(top, k) * inst.ctx.q ** (k * shift)
+                  * qeuler_value(inst.chi, inst.r, base + k, arg, inst.ctx)
+                  * bracket ** (top - k))
+    return total
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    d=st.sampled_from([1, 3, 5, 15]),
+    label=st.integers(min_value=0, max_value=7),
+    r=st.integers(min_value=1, max_value=3),
+    q=st.floats(min_value=0.2, max_value=0.8),
+    x=st.floats(min_value=0.0, max_value=3.0),
+    a=_odd,
+    b=_odd,
+    n=st.integers(min_value=0, max_value=8),
+)
+def test_power_sum_sides_equal_the_per_cell_loop_bit_for_bit(d, label, r, q, x, a, b, n):
+    chi = _SIDE_GROUPS[d][label % len(_SIDE_GROUPS[d])]
+    inst = SymmetryInstance(chi=chi, r=r, ctx=QContext(q), a=a, b=b, n=n, x=x)
+    t3, eq12, eq13 = (check(identity_id, inst) for identity_id in ("T3", "EQ12", "EQ13"))
+    assert t3.lhs == eq12.rhs == _reference_power_sum_side(inst, a, b)
+    assert t3.rhs == eq13.rhs == _reference_power_sum_side(inst, b, a)
+    assert eq12.lhs == _reference_poly_side(inst, a, b)
+    assert eq13.lhs == _reference_poly_side(inst, b, a)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    d=st.sampled_from([1, 3, 5, 15]),
+    label=st.integers(min_value=0, max_value=7),
+    r=st.integers(min_value=1, max_value=3),
+    q=st.floats(min_value=0.2, max_value=0.8),
+    x=st.floats(min_value=0.0, max_value=3.0),
+    y=st.floats(min_value=0.0, max_value=3.0),
+    m=st.integers(min_value=0, max_value=4),
+    n=st.integers(min_value=0, max_value=8),
+)
+def test_shift_expansions_equal_the_per_cell_loop_bit_for_bit(d, label, r, q, x, y, m, n):
+    chi = _SIDE_GROUPS[d][label % len(_SIDE_GROUPS[d])]
+    inst = SymmetryInstance(chi=chi, r=r, ctx=QContext(q), m=m, n=n, x=x, y=y)
+    assert check("EQ5", inst).lhs == _reference_shift_sum(inst, n, 0, x, 0.0)
+    assert check("EQ9", inst).lhs == _reference_shift_sum(inst, n, 0, x, y)
+    eq15 = check("EQ15", inst)
+    assert eq15.lhs == _reference_shift_sum(inst, m, n, x, y)
+    assert eq15.rhs == _reference_shift_sum(inst, n, m, -x, x + y)
+
+
+def test_a_power_sum_side_takes_exact_binomials_at_numpy_integer_degrees():
+    # the running binomial of a numpy degree wrapped past int64, so at n = 70
+    # T3's rhs read 7.35e18 against 6.09e17 and the instance failed
+    grid = SweepGrid(d_values=(1,), q_values=(0.5,), ab_pairs=((1, 3),),
+                     n_values=(np.int64(70),), x_values=(0.5,))
+    [report] = run_suite("T3", grid)
+    assert report.passed
+    assert report.to_json_line() == check("T3", SymmetryInstance(
+        chi=build_character_group(1)[0], r=1, ctx=QContext(0.5), a=1, b=3, n=70,
+        x=0.5)).to_json_line()
 
 
 @pytest.mark.parametrize("d", [1, 3, 15])
@@ -924,3 +1005,9 @@ def test_the_sweep_budget_counts_a_grid_before_listing_it(monkeypatch, identity_
     with pytest.raises(BudgetExceeded, match=f"the sweep has {size} instances"):
         run_suite(identity_id, grid)
     assert builds == []
+
+
+def test_t1_without_an_exponent_is_a_domain_error(groups, ctx):
+    inst = SymmetryInstance(chi=groups[3][1], r=1, ctx=ctx, a=1, b=3, x=1.0)
+    with pytest.raises(DomainError, match="^T1 needs the exponent s$"):
+        check("T1", inst)

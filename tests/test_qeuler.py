@@ -17,6 +17,7 @@ from qeuler import (
     qeuler_table,
     qeuler_value,
 )
+from qeuler.polynomials import char_tuple_sum
 
 
 def closed_form_degree_zero(q):
@@ -194,6 +195,14 @@ def test_a_degree_that_is_not_an_integer_is_refused(groups, n):
         groups[3][1], 1, 2, 0.5, QContext(0.5))
 
 
+@pytest.mark.parametrize("n, message", [(2.5, "must be an integer, got 2.5"),
+                                        (-1, "must be nonnegative, got -1")])
+def test_the_shift_expansion_refuses_a_degree_that_is_not_a_count(groups, n, message):
+    # a raw KeyError (n = -1) or TypeError (n = 2.5) from the span of degrees
+    with pytest.raises(DomainError, match=re.escape(f"degree n {message}")):
+        qeuler_addition(groups[3][1], 1, n, QContext(0.5), 0.5, 0.25)
+
+
 def test_a_naive_cutoff_that_is_not_an_integer_is_refused(groups):
     spec = QEulerSpec.create(groups[1][0], 1, 2, 1.0, QContext(0.5))
     with pytest.raises(DomainError, match=re.escape("cutoff M must be an integer, got 2.5")):
@@ -213,3 +222,8 @@ def test_naive_budget_guard(groups):
     spec = QEulerSpec.create(groups[1][0], 3, 0, 0.0, ctx)
     with pytest.raises(BudgetExceeded):
         qeuler_poly_naive(spec, 10 ** 4)
+
+
+def test_a_tuple_sum_over_no_values_is_refused():
+    with pytest.raises(DomainError, match="tuple enumeration needs a nonempty value range"):
+        char_tuple_sum(np.zeros(0, dtype=complex), np.ones(1), 1)

@@ -33,7 +33,7 @@ from qeuler import (
 )
 from qeuler import lfun, polynomials, qnum
 from qeuler.errors import is_real
-from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cutoffs
+from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cutoffs, plan_shared
 
 
 def test_qcontext_rejects_bad_parameters():
@@ -458,6 +458,48 @@ def test_batched_values_equal_single_values_bit_for_bit(q):
 
 
 _KERNEL_GROUPS = {d: build_character_group(d) for d in (1, 3, 5, 15, 45)}
+_degree = st.integers(min_value=0, max_value=14)
+
+
+@settings(deadline=None, max_examples=80)
+@example(d=1, label=0, r=1, q=0.999, xs=[0.5], ns=list(range(38)), epsilon=1e-10,
+         max_terms=400_000)  # 38 cells of more than 263157 terms
+@example(d=3, label=1, r=3, q=0.9, xs=[], ns=[2], epsilon=1e-10, max_terms=0)
+@example(d=3, label=1, r=2, q=0.7, xs=[0.5, 0.5], ns=[], epsilon=1e-10, max_terms=0)
+@given(
+    d=st.sampled_from([1, 3, 15]),
+    label=st.integers(min_value=0, max_value=7),
+    r=st.integers(min_value=1, max_value=3),
+    q=st.floats(min_value=0.1, max_value=0.95),
+    xs=st.lists(st.floats(min_value=0.0, max_value=5.0), max_size=3),
+    ns=st.lists(st.one_of(_degree, _degree.map(np.int64)), max_size=5),
+    epsilon=st.sampled_from([1e-6, 1e-10, 1e-13]),
+    max_terms=st.sampled_from([0, 3, 20, 60, 300, DEFAULT_MAX_TERMS]),
+)
+def test_qeuler_table_is_its_cells_or_the_refusal_of_its_widest(d, label, r, q, xs, ns, epsilon,
+                                                                 max_terms):
+    # unsorted and repeated degrees, numpy degrees, empty rows and columns: the
+    # table is refused as its widest cell among all of its cells, else each
+    # cell is its one-cell value
+    chi, ctx = _KERNEL_GROUPS[d][label % len(_KERNEL_GROUPS[d])], QContext(q)
+    widest = max((degree_weight_bound(ctx, x, n) for x in xs for n in ns), default=0.0)
+    try:
+        plan_shared(ctx, r, widest, len(xs) * len(ns), epsilon, max_terms)
+    except (PlanInfeasible, BudgetExceeded) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            qeuler_table(chi, r, xs, ns, ctx, epsilon, max_terms)
+        return
+    assert qeuler_table(chi, r, xs, ns, ctx, epsilon, max_terms) == [
+        [qeuler_value(chi, r, n, x, ctx, epsilon, max_terms) for n in ns] for x in xs]
+
+
+def test_qeuler_table_refuses_its_first_bad_cell_in_row_major_order():
+    # (0.5, 5000) overflows its weight bound before the negative x is met
+    chi, ctx = build_character_group(3)[1], QContext(0.5)
+    with pytest.raises(PlanInfeasible, match="overflows"):
+        qeuler_table(chi, 1, [0.5, -1.0], [2, 5000], ctx)
+    with pytest.raises(DomainError, match="x must be nonnegative"):
+        qeuler_table(chi, 1, [-1.0, 0.5], [2, 5000], ctx)
 
 
 def _three_factor_sum(coeffs, weights, q):
@@ -710,3 +752,13 @@ def test_weight_bounds_are_the_supremum_of_the_kernel_weights(q, x, n, s):
 def test_weight_bound_below_the_double_range_is_the_smallest_normal():
     # [100]_0.9^(-400) is about 1e-400: planned as a bound, never as zero
     assert power_weight_bound(QContext(0.9), 100.0, 400.0) == sys.float_info.min
+
+
+def test_a_context_reads_as_its_q():
+    assert repr(QContext(0.5)) == "QContext(q=0.5)"
+
+
+def test_a_negative_max_terms_is_a_domain_error():
+    chi = build_character_group(3)[1]
+    with pytest.raises(DomainError, match=re.escape("max_terms must be nonnegative, got -1")):
+        qeuler_value(chi, 1, 2, 0.5, QContext(0.5), max_terms=-1)

@@ -168,6 +168,10 @@ EDGES = [
     "verify --identity T3 --d 15 --r 2 --q 0.9 --a 1 --b 3 --n-max 30 --max-terms 300",
     # a power-sum side refuses as its widest cell E_n does, and names that cell's bound
     "verify --identity EQ13 --d 3 --r 2 --q 0.9 --a 1 --b 3 --n-max 40 --max-terms 200",
+    # a power-sum side's i-sum is not finite at n = 546 in roles (1, 3), T3's rhs
+    # here, and at n = 654 in roles (3, 1), EQ13's rhs here
+    "verify --identity T3 --d 1 --r 1 --q 0.5 --a 3 --b 1 --n-max 1300 --output json",
+    "verify --identity EQ13 --d 1 --r 1 --q 0.5 --a 1 --b 3 --n-max 1100 --output json",
     "eval-powersum --d 1 --r 1000000 --upper 1 --n 0 --i 0 --q 0.5",
     # grids past SWEEP_BUDGET instances, refused before any is listed
     "verify --identity T2 --d 3001 --q 0.5 --n-max 10000",
