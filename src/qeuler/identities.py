@@ -182,7 +182,7 @@ def _record(row: Identity, inst: SymmetryInstance) -> dict:
 
 def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> SymmetryInstance:
     """Every axis rule of the row, checked before any side is evaluated; the
-    instance is returned with its x and y as floats."""
+    instance is returned with its m and n as ints and its x and y as floats."""
     for name in ("a", "b") if "ab" in row.axes else ():
         value = getattr(inst, name)
         if not is_integer(value) or value < 1 or value % 2 == 0:
@@ -195,8 +195,9 @@ def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> Symmet
             raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
         if name in ("m", "n") and not is_integer(value):
             raise DomainError(f"{identity_id} needs an integer degree {name}, got {value!r}")
-        if name in ("x", "y") and type(value) is not float:
-            inst = inst._replace(**{name: float(value)})
+        canonical = int(value) if name in ("m", "n") else float(value)
+        if type(value) is not type(canonical):
+            inst = inst._replace(**{name: canonical})
     return inst
 
 

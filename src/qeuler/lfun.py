@@ -15,6 +15,7 @@ polynomials: l_r(-n, x | chi) = E_n(x).
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -27,22 +28,36 @@ from .qnum import (
     DEFAULT_MAX_TERMS,
     QContext,
     TruncationPlan,
-    plan_cutoffs,
+    plan_cells,
     plan_truncation_weighted,
     q_number,
     weight_sup,
 )
 
 
+def power_weight_bounds(ctx: QContext, xs, s: complex) -> list[float]:
+    """The bound weight_sup(ctx, x, -s) on |[m+x]_q^(-s)| over m >= 0 at each x
+    of the sequence xs, refused at its first x that is not strictly positive,
+    whose [x]_q underflows to zero (PlanInfeasible: the kernel takes
+    log [m+x]_q), or whose bound overflows, checked in that order x by x.
+    One array power forms [x]_q at the x's before the first x not positive."""
+    positive = list(itertools.takewhile(lambda x: is_real(x) and x > 0.0, xs))
+    brackets = (q_number(np.array(positive, dtype=float), ctx).tolist() if s.real > 0
+                else [None] * len(positive))
+    bounds = []
+    for x, bracket in zip(positive, brackets):
+        if q_number(x, ctx) <= 0.0:  # the scalar power: some x give zero here, not in the array
+            raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")
+        bounds.append(weight_sup(ctx, x, -s, bracket))
+    if len(positive) < len(xs):
+        raise DomainError(f"x must be strictly positive, got {xs[len(positive)]}")
+    return bounds
+
+
 def power_weight_bound(ctx: QContext, x: float, s: complex) -> float:
-    """Bound weight_sup(ctx, x, -s) on |[m+x]_q^(-s)| over m >= 0, for x > 0:
-    [x]_q^(-Re s) when Re s > 0 and (1-q)^(Re s) otherwise.  The kernel takes
-    log [m+x]_q, so a [x]_q that underflows to zero raises PlanInfeasible."""
-    if not (is_real(x) and x > 0.0):
-        raise DomainError(f"x must be strictly positive, got {x}")
-    if q_number(x, ctx) <= 0.0:
-        raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")
-    return weight_sup(ctx, x, -s)
+    """power_weight_bounds at the one argument x: [x]_q^(-Re s) when Re s > 0
+    and (1-q)^(Re s) otherwise."""
+    return power_weight_bounds(ctx, [x], s)[0]
 
 
 class LfunSpec(NamedTuple):
@@ -76,9 +91,9 @@ def lfun_values(chi: DirichletCharacter, r: int, s: complex, xs, ctx: QContext,
     """l_r(s, x) for every x in xs, each truncated exactly where lfun_value
     would truncate it: one column of polynomials.series_table."""
     s = complex(s)
-    cutoffs = plan_cutoffs(ctx, r, [power_weight_bound(ctx, x, s) for x in xs], epsilon,
-                           max_terms)
-    [values] = series_table(chi, r, ctx, xs, [_bracket_power(s)], [cutoffs.tolist()])
+    bounds = power_weight_bounds(ctx, xs, s)
+    plans = plan_cells(ctx, r, bounds, len(bounds), epsilon, max_terms)
+    [values] = series_table(chi, r, ctx, xs, [_bracket_power(s)], [[plans[w][0] for w in bounds]])
     return values
 
 

@@ -32,7 +32,7 @@ from .qnum import (
     alternating_weighted_sum,
     bracket_rows,
     degree_weight_bound,
-    plan_shared,
+    plan_cells,
     plan_truncation,
     q_bracket_two_pow,
     q_number,
@@ -103,10 +103,12 @@ def qeuler_table(chi: DirichletCharacter, r: int, xs, ns, ctx: QContext,
                  max_terms: int = DEFAULT_MAX_TERMS) -> list[list[complex]]:
     """E_n(x) for every argument in xs (rows) and degree in ns (columns), each
     cell as qeuler_value gives it: the one-span degree_table of ns, once every
-    (x, n) has its bound in that order; with no cell, r, epsilon and max_terms
-    are still checked."""
+    (x, n) has its bound in that order; with no cell, every x, r, epsilon and
+    max_terms are still checked."""
     if not [degree_weight_bound(ctx, x, n) for x in xs for n in ns]:
-        plan_shared(ctx, r, 0.0, 0, epsilon, max_terms)
+        for x in xs:  # no degree: each x is still checked
+            degree_weight_bound(ctx, x, 0)
+        plan_cells(ctx, r, [], 0, epsilon, max_terms)
         return [[] for _ in xs]
     [table] = degree_table(chi, r, ctx, xs, [ns], epsilon, max_terms)
     return [[table[n][i] for n in ns] for i in range(len(xs))]
@@ -203,9 +205,9 @@ def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,
     bound(ctx, xs[0], j), which must hold at every x and grow with j.  It is
     yielded once for each span, a nonempty sequence of degrees, in order,
     holding at least the span's cells.  Each span is checked in its order:
-    the bound of every cell not met before, then the plan of its widest cell,
-    its largest degree, among its len(xs) len(span) cells, then each other
-    new cell alone.  The spans before the first refusal share one
+    the bound of every cell not met before, then one plan_cells of its widest
+    cell, its largest degree, and of each cell not planned before, among its
+    len(xs) len(span) cells.  The spans before the first refusal share one
     series_table, in which each cell keeps its own plan, so every value is
     bit for bit its single-cell value; the refusal is raised after them."""
     bounds, cutoffs, refusal = {}, {}, None
@@ -214,11 +216,10 @@ def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,
             for j in span:
                 if j not in bounds:
                     bounds[j] = bound(ctx, xs[0], j)
-            high, among = max(span), len(xs) * len(span)
-            cutoffs[high] = plan_shared(ctx, r, bounds[high], among, epsilon, max_terms)[0]
-            for j in span:  # planned alone, which cannot refuse once the widest passed
-                if j not in cutoffs:
-                    cutoffs[j] = plan_shared(ctx, r, bounds[j], 1, epsilon, max_terms)[0]
+            high = max(span)  # the widest cell, and each cell not planned before
+            plans = plan_cells(ctx, r, [bounds[j] for j in span if j == high or j not in cutoffs],
+                               len(xs) * len(span), epsilon, max_terms)
+            cutoffs |= {j: plans[bounds[j]][0] for j in span if j not in cutoffs}
     except QEulerError as exc:
         spans, refusal = spans[:k], exc
     if spans:

@@ -206,36 +206,36 @@ def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon
     return TruncationPlan(*plan_shared(ctx, r, weight_bound, 1, epsilon, max_terms))
 
 
-def plan_cutoffs(ctx: QContext, r: int, weight_bounds, epsilon: float,
-                 max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
-    """plan_shared's cutoff of each entry of an array of bounds among as many
-    cells: the plan of lfun_values (E_n tables plan by degree, in
-    polynomials.degree_table).  The array is refused as plan_shared refuses
-    its least bound if that is negative or nan, else its widest, and that one
-    plan is the only one memoized.  The cutoff falls with the bound, so the
-    distinct bounds are taken from the widest down, each cutoff descended to
-    from the one before on the g_M this call has evaluated."""
-    bounds = np.asarray(weight_bounds, dtype=float)
-    cells, least = bounds.size, float(bounds.min(initial=0.0))
-    M = plan_shared(ctx, r, float(bounds.max(initial=0.0)) if least >= 0.0 else least, cells,
-                    epsilon, max_terms)[0]
-    q, log_epsilon, flat = ctx.q, math.log(epsilon), bounds.ravel().tolist()
-    first, known, cutoffs = _first(q, r, min(max_terms, SERIES_BUDGET)), {}, {}
-    for w in sorted(set(flat), reverse=True):
-        key = (np.log(w) if w > 0.0 else -math.inf) - log_epsilon  # as plan_shared keys w
-        M = cutoffs[w] = _descend(q, r, key, first, M, first - 1, known)
-    return np.array([cutoffs[w] for w in flat], dtype=np.intp).reshape(bounds.shape)
+def plan_cells(ctx: QContext, r: int, weight_bounds, cells: int, epsilon: float,
+               max_terms: int) -> dict:
+    """plan_shared's (cutoff, tail bound) of each distinct bound of weight_bounds,
+    by bound.  They are refused as plan_shared refuses a nan bound, else the
+    least if it is negative, else the widest among `cells` cells, the one plan
+    memoized.  The cutoff falls with the bound, so the others are taken from the
+    widest down, each descended to from the one before on the g_M met so far."""
+    bounds = set(map(float, weight_bounds))
+    least = math.nan if any(w != w for w in bounds) else min(bounds, default=0.0)
+    widest = max(bounds, default=0.0) if least >= 0.0 else least
+    plans = {widest: plan_shared(ctx, r, widest, cells, epsilon, max_terms)}
+    (M, _), known, rest = plans[widest], {}, sorted(bounds - {widest}, reverse=True)
+    q, first = ctx.q, _first(ctx.q, r, min(max_terms, SERIES_BUDGET)) if rest else 0
+    for w in rest:
+        log_w = np.log(w) if w > 0.0 else -math.inf  # as plan_shared keys w and forms its tail
+        M = _descend(q, r, log_w - math.log(epsilon), first, M, first - 1, known)
+        plans[w] = M, float(np.exp(log_w + (known[M] if M in known else _log_bound(q, r, M))))
+    return plans if bounds else {}
 
 
-def weight_sup(ctx: QContext, x: float, w: complex) -> float:
+def weight_sup(ctx: QContext, x: float, w: complex, bracket: float | None) -> float:
     """sup_{m >= 0} |[m+x]_q^w|: [m+x]_q rises from [x]_q towards 1/(1-q) and
     |b^w| = b^(Re w) for b > 0, so it is [x]_q^(Re w) when Re w < 0 (needing
-    [x]_q > 0) and (1-q)^(-Re w) otherwise.  [x]_q is formed by numpy's array
-    power, as the kernel forms its brackets: at small x, 1 - q^x cancels and the
-    scalar power can round it apart in the last bits (q=0.796875, x=0.001: 1.5e-12
-    relative).  Below the smallest normal double the bound is returned as that
-    double, still a bound; past a double it raises PlanInfeasible."""
-    base = float(q_number(np.array([x]), ctx)[0]) if w.real < 0 else 1.0 / (1.0 - ctx.q)
+    [x]_q > 0) and (1-q)^(-Re w) otherwise.  bracket is [x]_q, read only when
+    Re w < 0, formed by numpy's array power as the kernel forms its brackets:
+    at small x, 1 - q^x cancels and the scalar power can round it apart in the
+    last bits (q=0.796875, x=0.001: 1.5e-12 relative).  Below the smallest
+    normal double the bound is returned as that double, still a bound; past a
+    double it raises PlanInfeasible."""
+    base = bracket if w.real < 0 else 1.0 / (1.0 - ctx.q)
     try:
         return max(base ** w.real, sys.float_info.min)
     except OverflowError:
@@ -249,7 +249,7 @@ def degree_weight_bound(ctx: QContext, x: float, n: int) -> float:
     if not (is_real(x) and x >= 0.0):
         raise DomainError(f"x must be nonnegative, got {x}")
     require_count(n, "degree n", 0)
-    return weight_sup(ctx, x, n)
+    return weight_sup(ctx, x, n, None)
 
 
 def plan_truncation(ctx: QContext, x: float, n: int, r: int, epsilon: float,

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -649,6 +650,21 @@ def test_a_numpy_integer_field_is_written_as_an_int(groups, ctx, identity_id, fi
     inst = SymmetryInstance(chi=groups[3][1], r=2, ctx=ctx, a=1, b=3, m=1, n=2, x=0.5, y=0.25)
     numpy_report = check(identity_id, inst._replace(**{field: np.int64(getattr(inst, field))}))
     assert numpy_report.to_json_line() == check(identity_id, inst).to_json_line()
+
+
+def test_a_numpy_degree_is_refused_as_its_int(groups):
+    # np.int64(600) made [a]_q^n a numpy power: two RuntimeWarnings, and a
+    # value that is not finite in place of the overflow
+    inst = SymmetryInstance(chi=groups[1][0], r=1, ctx=QContext(0.9), a=5, b=1, n=600, x=5.0)
+    with pytest.raises(PlanInfeasible) as as_int:
+        check("T2", inst)
+    assert str(as_int.value) == ("a side of T2 overflows a double: "
+                                 "(34, 'Numerical result out of range')")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PlanInfeasible) as as_numpy:
+            check("T2", inst._replace(n=np.int64(600)))
+    assert str(as_numpy.value) == str(as_int.value)
 
 
 def test_a_sweep_of_numpy_integers_is_written_as_ints():

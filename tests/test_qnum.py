@@ -33,7 +33,7 @@ from qeuler import (
 )
 from qeuler import lfun, polynomials, qnum
 from qeuler.errors import is_real
-from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cutoffs, plan_shared
+from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cells, plan_shared
 
 
 def test_qcontext_rejects_bad_parameters():
@@ -284,13 +284,14 @@ def test_plan_tail_bound_is_empirically_sound(q, d, r, n, x):
 def test_every_cell_keeps_its_own_cutoff(q, r, xs, ns, epsilon):
     ctx = QContext(q)
     bounds = [[degree_weight_bound(ctx, x, n) for n in ns] for x in xs]
-    cutoffs = plan_cutoffs(ctx, r, bounds, epsilon)
-    assert cutoffs.shape == (len(xs), len(ns))
+    plans = plan_cells(ctx, r, [w for row in bounds for w in row], len(xs) * len(ns), epsilon,
+                       DEFAULT_MAX_TERMS)
+    assert set(plans) == {w for row in bounds for w in row}
     for i, x in enumerate(xs):
         for j, n in enumerate(ns):
             cutoff, bound = _reference_scan(q, r, bounds[i][j], epsilon)
             plan = plan_truncation(ctx, x, n, r, epsilon)
-            assert cutoffs[i, j] == plan.cutoff_M == cutoff
+            assert plans[bounds[i][j]] == plan == (cutoff, plan.tail_bound)
             assert plan.tail_bound == pytest.approx(bound, rel=1e-12)
 
 
@@ -338,48 +339,51 @@ _SPREAD_BOUNDS = st.one_of(
 @example(q=0.9, r=3, bounds=[0.0, 1e-300, 1e300, 1.0, 1.0], epsilon=1e-10)
 # cutoffs from 27 to 7123: each is descended to from the one above it
 @example(q=0.9, r=4, bounds=[10.0 ** k for k in range(-300, 301, 25)] + [0.0], epsilon=1e-13)
-def test_plan_cutoffs_of_spread_bounds_match_the_reference_scan(q, r, bounds, epsilon):
+def test_plan_cells_of_spread_bounds_match_the_reference_scan(q, r, bounds, epsilon):
     ctx = QContext(q)
     expected = [_reference_scan(q, r, w, epsilon) for w in bounds]
-    if None in expected:  # the widest cell refuses, and with it the whole array
-        with pytest.raises(PlanInfeasible) as array:
-            plan_cutoffs(ctx, r, np.array(bounds), epsilon)
+    if None in expected:  # the widest cell refuses, and with it every cell
+        with pytest.raises(PlanInfeasible) as cells:
+            plan_cells(ctx, r, bounds, len(bounds), epsilon, DEFAULT_MAX_TERMS)
         with pytest.raises(PlanInfeasible) as widest:  # as the widest among as many cells
             qnum.plan_shared(ctx, r, max(bounds), len(bounds), epsilon, DEFAULT_MAX_TERMS)
-        assert (type(widest.value), str(widest.value)) == (type(array.value), str(array.value))
+        assert (type(widest.value), str(widest.value)) == (type(cells.value), str(cells.value))
         return
-    cutoffs = plan_cutoffs(ctx, r, np.array(bounds), epsilon).tolist()
-    assert cutoffs == [c for c, _ in expected]
-    # each cell's plan is the one its own bound gets among as many cells, made afresh
-    plans = [qnum.plan_shared.__wrapped__(ctx, r, w, len(bounds), epsilon, DEFAULT_MAX_TERMS)
+    plans = plan_cells(ctx, r, np.array(bounds), len(bounds), epsilon, DEFAULT_MAX_TERMS)
+    assert set(plans) == set(bounds)
+    assert [plans[w][0] for w in bounds] == [c for c, _ in expected]
+    # each cell's plan is the one its own bound gets among as many cells, made
+    # afresh, its tail bit for bit
+    fresh = [qnum.plan_shared.__wrapped__(ctx, r, w, len(bounds), epsilon, DEFAULT_MAX_TERMS)
              for w in bounds]
-    assert cutoffs == [c for c, _ in plans]
-    assert [t for _, t in plans] == pytest.approx([t for _, t in expected], rel=1e-12)
+    assert [(c, t.hex()) for c, t in map(plans.get, bounds)] == [(c, t.hex()) for c, t in fresh]
+    assert [t for _, t in fresh] == pytest.approx([t for _, t in expected], rel=1e-12)
 
 
-def test_plan_cutoffs_memoizes_only_the_plan_that_checks_the_array():
+def test_plan_cells_memoizes_only_the_plan_that_checks_its_cells():
     # a plan per distinct bound filled the memo: 1000 x evicted every other plan
     qnum.plan_shared.cache_clear()
     ctx, s = QContext(0.9), 1.5
     bounds = [power_weight_bound(ctx, x, s) for x in np.linspace(0.01, 5.0, 1000)]
-    cutoffs = plan_cutoffs(ctx, 2, bounds, 1e-10)
+    plans = plan_cells(ctx, 2, bounds, 1000, 1e-10, DEFAULT_MAX_TERMS)
     assert qnum.plan_shared.cache_info().currsize == 1
-    assert len(set(bounds)) == 1000 and len(set(cutoffs.tolist())) == 72
-    assert cutoffs.tolist() == [
-        qnum.plan_shared.__wrapped__(ctx, 2, w, 1000, 1e-10, DEFAULT_MAX_TERMS)[0] for w in bounds]
+    assert len(set(bounds)) == 1000 and len({plans[w][0] for w in bounds}) == 72
+    assert [plans[w] for w in bounds] == [
+        qnum.plan_shared.__wrapped__(ctx, 2, w, 1000, 1e-10, DEFAULT_MAX_TERMS) for w in bounds]
 
 
 @pytest.mark.parametrize("bounds, refusal", [
     ([-1.0, 1e308 / 0.75], "got -1.0"),
     ([1.0, math.nan, 1e300], "got nan"),
     ([-2.0] + [1.0] * (SERIES_BUDGET // 2000), "got -2.0"),  # an array over budget
+    ([-1.0, math.nan, 1e308 / 0.75], "got nan"),  # a nan before the least
 ])
 def test_a_negative_bound_is_refused_before_the_widest_cell(bounds, refusal):
     ctx, valid = QContext(0.99), np.array([w for w in bounds if w >= 0.0])
     with pytest.raises((PlanInfeasible, BudgetExceeded)):  # the valid cells alone are refused
-        plan_cutoffs(ctx, 1, valid, 1e-10)
+        plan_cells(ctx, 1, valid, valid.size, 1e-10, DEFAULT_MAX_TERMS)
     with pytest.raises(DomainError, match=f"weight bound must be nonnegative, {refusal}"):
-        plan_cutoffs(ctx, 1, np.array(bounds), 1e-10)
+        plan_cells(ctx, 1, bounds, len(bounds), 1e-10, DEFAULT_MAX_TERMS)
 
 
 def test_a_one_cell_plan_evaluates_g_only_around_its_cutoff(monkeypatch):
@@ -409,8 +413,7 @@ def test_memoized_plans_keep_refusals_and_their_own_inputs():
         assert plan[0] == _reference_scan(0.99, 1, 1.0, epsilon, max_terms)[0]
         # the memoized plan is the plan made afresh, and the array's plan of each cell
         assert plan == qnum.plan_shared.__wrapped__(ctx, 1, 1.0, cells, epsilon, max_terms)
-        cutoffs = plan_cutoffs(ctx, 1, np.ones(cells), epsilon, max_terms)
-        assert cutoffs.tolist() == [plan[0]] * cells
+        assert plan_cells(ctx, 1, np.ones(cells), cells, epsilon, max_terms) == {1.0: plan}
     cached = qnum.plan_shared.cache_info().currsize
     for _ in range(2):  # a refusal is not cached: the second call raises it again
         with pytest.raises(BudgetExceeded) as refused:
@@ -500,6 +503,58 @@ def test_qeuler_table_refuses_its_first_bad_cell_in_row_major_order():
         qeuler_table(chi, 1, [0.5, -1.0], [2, 5000], ctx)
     with pytest.raises(DomainError, match="x must be nonnegative"):
         qeuler_table(chi, 1, [-1.0, 0.5], [2, 5000], ctx)
+
+
+def test_qeuler_table_with_no_degree_still_checks_every_x():
+    # with no cell, no x was checked: [[]] came back for a negative x
+    chi, ctx = build_character_group(3)[1], QContext(0.5)
+    with pytest.raises(DomainError, match=re.escape("x must be nonnegative, got -1.0")):
+        qeuler_table(chi, 1, [0.5, -1.0], [], ctx)
+    with pytest.raises(DomainError, match="max_terms must be nonnegative"):
+        qeuler_table(chi, 1, [0.5], [], ctx, max_terms=-1)
+    assert qeuler_table(chi, 1, [0.5, 2.0], [], ctx) == [[], []]
+
+
+def _one_x_bound(ctx, x, s):
+    """power_weight_bound as one x alone forms it: the scalar underflow check,
+    then [x]_q from a one-entry array."""
+    if not (is_real(x) and x > 0.0):
+        raise DomainError(f"x must be strictly positive, got {x}")
+    if q_number(x, ctx) <= 0.0:
+        raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")
+    base = float(q_number(np.array([x]), ctx)[0]) if s.real > 0 else 1.0 / (1.0 - ctx.q)
+    try:
+        return max(base ** -s.real, sys.float_info.min)
+    except OverflowError:
+        raise PlanInfeasible(f"weight bound sup |[m+x]_q^w| overflows at w={-s} "
+                             f"(q={ctx.q!r}, x={float(x)!r})") from None
+
+
+def _refusal_or_bounds(bounds):
+    try:
+        return [w.hex() for w in bounds()]
+    except (DomainError, PlanInfeasible) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    q=st.floats(min_value=0.05, max_value=0.99),
+    s=st.complex_numbers(max_magnitude=60.0),
+    xs=st.lists(st.one_of(st.floats(min_value=1e-19, max_value=1e-13),
+                          st.floats(min_value=1e-5, max_value=30.0),
+                          st.sampled_from([0.0, -1.0, math.nan, 3])), max_size=30),
+)
+# [x]_q is zero by the scalar power, 2.2e-16 by the array's, at 1e-17
+@example(q=0.5, s=1.5 + 0j, xs=[1.0, 3e-17, 1e-17, -1.0])
+@example(q=0.5, s=40 + 0j, xs=[1.0, 1e-15, -1.0])  # the bound overflows before the bad x
+def test_the_bounds_of_many_x_are_each_x_bound_alone(q, s, xs):
+    # one array forms [x]_q for every x: the bounds keep each x's bits, and the
+    # first refusal is the first x's that refuses alone
+    ctx = QContext(q)
+    expected = _refusal_or_bounds(lambda: [_one_x_bound(ctx, x, s) for x in xs])
+    assert _refusal_or_bounds(lambda: lfun.power_weight_bounds(ctx, xs, s)) == expected
+    assert _refusal_or_bounds(lambda: [power_weight_bound(ctx, x, s) for x in xs]) == expected
 
 
 def _three_factor_sum(coeffs, weights, q):
@@ -644,21 +699,22 @@ def test_the_prefix_store_evicts_its_oldest_and_hands_out_read_only_arrays():
             assert shorter.tobytes() == qnum._alternating_powers(q, k).tobytes()
 
 
-def test_plan_cutoffs_refuses_an_oversized_matrix():
+def test_plan_cells_refuses_an_oversized_matrix():
     # about 2700 terms for each of 5000 cells: over budget, refused before allocation
     cells = SERIES_BUDGET // 2000
     with pytest.raises(BudgetExceeded):
-        plan_cutoffs(QContext(0.99), 1, np.ones(cells), 1e-10)
+        plan_cells(QContext(0.99), 1, np.ones(cells), cells, 1e-10, DEFAULT_MAX_TERMS)
 
 
-def test_plan_cutoffs_ignores_an_overflowing_tail():
+def test_plan_cells_ignores_an_overflowing_tail():
     # the tail of the 1e307 cell overflows to +inf at some steps: never selected
     ctx = QContext(0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cutoffs = plan_cutoffs(ctx, 1, [[1e307, 1.0]], 1e-10)
+        plans = plan_cells(ctx, 1, [1e307, 1.0], 2, 1e-10, DEFAULT_MAX_TERMS)
     expected = [_reference_scan(0.9, 1, w, 1e-10)[0] for w in (1e307, 1.0)]
-    assert cutoffs.tolist() == [expected]
+    assert [plans[w][0] for w in (1e307, 1.0)] == expected
+    assert all(tail <= 1e-10 for _, tail in plans.values())
 
 
 @pytest.mark.parametrize("max_terms", [10 ** 7, 10 ** 8, 10 ** 12])
@@ -687,7 +743,8 @@ def _no_g(*args):
     (lambda: plan_truncation_weighted(QContext(0.5), 1, 1e308 / 0.75, 1e-10),
      PlanInfeasible, "overflows a double"),
     # about 2700 terms for each of 5000 cells
-    (lambda: plan_cutoffs(QContext(0.99), 1, np.ones(SERIES_BUDGET // 2000), 1e-10),
+    (lambda: plan_cells(QContext(0.99), 1, np.ones(SERIES_BUDGET // 2000), SERIES_BUDGET // 2000,
+                        1e-10, DEFAULT_MAX_TERMS),
      BudgetExceeded, "5000 cells of more than 2000 terms"),
     # t(first) = 1.01^r binom(M+r-1, r-1) 0.01^M: one g_M alone would take r-1 log1p calls
     (lambda: plan_truncation_weighted(QContext(0.01), 10 ** 7, 1.0, 1e-10, 10 ** 7),
@@ -717,8 +774,11 @@ def test_weight_bound_messages_name_the_given_q():
 
 def _loose_weight_bounds(q, x, n, s):
     """Logs of the looser bounds ((1+q^x)/(1-q))^n and exp(|Re s| max|ln [m+x]_q|
-    + pi |Im s|): the exact supremum never exceeds them, so no cutoff grows."""
-    log_sup = max(abs(math.log((1.0 - q ** x) / (1.0 - q))), -math.log1p(-q))
+    + pi |Im s|): the exact supremum never exceeds them, so no cutoff grows.
+    [x]_q is formed by the array power, as the bounds form it: at small x the
+    scalar power rounds it apart, by 1e-12 in the log at s = 15."""
+    bracket = float(q_number(np.array([x]), QContext(q))[0])
+    log_sup = max(abs(math.log(bracket)), -math.log1p(-q))
     return (n * math.log((1.0 + q ** x) / (1.0 - q)),
             abs(s.real) * log_sup + math.pi * abs(s.imag))
 
@@ -732,6 +792,7 @@ def _loose_weight_bounds(q, x, n, s):
 )
 # 1 - q^x cancels here: the scalar and the array power round [x]_q 1.5e-12 apart
 @example(q=0.796875, x=0.001, n=0, s=3 + 0j)
+@example(q=0.19663346536972165, x=0.001, n=0, s=15 + 0j)
 def test_weight_bounds_are_the_supremum_of_the_kernel_weights(q, x, n, s):
     # the brackets [m+x]_q the kernel forms, out past the m where q^(m+x)
     # drops below the last bit of one and the bracket reaches 1/(1-q)

@@ -176,6 +176,10 @@ EDGES = [
     # grids past SWEEP_BUDGET instances, refused before any is listed
     "verify --identity T2 --d 3001 --q 0.5 --n-max 10000",
     "verify --identity EQ15 --d 1 --q 0.5 --m-max 10000 --n-max 10000",
+    # the weight bounds of an l-function side's arguments, one array a side: at
+    # x = 1e-17 the scalar [3e-17]_q is zero (exit 3), at x = 3e-17 none is
+    "verify --identity T1 --d 3 --q 0.5 --a 1 --b 3 --s 1.5 --x 1e-17 --output json",
+    "verify --identity T1 --d 3 --q 0.5 --a 1 --b 3 --s 1.5 --x 3e-17 --output json",
 ]
 
 ARGVS = (
