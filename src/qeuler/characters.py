@@ -30,6 +30,7 @@ from .errors import (BudgetExceeded, NegativeArgument, NotOdd, Overflow, require
 
 MODULUS_BOUND = 3001  # tables of at most phi(d) * d <= 9.0e6 entries
 CONVOLUTION_BUDGET = 10 ** 8
+_DOUBLE_MAX = int(np.finfo(float).max)
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -215,34 +216,77 @@ def _fold_macs(width: int, r: int, length: int) -> int:
     return macs
 
 
+def _binomial_rows(r: int, length: int) -> np.ndarray:
+    """The min(r, length) x length matrix whose row i holds
+    C(j - i + r - 1, r - 1) at j >= i and 0 before, each entry the double
+    nearest its exact integer: by r - 1 running sums in int64 while
+    C(length + r - 2, r - 1) fits one, else by the integer recurrence
+    b_k = b_(k-1) (k + r - 1) / k, inf past the double range."""
+    if math.comb(length + r - 2, r - 1) < 2 ** 63:
+        row = np.ones(length, dtype=np.int64)
+        for _ in range(r - 1):
+            np.cumsum(row, out=row)
+        row = row.astype(float)
+    else:
+        exact = [1]
+        for k in range(1, length):
+            exact.append(exact[-1] * (k + r - 1) // k)
+        row = np.array([float(b) if b <= _DOUBLE_MAX else math.inf for b in exact])
+    rows = np.zeros((min(r, length), length))
+    for i in range(len(rows)):
+        rows[i, i:] = row[:length - i]
+    return rows
+
+
+def _g(count: int) -> str:
+    """An int in %g form, by Decimal past the double range, where float() raises."""
+    from decimal import Decimal
+
+    return f"{count:g}" if count <= _DOUBLE_MAX else f"{Decimal(count):.6g}"
+
+
 def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     """Order-r composition sums c_0, ..., c_{M-1} of chi.
 
     c_m = sum over (m_1, ..., m_r) with m_1 + ... + m_r = m of
     chi(m_1) ... chi(m_r).  Since chi has period d, the generating function
-    of the c_m is P(z)^r / (1 - z^d)^r with P(z) = sum_{a < d} chi(a) z^a:
-    the d values are folded to P^r (length r(d-1)+1), and each factor
-    1 / (1 - z^d) is one running sum along every residue class m = a + d k,
-    taken as a cumulative sum down the columns of the rows of d entries.
-    Only the min(M, d) stored values chi.values[:M] enter the fold, which
-    runs at length M by square-and-multiply, so it costs O(r M + log(r)
-    min(M, r d)^2) operations, never more than the O(r M^2) of folding the
-    periodic sequence itself one factor at a time.  The folded array
-    is never shorter than the period slice, so np.convolve never swaps its
-    operands, and the rows are padded with -0.0, the exact additive
-    identity, so every prefix c_0..c_{k-1} is bit for bit the result at
-    length k.
+    of the c_m is P(z)^r / (1 - z^d)^r with P(z) = sum_{a < d} chi(a) z^a.
+    At r = 1 that is the periodic sequence itself, its stored values.  At
+    r >= 2 the min(M, d) stored values chi.values[:M] are folded to P^r
+    (length r(d-1)+1, cut at M) by square-and-multiply, and along each
+    residue class a + d j the c_m are the polynomial in j
+
+        c_(a+dj) = sum_(i < r) P^r[a + d i] C(j - i + r - 1, r - 1),
+
+    so with J = ceil(M / d) and rows = min(r, J) all of them are one real
+    matrix product: the J x rows binomial matrix (zero above its diagonal)
+    times the fold viewed as rows x 2d floats.  The binomial rows come from
+    exact integers and are kept in qnum.prefixes keyed by r, a prefix in j
+    being the rows formed at that length.  Where every character value is
+    0, +-1 or +-i each product and partial sum is an integer below 2^53, so
+    the c_m are exact; a prefix c_0..c_(k-1) is bit for bit the result at
+    length k.  A product of more than CONVOLUTION_BUDGET multiply-adds,
+    rows J d, is refused before anything is formed.
     """
     require_positive_int(r, "order r")
     require_count(M, "series length M", 1)
     d = chi.modulus_d
-    folded = _fold(chi.values[:M], r, M)
-    out = np.full(-(-M // d) * d, complex(-0.0, -0.0))
-    out[:len(folded)] = folded
-    rows = out.reshape(-1, d)
-    for _ in range(r):
-        np.cumsum(rows, axis=0, out=rows)
-    return out[:M]
+    J = -(-M // d)
+    rows = min(r, J)
+    macs = rows * J * d
+    if macs > CONVOLUTION_BUDGET:
+        raise BudgetExceeded(f"{r}-part composition sums below {_g(M)} take {_g(macs)} "
+                             f"multiply-adds, over the budget {CONVOLUTION_BUDGET:g}")
+    if r == 1:
+        return chi.periodic_values(M)
+    from .qnum import prefixes  # not at import: a character group loads no qnum
+
+    fold = _fold(chi.values[:M], r, M)  # at most rows d long
+    folded = np.zeros(rows * d, dtype=complex)
+    folded[:len(fold)] = fold
+    binomials = prefixes.prefix(("binomials", r), J, lambda size: _binomial_rows(r, size))
+    c = binomials[:rows].T @ folded.view(float).reshape(rows, 2 * d)
+    return c.view(complex).reshape(-1)[:M]
 
 
 def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its integer and real-number rules."""
 
 import numbers
+import sys
 
 
 class QEulerError(Exception):
@@ -64,3 +65,14 @@ def require_positive_int(value, name: str) -> None:
     """Refuse, as DomainError, a value that is not an integer of at least 1."""
     if not is_integer(value) or value < 1:
         raise DomainError(f"{name} must be a positive integer, got {value}")
+
+
+def as_double(value, name: str) -> float:
+    """float(value) of a real value; one past the double range, such as the
+    int 10**400, where float() raises OverflowError, is refused as
+    DomainError naming the argument."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must lie within the double range, got a value of type "
+                          f"{type(value).__name__} past {sys.float_info.max!r}") from None

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .characters import DirichletCharacter, build_character_group, group_order
 from .errors import (BudgetExceeded, DomainError, ParityViolation, PlanInfeasible, QEulerError,
-                     is_integer, is_real)
+                     as_double, is_integer, is_real)
 from .lfun import INTERPOLATION
 from .polynomials import degree_table, shift_sums
 from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
@@ -195,7 +195,7 @@ def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> Symmet
             raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
         if name in ("m", "n") and not is_integer(value):
             raise DomainError(f"{identity_id} needs an integer degree {name}, got {value!r}")
-        canonical = int(value) if name in ("m", "n") else float(value)
+        canonical = int(value) if name in ("m", "n") else as_double(value, name)
         if type(value) is not type(canonical):
             inst = inst._replace(**{name: canonical})
     return inst

@@ -15,13 +15,12 @@ polynomials: l_r(-n, x | chi) = E_n(x).
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .characters import DirichletCharacter
-from .errors import DomainError, PlanInfeasible, is_real
+from .errors import DomainError, PlanInfeasible, as_double, is_real
 from .polynomials import series_table
 from .qnum import (
     DEFAULT_EPSILON,
@@ -37,11 +36,20 @@ from .qnum import (
 
 def power_weight_bounds(ctx: QContext, xs, s: complex) -> list[float]:
     """The bound weight_sup(ctx, x, -s) on |[m+x]_q^(-s)| over m >= 0 at each x
-    of the sequence xs, refused at its first x that is not strictly positive,
-    whose [x]_q underflows to zero (PlanInfeasible: the kernel takes
-    log [m+x]_q), or whose bound overflows, checked in that order x by x.
-    One array power forms [x]_q at the x's before the first x not positive."""
-    positive = list(itertools.takewhile(lambda x: is_real(x) and x > 0.0, xs))
+    of the sequence xs, refused at its first x that is not strictly positive
+    or is past the double range (DomainError), whose [x]_q underflows to zero
+    (PlanInfeasible: the kernel takes log [m+x]_q), or whose bound overflows,
+    checked in that order x by x.  One array power forms [x]_q at the x's
+    before the first x refused as a DomainError."""
+    positive = []
+    for x in xs:
+        if not (is_real(x) and x > 0.0):
+            break
+        try:
+            float(x)
+        except OverflowError:
+            break
+        positive.append(x)
     brackets = (q_number(np.array(positive, dtype=float), ctx).tolist() if s.real > 0
                 else [None] * len(positive))
     bounds = []
@@ -50,7 +58,10 @@ def power_weight_bounds(ctx: QContext, xs, s: complex) -> list[float]:
             raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")
         bounds.append(weight_sup(ctx, x, -s, bracket))
     if len(positive) < len(xs):
-        raise DomainError(f"x must be strictly positive, got {xs[len(positive)]}")
+        x = xs[len(positive)]
+        if is_real(x) and x > 0.0:
+            as_double(x, "x")  # past the double range: refused
+        raise DomainError(f"x must be strictly positive, got {x}")
     return bounds
 
 

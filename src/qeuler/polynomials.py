@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter, conv_power
-from .errors import (BudgetExceeded, DomainError, QEulerError, is_real, require_count,
-                     require_positive_int)
+from .errors import (BudgetExceeded, DomainError, QEulerError, as_double, is_real,
+                     require_count, require_positive_int)
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
@@ -194,7 +194,8 @@ def qeuler_addition(chi: DirichletCharacter, r: int, n: int, ctx: QContext, x: f
     if inf in (x, y):
         raise DomainError(f"arguments must be finite, got x={x}, y={y}")
     require_count(n, "degree n", 0)
-    return next(shift_sums(chi, r, ctx, [(n, 0)], float(x), float(y), epsilon, max_terms))
+    return next(shift_sums(chi, r, ctx, [(n, 0)], as_double(x, "x"), as_double(y, "y"),
+                           epsilon, max_terms))
 
 
 def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DomainError, PlanInfeasible, is_real, require_count,
-                     require_positive_int)
+from .errors import (BudgetExceeded, DomainError, PlanInfeasible, as_double, is_real,
+                     require_count, require_positive_int)
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
@@ -248,6 +248,7 @@ def degree_weight_bound(ctx: QContext, x: float, n: int) -> float:
     real x >= 0 and an integer n >= 0."""
     if not (is_real(x) and x >= 0.0):
         raise DomainError(f"x must be nonnegative, got {x}")
+    as_double(x, "x")
     require_count(n, "degree n", 0)
     return weight_sup(ctx, x, n, None)
 

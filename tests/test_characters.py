@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler import (
     BudgetExceeded,
@@ -16,7 +18,7 @@ from qeuler import (
     build_character_group,
     conv_power,
 )
-from qeuler import characters
+from qeuler import characters, qnum
 from qeuler.characters import CONVOLUTION_BUDGET
 
 
@@ -309,6 +311,55 @@ def test_conv_power_folds_only_the_period_below_the_cutoff(monkeypatch):
                 coeffs = conv_power(chi, 6, M)
             assert sum(work) <= 5 * M * M
             assert coeffs.tobytes() == expected[:M].tobytes()
+
+
+def _running_sums(chi, r, M):
+    """The composition sums by the running-sum route: the fold P^r cut at M,
+    padded with -0.0 into rows of d, and r cumulative sums down the columns,
+    one per factor 1 / (1 - z^d)."""
+    d = chi.modulus_d
+    folded = characters._fold(chi.values[:M], r, M)
+    out = np.full(-(-M // d) * d, complex(-0.0, -0.0))
+    out[:len(folded)] = folded
+    rows = out.reshape(-1, d)
+    for _ in range(r):
+        np.cumsum(rows, axis=0, out=rows)
+    return out[:M]
+
+
+_EXACT_GROUPS = {d: build_character_group(d) for d in (1, 3, 5, 15)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(d=st.sampled_from(sorted(_EXACT_GROUPS)), r=st.integers(1, 4), M=st.integers(1, 5000))
+def test_the_matrix_product_keeps_the_bits_of_the_running_sums(d, r, M):
+    # values in {0, +-1, +-i}: every product and partial sum of either route
+    # is an exact integer, so the bytes agree, signed zeros included (at r = 1
+    # the stored -1j keeps its -0.0 real part)
+    for chi in _EXACT_GROUPS[d]:
+        assert conv_power(chi, r, M).tobytes() == _running_sums(chi, r, M).tobytes()
+
+
+def test_binomial_rows_larger_than_the_store_are_formed_and_not_kept():
+    # 3 x 30,000 doubles is 720,000 bytes, past PREFIX_BYTES
+    chi, M = build_character_group(1)[0], 30000
+    assert 3 * M * 8 > qnum.PREFIX_BYTES
+    qnum.prefixes.clear()
+    coeffs = conv_power(chi, 3, M)
+    assert np.array_equal(coeffs, [math.comb(m + 2, 2) for m in range(M)])
+    assert ("binomials", 3) not in qnum.prefixes._arrays
+    conv_power(chi, 3, 40)
+    assert qnum.prefixes._arrays[("binomials", 3)].shape == (3, 40)
+
+
+@pytest.mark.parametrize("M", [10 ** 12, 10 ** 400])
+def test_conv_power_refuses_a_length_past_the_budget_before_allocating(M):
+    # these raised a raw MemoryError and ValueError
+    chi = build_character_group(3)[1]
+    for r in (1, 2):
+        with pytest.raises(BudgetExceeded, match=rf"^{r}-part composition sums below .* take "
+                                                 r".* multiply-adds, over the budget 1e\+08$"):
+            conv_power(chi, r, M)
 
 
 def test_conv_power_validation():

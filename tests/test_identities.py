@@ -144,6 +144,15 @@ def test_a_complex_axis_value_is_a_domain_error_recorded_in_place(groups, ctx, i
     assert "needs a finite nonnegative" in reports[1].error
 
 
+@pytest.mark.parametrize("identity_id, axis", [("T2", "x"), ("EQ9", "y")])
+def test_an_int_axis_value_past_the_double_range_is_a_domain_error(groups, ctx, identity_id,
+                                                                   axis):
+    # float(10**400) raised a raw OverflowError out of check
+    fields = dict(chi=groups[3][1], r=1, ctx=ctx, a=1, b=3, n=1, x=0.5, y=0.25)
+    with pytest.raises(DomainError, match=f"{axis} must lie within the double range"):
+        check(identity_id, SymmetryInstance(**{**fields, axis: 10 ** 400}))
+
+
 def test_power_sum_budget_refuses_before_allocating(groups, ctx):
     # 10^12 totals would be a 16 TB weight row; the refusal comes first
     with pytest.raises(BudgetExceeded, match="a 1000000000000 x 1 bracket matrix"):

@@ -16,6 +16,7 @@ from qeuler import (
     check,
     lfun_eval,
     lfun_value,
+    lfun_values,
     qeuler_value,
 )
 from qeuler.cli import main
@@ -120,6 +121,25 @@ def test_an_argument_that_is_not_a_positive_real_is_refused(groups, s, x):
     # at s = -2 nan gave (nan+nanj); at s = 1.5 only the planner refused it
     with pytest.raises(DomainError, match=re.escape(f"x must be strictly positive, got {x}")):
         lfun_value(groups[3][1], 1, s, x, QContext(0.5))
+
+
+_PAST_DOUBLE = "x must lie within the double range, got a value of type int past"
+
+
+@pytest.mark.parametrize("s", [1.5, -1.5])
+def test_an_int_x_past_the_double_range_is_refused_by_name(groups, s):
+    # float(10**400) raises OverflowError; the refusal names x instead
+    with pytest.raises(DomainError, match=re.escape(_PAST_DOUBLE)):
+        lfun_value(groups[3][1], 1, s, 10 ** 400, QContext(0.5))
+
+
+def test_a_column_refuses_its_x_past_the_double_range_after_the_x_before_it(groups):
+    ctx = QContext(0.5)
+    with pytest.raises(DomainError, match=re.escape(_PAST_DOUBLE)):
+        lfun_values(groups[3][1], 1, 1.5, [1.0, 10 ** 400], ctx)
+    # the arguments are checked in order: an underflowing [x]_q comes first
+    with pytest.raises(PlanInfeasible, match="underflows"):
+        lfun_values(groups[3][1], 1, 1.5, [1e-300, 10 ** 400], ctx)
 
 
 def test_underflowing_bracket_is_infeasible(groups):

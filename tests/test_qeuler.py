@@ -175,6 +175,18 @@ def test_an_argument_that_is_not_a_real_number_at_least_zero_is_refused(groups, 
             qeuler_addition(chi, 1, 2, ctx, *args)
 
 
+def test_an_int_x_past_the_double_range_is_refused_by_name(groups):
+    # float(10**400) raises OverflowError; each entry refuses it as x
+    ctx, chi = QContext(0.5), groups[3][1]
+    message = re.escape("x must lie within the double range, got a value of type int past")
+    with pytest.raises(DomainError, match=message):
+        qeuler_value(chi, 1, 2, 10 ** 400, ctx)
+    with pytest.raises(DomainError, match=message):
+        qeuler_table(chi, 1, [1.0, 10 ** 400], [2], ctx)
+    with pytest.raises(DomainError, match=message):
+        qeuler_addition(chi, 1, 2, ctx, 10 ** 400, 1.0)
+
+
 @pytest.mark.parametrize("args", [(math.inf, 0.0), (0.5, math.inf), (3000.0, math.inf)])
 def test_an_infinite_argument_of_the_shift_expansion_is_refused(groups, args):
     # (inf, 0) gave (nan+nanj) and (3000, inf) a finite number

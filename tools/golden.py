@@ -15,13 +15,26 @@ A golden check is a diff of two runs, one per checkout:
     PYTHONPATH=src python3 tools/golden.py > after.txt
 
 A line that differs names an argv whose exit code, stdout or stderr changed;
-stderr holds the message of every refusal (exit 2 or 3).  Only
-the standard library is used; the file is not a test module.
+stderr holds the message of every refusal (exit 2 or 3).
+
+    python3 tools/golden.py --compare OTHER_ROOT
+
+runs each VERIFY_JSON argv in the checkout OTHER_ROOT (before) and in the
+one holding this script (after), each with PYTHONPATH set to its src/, and
+pairs their JSON records in order.  It prints every verdict flip (PASS,
+FAIL or error) as `flip: ARGV | INSTANCE | BEFORE -> AFTER`, every argv
+whose record count changed, the number of flips over the records paired,
+and the largest relative move |after - before| / |before| of the lhs and
+of the rhs, with its argv and instance.  Only the standard library is used;
+the file is not a test module.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
+import os
 import shlex
 import subprocess
 import sys
@@ -196,7 +209,56 @@ def _line(command: list[str], name: str) -> str:
     return f"{done.returncode} {out} {err} {name}"
 
 
+def _records(root: Path, argv: str) -> list[dict]:
+    """The records of `verify --output json --identity ARGV` run in the
+    checkout at root."""
+    done = subprocess.run(
+        [sys.executable, "-m", "qeuler", "verify", "--output", "json", "--identity",
+         *shlex.split(argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def _verdict(record: dict) -> str:
+    return "error" if record["error"] else "PASS" if record["pass"] else "FAIL"
+
+
+def _move(before, after) -> float:
+    """|after - before| / |before| of one side, each a [re, im] pair; 0 where
+    both are equal, inf where only before is 0."""
+    old, new = complex(*before), complex(*after)
+    return 0.0 if new == old else abs(new - old) / abs(old) if old else float("inf")
+
+
+def compare(other: Path) -> int:
+    flips = paired = 0
+    largest = {side: (0.0, "") for side in ("lhs", "rhs")}
+    for argv in VERIFY_JSON:
+        before, after = _records(other, argv), _records(ROOT, argv)
+        if len(before) != len(after):
+            print(f"records: {argv} | {len(before)} -> {len(after)}")
+        for old, new in zip(before, after):
+            paired += 1
+            where = f"{argv} | {json.dumps(new['instance'])}"
+            if _verdict(old) != _verdict(new):
+                flips += 1
+                print(f"flip: {where} | {_verdict(old)} -> {_verdict(new)}")
+            for side in largest:
+                if old[side] is not None and new[side] is not None:
+                    largest[side] = max(largest[side], (_move(old[side], new[side]), where))
+    print(f"{flips} verdict flips over {paired} records")
+    for side, (move, where) in largest.items():
+        print(f"largest {side} move: {move:.3g}" + (f" at {where}" if move else ""))
+    return 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Golden check of the qeuler command line.")
+    parser.add_argument("--compare", metavar="OTHER_ROOT", type=Path,
+                        help="diff the verify records of OTHER_ROOT against this checkout")
+    other = parser.parse_args().compare
+    if other is not None:
+        return compare(other.resolve())
     for argv in ARGVS:
         print(_line(["-m", "qeuler", *shlex.split(argv)], argv), flush=True)
     for demo in sorted((ROOT / "demos").glob("*.py")):
