@@ -25,8 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import (BudgetExceeded, NegativeArgument, NotOdd, Overflow, require_count,
-                     require_positive_int)
+from .errors import POSITIVE, BudgetExceeded, NegativeArgument, NotOdd, Overflow, as_int
 
 MODULUS_BOUND = 3001  # tables of at most phi(d) * d <= 9.0e6 entries
 CONVOLUTION_BUDGET = 10 ** 8
@@ -89,14 +88,13 @@ class DirichletCharacter:
         self.values.setflags(write=False)
 
     def __call__(self, m: int) -> complex:
-        """chi(m) via periodic extension; rejects negative arguments."""
-        if m < 0:
-            raise NegativeArgument(f"character argument must be nonnegative, got {m}")
+        """chi(m) via periodic extension, for a nonnegative integer m only."""
+        m = as_int(m, "character argument", 0, error=NegativeArgument)
         return complex(self.values[m % self.modulus_d])
 
     def periodic_values(self, length: int) -> np.ndarray:
         """chi(0), chi(1), ..., chi(length-1) as a complex array."""
-        require_count(length, "length", 0)
+        length = as_int(length, "length", 0)
         out = np.empty(-(-length // self.modulus_d) * self.modulus_d, dtype=complex)
         out.reshape(-1, self.modulus_d)[...] = self.values
         return out[:length]
@@ -136,12 +134,12 @@ class CharacterGroup:
 def _check_modulus(d: int) -> int:
     """d as an int, for the moduli a character group is built for: integers
     (numpy's too) that are odd, positive and at most MODULUS_BOUND."""
-    require_count(d, "modulus", 1)
+    d = as_int(d, "modulus", 1)
     if d % 2 == 0:
         raise NotOdd(f"modulus must be odd, got {d}")
     if d > MODULUS_BOUND:
         raise Overflow(f"modulus {d} exceeds the construction bound {MODULUS_BOUND}")
-    return int(d)
+    return d
 
 
 def group_order(d: int) -> int:
@@ -268,8 +266,7 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     length k.  A product of more than CONVOLUTION_BUDGET multiply-adds,
     rows J d, is refused before anything is formed.
     """
-    require_positive_int(r, "order r")
-    require_count(M, "series length M", 1)
+    r, M = as_int(r, "order r", 1, POSITIVE), as_int(M, "series length M", 1)
     d = chi.modulus_d
     J = -(-M // d)
     rows = min(r, J)
@@ -298,8 +295,7 @@ def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.
     BudgetExceeded when the O(log r) direct convolutions of the fold would
     take more than CONVOLUTION_BUDGET multiply-adds.
     """
-    require_positive_int(r, "order r")
-    require_count(upper, "upper limit", 1)
+    r, upper = as_int(r, "order r", 1, POSITIVE), as_int(upper, "upper limit", 1)
     macs = _fold_macs(upper, r, r * (upper - 1) + 1)
     if macs > CONVOLUTION_BUDGET:
         raise BudgetExceeded(

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and its integer and real-number rules."""
+"""Exception types shared across the package, and its argument rules: one
+parser for each kind of argument, which returns the value as an int, a float
+or a complex, or raises DomainError."""
 
 import numbers
+import operator
 import sys
 
 
@@ -40,39 +43,45 @@ class UsageError(QEulerError):
     """Invalid command-line arguments; maps to exit code 2."""
 
 
-def is_integer(value) -> bool:
-    """The package's integer rule: a numbers.Integral, so an int or a numpy
-    integer; int, the common case, is tested first as it is the fastest."""
-    return type(value) is int or isinstance(value, numbers.Integral)
+# the rule of an order r and of a deformation exponent
+POSITIVE = "must be a positive integer"
 
 
-def is_real(value) -> bool:
-    """The package's real-number rule: a numbers.Real, so not a complex or a
-    string; float and int, the common cases, are tested first."""
-    return type(value) is float or type(value) is int or isinstance(value, numbers.Real)
-
-
-def require_count(value, name: str, least: int) -> None:
-    """Refuse, as DomainError, a value that is not an integer, or one below
-    least, which is 0 (nonnegative) or 1 (positive)."""
-    if not is_integer(value):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise DomainError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
-
-
-def require_positive_int(value, name: str) -> None:
-    """Refuse, as DomainError, a value that is not an integer of at least 1."""
-    if not is_integer(value) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value}")
-
-
-def as_double(value, name: str) -> float:
-    """float(value) of a real value; one past the double range, such as the
-    int 10**400, where float() raises OverflowError, is refused as
-    DomainError naming the argument."""
+def as_int(value, name: str, least: int | None = None, rule: str | None = None,
+           error: type = DomainError) -> int:
+    """The integer rule: value as an int by operator.index, so an int, a bool
+    (the int it is) or a numpy integer.  Any other value is refused as
+    error(f"{name} {rule}, got {value!r}"), an int below least as
+    error(f"{name} {rule}, got {value}"); rule defaults to "must be an
+    integer", and to "must be positive" or "nonnegative" for least 1 or 0."""
     try:
-        return float(value)
+        number = value if type(value) is int else operator.index(value)
+    except TypeError:
+        raise error(f"{name} {rule or 'must be an integer'}, got {value!r}") from None
+    if least is not None and number < least:
+        rule = rule or ("must be positive" if least else "must be nonnegative")
+        raise error(f"{name} {rule}, got {number}")
+    return number
+
+
+def as_float(value, name: str) -> float:
+    """The real-number rule: value as a float, for a numbers.Real only."""
+    return value if type(value) is float else _parse(value, name, numbers.Real, "a real number")
+
+
+def as_complex(value, name: str) -> complex:
+    """The complex-number rule: value as a complex, for a numbers.Number only."""
+    return value if type(value) is complex else _parse(value, name, numbers.Number, "a number")
+
+
+def _parse(value, name: str, kind: type, noun: str):
+    """value as a float if kind is numbers.Real, else as a complex; refused as
+    DomainError naming its type if not of kind (a Decimal is no Real), or
+    naming the argument past the double range (the int 10**400)."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be {noun}, got {value!r}")
+    try:
+        return float(value) if kind is numbers.Real else complex(value)
     except OverflowError:
         raise DomainError(f"{name} must lie within the double range, got a value of type "
                           f"{type(value).__name__} past {sys.float_info.max!r}") from None

@@ -22,15 +22,16 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .characters import DirichletCharacter, build_character_group, group_order
-from .errors import (BudgetExceeded, DomainError, ParityViolation, PlanInfeasible, QEulerError,
-                     as_double, is_integer, is_real)
+from .errors import (POSITIVE, BudgetExceeded, DomainError, ParityViolation, PlanInfeasible,
+                     QEulerError, as_complex, as_float, as_int)
 from .lfun import INTERPOLATION
 from .polynomials import degree_table, shift_sums
-from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext
+from .qnum import DEFAULT_EPSILON, DEFAULT_MAX_TERMS, QContext, parse_budget
 from .report import IdentityReport, make_error_report, make_report
 from .sides import PowerSums, lfun_side, poly_side, power_sum_side, tuple_totals
 
@@ -52,8 +53,8 @@ def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
     an exact finite sum over the tuples grouped by their total |j|, with
     0^0 = 1 at |j| = 0, i = 0.  Requires 0 <= i <= n; a sum that is not a
     finite double raises PlanInfeasible."""
-    if not (is_integer(n) and is_integer(i)):
-        raise DomainError(f"n and i must be integers, got n={n!r}, i={i!r}")
+    r, upper_a = as_int(r, "order r", rule=POSITIVE), as_int(upper_a, "upper limit")
+    n, i = as_int(n, "degree n"), as_int(i, "bracket power i")
     if not 0 <= i <= n:
         raise DomainError(f"need 0 <= i <= n, got i={i}, n={n}")
     return PowerSums(tuple_totals(chi, r, upper_a, 1), upper_a, ctx)(n, [i])[0]
@@ -161,44 +162,48 @@ def _row(identity_id: str) -> Identity:
         raise DomainError(f"unknown identity id {identity_id!r}") from None
 
 
-def _int(value):
-    """An integer, numpy's too, as an int; any other value as it is."""
-    return int(value) if type(value) is not int and is_integer(value) else value
+# the parser of each instance field but the character and the context
+_PARSERS = dict.fromkeys("rabmn", as_int) | {"s": as_complex, "x": as_float, "y": as_float}
+
+
+def _canonical(name: str, value):
+    """value parsed as the kind of the instance field name, or as it is where
+    it does not parse (an instance the axis rules refuse) or has no parser."""
+    try:
+        return _PARSERS[name](value, name) if name in _PARSERS else value
+    except DomainError:
+        return value
 
 
 def _record(row: Identity, inst: SymmetryInstance) -> dict:
     """The instance fields of a report, successful or not: d, chi, r, q, then
-    the row's axes in order, with r, a, b, m and n as an int when integers."""
-    record = {"d": inst.chi.modulus_d, "chi": inst.chi.label, "r": _int(inst.r), "q": inst.ctx.q}
+    the row's axes in order, each in canonical form where it parses."""
+    record = {"d": inst.chi.modulus_d, "chi": inst.chi.label, "r": inst.r, "q": inst.ctx.q}
     for axis in row.axes:
-        if axis == "ab":
-            record |= {"a": _int(inst.a), "b": _int(inst.b)}
-        elif axis == "s":
-            record["s"] = None if inst.s is None else complex(inst.s)
-        else:
-            record[axis] = _int(getattr(inst, axis)) if axis in ("m", "n") else getattr(inst, axis)
-    return record
+        record |= {"a": inst.a, "b": inst.b} if axis == "ab" else {axis: getattr(inst, axis)}
+    return {name: _canonical(name, value) for name, value in record.items()}
 
 
 def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> SymmetryInstance:
-    """Every axis rule of the row, checked before any side is evaluated; the
-    instance is returned with its m and n as ints and its x and y as floats."""
+    """Every axis rule of the row, checked before any side is evaluated, as a
+    parse: r, a, b, m and n become ints, s a complex, and x and y floats."""
+    fields = {"r": as_int(inst.r, "order r", rule=POSITIVE)}
     for name in ("a", "b") if "ab" in row.axes else ():
         value = getattr(inst, name)
-        if not is_integer(value) or value < 1 or value % 2 == 0:
+        fields[name] = as_int(value, name, 1, "must be a positive odd integer", ParityViolation)
+        if fields[name] % 2 == 0:
             raise ParityViolation(f"{name} must be a positive odd integer, got {value}")
-    if "s" in row.axes and inst.s is None:
-        raise DomainError(f"{identity_id} needs the exponent s")
+    if "s" in row.axes:
+        if inst.s is None:
+            raise DomainError(f"{identity_id} needs the exponent s")
+        fields["s"] = as_complex(inst.s, "s")
     for name in (axis for axis in ("m", "n", "x", "y") if axis in row.axes):
-        value = getattr(inst, name)
-        if value is None or not (is_real(value) and 0 <= value < math.inf):
-            raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value}")
-        if name in ("m", "n") and not is_integer(value):
-            raise DomainError(f"{identity_id} needs an integer degree {name}, got {value!r}")
-        canonical = int(value) if name in ("m", "n") else as_double(value, name)
-        if type(value) is not type(canonical):
-            inst = inst._replace(**{name: canonical})
-    return inst
+        value = _canonical(name, getattr(inst, name))
+        if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+            raise DomainError(f"{identity_id} needs a finite nonnegative {name}, got {value!r}")
+        fields[name] = (as_int(value, identity_id, rule=f"needs an integer degree {name}")
+                        if name in ("m", "n") else as_float(value, name))
+    return inst._replace(**fields)
 
 
 def _values(identity_id: str, side: Side, inst: SymmetryInstance, ns: list, epsilon: float,
@@ -246,7 +251,9 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
     report them against rel_tol (the row's default when None).  A side that
     overflows a double, or whose value is not a finite double, raises
     PlanInfeasible."""
-    reports, refusal = _line(identity_id, _row(identity_id), [inst], epsilon, max_terms, rel_tol)
+    row, (epsilon, max_terms) = _row(identity_id), parse_budget(epsilon, max_terms)
+    rel_tol = None if rel_tol is None else as_float(rel_tol, "rel_tol")
+    reports, refusal = _line(identity_id, row, [inst], epsilon, max_terms, rel_tol)
     if refusal is not None:
         raise refusal
     return reports[0]
@@ -298,6 +305,8 @@ def _grid_instances(row: Identity, grid: SweepGrid):
     values = {"ab": grid.ab_pairs, "s": grid.s_values, "m": grid.m_values,
               "n": grid.n_values, "x": grid.x_values, "y": grid.y_values}
     axes = [values[axis] for axis in row.axes]
+    labels = None if grid.chi_labels is None else [as_int(c, "chi label") for c in grid.chi_labels]
+    grid = grid._replace(d_values=[as_int(d, "modulus") for d in grid.d_values], chi_labels=labels)
     orders = [group_order(d) for d in grid.d_values]
     for d, order in zip(grid.d_values, orders):
         for label in grid.chi_labels or ():
@@ -333,7 +342,8 @@ def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILO
     meets first in enumeration order is raised.  An unknown identity id raises
     DomainError, and a grid of more than SWEEP_BUDGET instances BudgetExceeded,
     before anything is enumerated."""
-    row = _row(identity_id)
+    row, (epsilon, max_terms) = _row(identity_id), parse_budget(epsilon, max_terms)
+    rel_tol = None if rel_tol is None else as_float(rel_tol, "rel_tol")
     instances = list(_grid_instances(row, grid))
     lines = {}
     for position, inst in enumerate(instances):

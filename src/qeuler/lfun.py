@@ -15,18 +15,20 @@ polynomials: l_r(-n, x | chi) = E_n(x).
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .characters import DirichletCharacter
-from .errors import DomainError, PlanInfeasible, as_double, is_real
+from .errors import POSITIVE, DomainError, PlanInfeasible, as_complex, as_float, as_int
 from .polynomials import series_table
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
     QContext,
     TruncationPlan,
+    parse_budget,
     plan_cells,
     plan_truncation_weighted,
     q_number,
@@ -35,40 +37,28 @@ from .qnum import (
 
 
 def power_weight_bounds(ctx: QContext, xs, s: complex) -> list[float]:
-    """The bound weight_sup(ctx, x, -s) on |[m+x]_q^(-s)| over m >= 0 at each x
-    of the sequence xs, refused at its first x that is not strictly positive
-    or is past the double range (DomainError), whose [x]_q underflows to zero
+    """The bound weight_sup(ctx, x, -s) on |[m+x]_q^(-s)| over m >= 0 at each
+    float x of the sequence xs, for a complex s, refused at its first x that is
+    not strictly positive (DomainError), whose [x]_q underflows to zero
     (PlanInfeasible: the kernel takes log [m+x]_q), or whose bound overflows,
     checked in that order x by x.  One array power forms [x]_q at the x's
     before the first x refused as a DomainError."""
-    positive = []
-    for x in xs:
-        if not (is_real(x) and x > 0.0):
-            break
-        try:
-            float(x)
-        except OverflowError:
-            break
-        positive.append(x)
-    brackets = (q_number(np.array(positive, dtype=float), ctx).tolist() if s.real > 0
-                else [None] * len(positive))
+    positive = list(itertools.takewhile(lambda x: x > 0.0, xs))
+    brackets = q_number(np.array(positive), ctx).tolist() if s.real > 0 else [None] * len(positive)
     bounds = []
     for x, bracket in zip(positive, brackets):
         if q_number(x, ctx) <= 0.0:  # the scalar power: some x give zero here, not in the array
-            raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")
+            raise PlanInfeasible(f"[x]_q underflows to zero at x={x!r} (q={ctx.q!r})")
         bounds.append(weight_sup(ctx, x, -s, bracket))
     if len(positive) < len(xs):
-        x = xs[len(positive)]
-        if is_real(x) and x > 0.0:
-            as_double(x, "x")  # past the double range: refused
-        raise DomainError(f"x must be strictly positive, got {x}")
+        raise DomainError(f"x must be strictly positive, got {xs[len(positive)]}")
     return bounds
 
 
 def power_weight_bound(ctx: QContext, x: float, s: complex) -> float:
     """power_weight_bounds at the one argument x: [x]_q^(-Re s) when Re s > 0
     and (1-q)^(Re s) otherwise."""
-    return power_weight_bounds(ctx, [x], s)[0]
+    return power_weight_bounds(ctx, [as_float(x, "x")], as_complex(s, "s"))[0]
 
 
 class LfunSpec(NamedTuple):
@@ -85,11 +75,10 @@ class LfunSpec(NamedTuple):
     def create(cls, chi: DirichletCharacter, r: int, s: complex, x: float, ctx: QContext,
                epsilon: float = DEFAULT_EPSILON,
                max_terms: int = DEFAULT_MAX_TERMS) -> LfunSpec:
-        """Build the truncation plan, which validates r and x."""
-        s = complex(s)
+        """Parse r, s and x, then build the truncation plan, which validates them."""
+        r, s, x = as_int(r, "order r", rule=POSITIVE), as_complex(s, "s"), as_float(x, "x")
         weight = power_weight_bound(ctx, x, s)
-        plan = plan_truncation_weighted(ctx, r, weight, epsilon, max_terms)
-        return cls(chi, r, s, float(x), ctx, plan)
+        return cls(chi, r, s, x, ctx, plan_truncation_weighted(ctx, r, weight, epsilon, max_terms))
 
 
 def _bracket_power(s: complex):
@@ -101,7 +90,8 @@ def lfun_values(chi: DirichletCharacter, r: int, s: complex, xs, ctx: QContext,
                 max_terms: int = DEFAULT_MAX_TERMS) -> list[complex]:
     """l_r(s, x) for every x in xs, each truncated exactly where lfun_value
     would truncate it: one column of polynomials.series_table."""
-    s = complex(s)
+    r, s = as_int(r, "order r", rule=POSITIVE), as_complex(s, "s")
+    (epsilon, max_terms), xs = parse_budget(epsilon, max_terms), [as_float(x, "x") for x in xs]
     bounds = power_weight_bounds(ctx, xs, s)
     plans = plan_cells(ctx, r, bounds, len(bounds), epsilon, max_terms)
     [values] = series_table(chi, r, ctx, xs, [_bracket_power(s)], [[plans[w][0] for w in bounds]])

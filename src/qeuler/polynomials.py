@@ -22,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter, conv_power
-from .errors import (BudgetExceeded, DomainError, QEulerError, as_double, is_real,
-                     require_count, require_positive_int)
+from .errors import POSITIVE, BudgetExceeded, DomainError, QEulerError, as_float, as_int
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
@@ -32,6 +31,7 @@ from .qnum import (
     alternating_weighted_sum,
     bracket_rows,
     degree_weight_bound,
+    parse_budget,
     plan_cells,
     plan_truncation,
     q_bracket_two_pow,
@@ -56,9 +56,9 @@ class QEulerSpec(NamedTuple):
     def create(cls, chi: DirichletCharacter, r: int, n: int, x: float, ctx: QContext,
                epsilon: float = DEFAULT_EPSILON,
                max_terms: int = DEFAULT_MAX_TERMS) -> QEulerSpec:
-        """Build the truncation plan, which validates r, n and x."""
-        plan = plan_truncation(ctx, x, n, r, epsilon, max_terms)
-        return cls(chi, r, n, float(x), ctx, plan)
+        """Parse r, n and x, then build the truncation plan, which validates them."""
+        r, n, x = as_int(r, "order r", rule=POSITIVE), as_int(n, "degree n"), as_float(x, "x")
+        return cls(chi, r, n, x, ctx, plan_truncation(ctx, x, n, r, epsilon, max_terms))
 
 
 def series_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, weighers, columns):
@@ -105,6 +105,8 @@ def qeuler_table(chi: DirichletCharacter, r: int, xs, ns, ctx: QContext,
     cell as qeuler_value gives it: the one-span degree_table of ns, once every
     (x, n) has its bound in that order; with no cell, every x, r, epsilon and
     max_terms are still checked."""
+    r, (epsilon, max_terms) = as_int(r, "order r", rule=POSITIVE), parse_budget(epsilon, max_terms)
+    xs, ns = [as_float(x, "x") for x in xs], [as_int(n, "degree n") for n in ns]
     if not [degree_weight_bound(ctx, x, n) for x in xs for n in ns]:
         for x in xs:  # no degree: each x is still checked
             degree_weight_bound(ctx, x, 0)
@@ -138,7 +140,7 @@ def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:
     width = len(chiv)
     if width < 1:
         raise DomainError("tuple enumeration needs a nonempty value range")
-    require_positive_int(r, "order r")
+    r = as_int(r, "order r", 1, POSITIVE)
     if width ** r > TUPLE_BUDGET:
         raise BudgetExceeded(
             f"enumerating {width}^{r} index tuples exceeds the budget {TUPLE_BUDGET:g}"
@@ -164,7 +166,7 @@ def qeuler_poly_naive(spec: QEulerSpec, M: int) -> complex:
     index sets differ beyond the cutoff (tuples here may have totals up to
     r*(M-1)), so both routes agree only up to the certified tail bound at M.
     """
-    require_count(M, "cutoff M", 1)
+    M = as_int(M, "cutoff M", 1)
     q = spec.ctx.q
     totals = np.arange(spec.r * (M - 1) + 1)
     signs = 1.0 - 2.0 * (totals % 2)
@@ -189,13 +191,14 @@ def qeuler_addition(chi: DirichletCharacter, r: int, n: int, ctx: QContext, x: f
     expansion of E_n(x) through the q-Euler numbers E_i(0).  At x = 0 only
     the i = n term survives (with 0^0 = 1), collapsing to E_n(y) exactly.
     """
-    if not (is_real(x) and x >= 0.0 and is_real(y) and y >= 0.0):
+    x, y = as_float(x, "x"), as_float(y, "y")
+    if not (x >= 0.0 and y >= 0.0):
         raise DomainError(f"arguments must be nonnegative, got x={x}, y={y}")
     if inf in (x, y):
         raise DomainError(f"arguments must be finite, got x={x}, y={y}")
-    require_count(n, "degree n", 0)
-    return next(shift_sums(chi, r, ctx, [(n, 0)], as_double(x, "x"), as_double(y, "y"),
-                           epsilon, max_terms))
+    pairs = [(as_int(n, "degree n", 0), 0)]
+    return next(shift_sums(chi, as_int(r, "order r", rule=POSITIVE), ctx, pairs, x, y,
+                           *parse_budget(epsilon, max_terms)))
 
 
 def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,
@@ -233,14 +236,14 @@ def degree_table(chi: DirichletCharacter, r: int, ctx: QContext, xs, spans,
 
 
 def ordered_sum(terms) -> complex:
-    """The sum of terms, added one at a time in their order from 0j: a side
-    sums its terms so, since a numpy reduction may round differently.  An
-    overflow gives a value that is not finite, refused by the side's reader."""
+    """The sum of terms, Python scalars, added one at a time in their order
+    from 0j: a side sums its terms so, since a numpy reduction may round
+    differently.  An overflow gives a value that is not finite, refused by
+    the side's reader."""
     total = 0j
-    with np.errstate(over="ignore", invalid="ignore"):
-        for term in terms:
-            total += term
-    return complex(total)
+    for term in terms:
+        total += term
+    return total
 
 
 def shift_sums(chi: DirichletCharacter, r: int, ctx: QContext, pairs, shift: float, arg: float,

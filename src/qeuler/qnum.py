@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DomainError, PlanInfeasible, as_double, is_real,
-                     require_count, require_positive_int)
+from .errors import POSITIVE, BudgetExceeded, DomainError, PlanInfeasible, as_float, as_int
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
@@ -45,11 +44,10 @@ class QContext:
     __slots__ = ("q",)
 
     def __init__(self, q: float) -> None:
-        if not is_real(q):
-            raise DomainError(f"q must be a real number, got {q!r}")
+        q = as_float(q, "q")
         if not 0.0 < q < 1.0:
             raise DomainError(f"q must lie strictly inside (0,1), got {q}")
-        object.__setattr__(self, "q", float(q))
+        object.__setattr__(self, "q", q)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"QContext is immutable, cannot set {name!r}")
@@ -66,7 +64,7 @@ class QContext:
     def power(self, a: int) -> QContext:
         """Derived context with q replaced by q^a (a positive integer); a q^a
         that underflows to zero raises PlanInfeasible."""
-        require_positive_int(a, "deformation exponent")
+        a = as_int(a, "deformation exponent", 1, POSITIVE)
         if self.q ** a == 0.0:
             raise PlanInfeasible(f"q^a underflows to zero (q={self.q!r}, a={a})")
         return QContext(self.q ** a)
@@ -75,16 +73,17 @@ class QContext:
 def q_number(x, ctx: QContext):
     """The q-number [x]_q = (1 - q^x) / (1 - q).
 
-    Accepts a scalar or a numpy array; q^x is the principal real power.  For
-    integer x >= 0 this equals the geometric sum 1 + q + ... + q^(x-1), and
-    [x]_q recovers x in the limit q -> 1.
+    Accepts a numpy array, or a real scalar taken as a float; q^x is the
+    principal real power.  For integer x >= 0 this equals the geometric sum
+    1 + q + ... + q^(x-1), and [x]_q recovers x in the limit q -> 1.
     """
+    x = x if isinstance(x, np.ndarray) else as_float(x, "x")
     return (1.0 - ctx.q ** x) / (1.0 - ctx.q)
 
 
 def q_bracket_two_pow(r: int, ctx: QContext) -> float:
     """[2]_q^r = (1 + q)^r, the prefactor of every order-r alternating series."""
-    require_positive_int(r, "order r")
+    r = as_int(r, "order r", 1, POSITIVE)
     return (1.0 + ctx.q) ** r
 
 
@@ -144,8 +143,9 @@ def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon:
     guess in steps that double, up to an M that meets the key and down to one
     that misses it, then bisected between the two.  Memoized: W = (1-q)^(-n)
     does not depend on x or the character, so every E_n at one (q, r, n)
-    repeats a plan.  A refusal raises and is not cached."""
-    require_positive_int(r, "order r")
+    repeats a plan.  A refusal raises and is not cached; callers parse r."""
+    if r < 1:
+        raise DomainError(f"order r {POSITIVE}, got {r}")
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if max_terms < 0:
@@ -203,7 +203,14 @@ def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon
                              max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
     """Smallest cutoff M <= min(max_terms, SERIES_BUDGET) whose certified tail
     bound meets epsilon, with that bound: the one-cell plan of plan_shared."""
-    return TruncationPlan(*plan_shared(ctx, r, weight_bound, 1, epsilon, max_terms))
+    return TruncationPlan(*plan_shared(ctx, as_int(r, "order r", rule=POSITIVE),
+                                       as_float(weight_bound, "weight bound"), 1,
+                                       *parse_budget(epsilon, max_terms)))
+
+
+def parse_budget(epsilon: float, max_terms: int) -> tuple[float, int]:
+    """A public entry's series budget epsilon and max_terms as a float and an int."""
+    return as_float(epsilon, "epsilon"), as_int(max_terms, "max_terms")
 
 
 def plan_cells(ctx: QContext, r: int, weight_bounds, cells: int, epsilon: float,
@@ -240,16 +247,16 @@ def weight_sup(ctx: QContext, x: float, w: complex, bracket: float | None) -> fl
         return max(base ** w.real, sys.float_info.min)
     except OverflowError:
         raise PlanInfeasible(f"weight bound sup |[m+x]_q^w| overflows at w={w} "
-                             f"(q={ctx.q!r}, x={float(x)!r})") from None
+                             f"(q={ctx.q!r}, x={x!r})") from None
 
 
 def degree_weight_bound(ctx: QContext, x: float, n: int) -> float:
     """Bound weight_sup(ctx, x, n) = (1-q)^(-n) on [m+x]_q^n over m >= 0, for a
-    real x >= 0 and an integer n >= 0."""
-    if not (is_real(x) and x >= 0.0):
+    float x and an int n, refused as DomainError unless x >= 0 and n >= 0."""
+    if not x >= 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
-    as_double(x, "x")
-    require_count(n, "degree n", 0)
+    if n < 0:
+        raise DomainError(f"degree n must be nonnegative, got {n}")
     return weight_sup(ctx, x, n, None)
 
 
@@ -257,7 +264,8 @@ def plan_truncation(ctx: QContext, x: float, n: int, r: int, epsilon: float,
                     max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
     """Truncation plan for series weighted by [m+x]_q^n with x >= 0, at the
     weight bound degree_weight_bound(ctx, x, n)."""
-    return plan_truncation_weighted(ctx, r, degree_weight_bound(ctx, x, n), epsilon, max_terms)
+    bound = degree_weight_bound(ctx, as_float(x, "x"), as_int(n, "degree n"))
+    return plan_truncation_weighted(ctx, r, bound, epsilon, max_terms)
 
 
 class PrefixStore:

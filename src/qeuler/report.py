@@ -44,42 +44,25 @@ class IdentityReport(NamedTuple):
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """to_json_dict as JSON, a value JSON cannot carry written as its repr."""
+        return json.dumps(self.to_json_dict(), default=repr)
 
 
 def make_report(identity_id: str, instance: dict, lhs: complex, rhs: complex,
                 rel_tol: float) -> IdentityReport:
-    """Assemble a report from two evaluated sides (coerced to plain Python
-    scalars so serialization never sees numpy types).  The tolerance is
-    rel_tol * max(|lhs|, |rhs|, 1): relative for large sides, absolute below
-    magnitude one."""
-    lhs, rhs = complex(lhs), complex(rhs)
-    tolerance = float(rel_tol * max(abs(lhs), abs(rhs), 1.0))
-    residual = abs(lhs - rhs)
-    return IdentityReport(
-        identity_id=identity_id,
-        instance=instance,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tolerance=tolerance,
-        passed=bool(residual <= tolerance),
-    )
+    """Assemble a report from two evaluated sides, Python complex numbers, and
+    a float rel_tol.  The tolerance is rel_tol * max(|lhs|, |rhs|, 1):
+    relative for large sides, absolute below magnitude one."""
+    tolerance, residual = rel_tol * max(abs(lhs), abs(rhs), 1.0), abs(lhs - rhs)
+    return IdentityReport(identity_id, instance, lhs, rhs, residual, tolerance,
+                          residual <= tolerance)
 
 
 def make_error_report(identity_id: str, instance: dict,
                       error: Exception) -> IdentityReport:
     """Record a per-instance failure without aborting the surrounding sweep."""
-    return IdentityReport(
-        identity_id=identity_id,
-        instance=instance,
-        lhs=None,
-        rhs=None,
-        residual=None,
-        tolerance=0.0,
-        passed=False,
-        error=f"{type(error).__name__}: {error}",
-    )
+    return IdentityReport(identity_id, instance, None, None, None, 0.0, False,
+                          f"{type(error).__name__}: {error}")
 
 
 def suite_passed(reports: list[IdentityReport]) -> bool:

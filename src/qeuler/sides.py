@@ -26,7 +26,7 @@ budget, and every t-sum and i-sum is a polynomials.ordered_sum, so every
 value is bit for bit the one-degree value.  The forms are generators that
 follow the protocol stated at identities.Side: a line that cannot be planned
 at some degree yields the degrees before it and then raises that degree's
-refusal.
+refusal.  A role a enters [a]_q as float(a), which overflows past a double.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ def role_argument(second: int, x: float, first: int, t: int) -> float:
 def _shift_weights(inst, first: int, second: int):
     """The j-tuples below d*first by their total t, each total a row of the
     batch: the weights w_t (-1)^t q^(second t), w_t the tuple-total
-    histogram, and the arguments second x + (second/first) t."""
+    histogram as a list, and the arguments second x + (second/first) t."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
-    totals = tuple_totals(chi, r, chi.modulus_d * first, 1)
+    totals = tuple_totals(chi, r, chi.modulus_d * first, 1).tolist()
     weights = [w_t * (-1.0) ** t * ctx.q ** (second * t) for t, w_t in enumerate(totals)]
     return weights, [role_argument(second, inst.x, first, t) for t in range(len(totals))]
 
@@ -113,7 +113,7 @@ def lfun_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms
     """One side of the l-function symmetry in roles (first, second), yielded
     once for every entry of ns: T1 has no degree, so its line holds equal
     instances, one for each repeat of a grid value."""
-    bracket_pow = cmath.exp(complex(inst.s) * math.log(q_number(second, inst.ctx)))
+    bracket_pow = cmath.exp(inst.s * math.log(q_number(float(second), inst.ctx)))
     weights, args = _shift_weights(inst, first, second)
     terms = lfun_values(inst.chi, inst.r, inst.s, args, inst.ctx.power(first), epsilon,
                         max_terms)
@@ -129,7 +129,7 @@ def poly_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms
     column."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
     for k, n in enumerate(ns):  # each step refuses where check would at that degree
-        prefactor = q_number(first, ctx) ** n
+        prefactor = q_number(float(first), ctx) ** n
         if k == 0:
             weights, args = _shift_weights(inst, first, second)
             tables = degree_table(chi, r, ctx.power(first), args, [(n,) for n in ns], epsilon,
@@ -149,7 +149,7 @@ def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float, max_
     chi, r, ctx = inst.chi, inst.r, inst.ctx
     ctx_second, ctx_first = ctx.power(second), ctx.power(first)
     upper = first * chi.modulus_d
-    bracket_first, bracket_second = q_number(first, ctx), q_number(second, ctx)
+    bracket_first, bracket_second = q_number(float(first), ctx), q_number(float(second), ctx)
     tables = degree_table(chi, r, ctx_first, [second * inst.x], [range(n + 1) for n in ns],
                           epsilon, max_terms)
     for k, (n, table) in enumerate(zip(ns, tables)):

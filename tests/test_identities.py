@@ -122,8 +122,11 @@ def test_power_sum_refuses_what_is_not_an_integer(groups, ctx):
     chi = groups[3][1]
     with pytest.raises(DomainError, match=re.escape("upper limit must be an integer, got 2.5")):
         power_sum(chi, 1, 2, 1, 2.5, ctx)
-    with pytest.raises(DomainError, match=re.escape("n and i must be integers, got n=2.5, i=1.5")):
+    with pytest.raises(DomainError, match=re.escape("degree n must be an integer, got 2.5")):
         power_sum(chi, 1, 2.5, 1.5, 3, ctx)
+    with pytest.raises(DomainError, match=re.escape(
+            "bracket power i must be an integer, got 1.5")):
+        power_sum(chi, 1, 2, 1.5, 3, ctx)
     with pytest.raises(DomainError, match=re.escape("need 0 <= i <= n, got i=0, n=-1")):
         power_sum(chi, 1, -1, 0, 3, ctx)
 

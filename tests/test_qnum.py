@@ -1,4 +1,5 @@
 import math
+import numbers
 import re
 import sys
 import warnings
@@ -32,7 +33,7 @@ from qeuler import (
     qeuler_value,
 )
 from qeuler import lfun, polynomials, qnum
-from qeuler.errors import is_real
+from qeuler.errors import as_float
 from qeuler.qnum import SERIES_BUDGET, degree_weight_bound, plan_cells, plan_shared
 
 
@@ -53,15 +54,21 @@ def test_a_q_that_is_not_a_real_number_is_a_domain_error(q):
 
 
 def test_the_real_number_rule():
-    assert all(is_real(v) for v in (0, 0.5, True, math.nan, np.float32(1), np.int64(2),
-                                    Fraction(1, 3)))
-    assert not any(is_real(v) for v in (1j, np.complex128(1), "0.5", None))
+    for v in (0, 0.5, True, math.nan, np.float32(1), np.int64(2), Fraction(1, 3)):
+        parsed = as_float(v, "v")
+        assert type(parsed) is float and (parsed == float(v) or math.isnan(v))
+    for v in (1j, np.complex128(1), "0.5", None):
+        with pytest.raises(DomainError, match=re.escape(f"v must be a real number, got {v!r}")):
+            as_float(v, "v")
 
 
-@pytest.mark.parametrize("x", [math.nan, 1j, "1"])
-def test_a_weight_bound_refuses_an_x_that_is_not_a_real_number_at_least_zero(x):
-    with pytest.raises(DomainError, match=re.escape(f"x must be nonnegative, got {x}")):
-        degree_weight_bound(QContext(0.5), x, 2)
+@pytest.mark.parametrize("x, message", [(math.nan, "must be nonnegative, got nan"),
+                                        (1j, "must be a real number, got 1j"),
+                                        ("1", "must be a real number, got '1'")])
+def test_a_weight_bound_refuses_an_x_that_is_not_a_real_number_at_least_zero(x, message):
+    # the plan parses x, then its weight bound refuses one below zero
+    with pytest.raises(DomainError, match=re.escape(f"x {message}")):
+        plan_truncation(QContext(0.5), x, 2, 1, 1e-10)
 
 
 @pytest.mark.parametrize("n, message", [(2.5, "must be an integer, got 2.5"),
@@ -69,7 +76,7 @@ def test_a_weight_bound_refuses_an_x_that_is_not_a_real_number_at_least_zero(x):
                                         (-1, "must be nonnegative, got -1")])
 def test_a_weight_bound_refuses_a_degree_that_is_not_a_nonnegative_integer(n, message):
     with pytest.raises(DomainError, match=re.escape(f"degree n {message}")):
-        degree_weight_bound(QContext(0.5), 0.5, n)
+        plan_truncation(QContext(0.5), 0.5, n, 1, 1e-10)
     assert degree_weight_bound(QContext(0.5), 0.5, np.int64(3)) == 8.0
 
 
@@ -469,6 +476,8 @@ _degree = st.integers(min_value=0, max_value=14)
          max_terms=400_000)  # 38 cells of more than 263157 terms
 @example(d=3, label=1, r=3, q=0.9, xs=[], ns=[2], epsilon=1e-10, max_terms=0)
 @example(d=3, label=1, r=2, q=0.7, xs=[0.5, 0.5], ns=[], epsilon=1e-10, max_terms=0)
+@example(d=1, label=0, r=1, q=0.1, xs=[0.0], ns=[np.int64(9)], epsilon=1e-6,
+         max_terms=0)  # (1-q)^-9 at an np.int64 power is 1 ulp below the int power
 @given(
     d=st.sampled_from([1, 3, 15]),
     label=st.integers(min_value=0, max_value=7),
@@ -483,9 +492,10 @@ def test_qeuler_table_is_its_cells_or_the_refusal_of_its_widest(d, label, r, q, 
                                                                  max_terms):
     # unsorted and repeated degrees, numpy degrees, empty rows and columns: the
     # table is refused as its widest cell among all of its cells, else each
-    # cell is its one-cell value
+    # cell is its one-cell value; a numpy degree is the int it parses to, and
+    # degree_weight_bound takes parsed values
     chi, ctx = _KERNEL_GROUPS[d][label % len(_KERNEL_GROUPS[d])], QContext(q)
-    widest = max((degree_weight_bound(ctx, x, n) for x in xs for n in ns), default=0.0)
+    widest = max((degree_weight_bound(ctx, x, int(n)) for x in xs for n in ns), default=0.0)
     try:
         plan_shared(ctx, r, widest, len(xs) * len(ns), epsilon, max_terms)
     except (PlanInfeasible, BudgetExceeded) as exc:
@@ -518,7 +528,7 @@ def test_qeuler_table_with_no_degree_still_checks_every_x():
 def _one_x_bound(ctx, x, s):
     """power_weight_bound as one x alone forms it: the scalar underflow check,
     then [x]_q from a one-entry array."""
-    if not (is_real(x) and x > 0.0):
+    if not (isinstance(x, numbers.Real) and x > 0.0):
         raise DomainError(f"x must be strictly positive, got {x}")
     if q_number(x, ctx) <= 0.0:
         raise PlanInfeasible(f"[x]_q underflows to zero at x={float(x)!r} (q={ctx.q!r})")
