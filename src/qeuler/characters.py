@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import POSITIVE, BudgetExceeded, NegativeArgument, NotOdd, Overflow, as_int
+from .errors import POSITIVE, BudgetExceeded, NegativeArgument, NotOdd, Overflow, as_int, count_g
 
 MODULUS_BOUND = 3001  # tables of at most phi(d) * d <= 9.0e6 entries
 CONVOLUTION_BUDGET = 10 ** 8
@@ -58,15 +58,9 @@ def _primitive_root(p: int, e: int) -> int:
     order = p - 1
     prime_factors = [f for f, _ in _factorize(order)]
     g = 2
-    while True:
-        if all(pow(g, order // f, p) != 1 for f in prime_factors):
-            break
+    while not all(pow(g, order // f, p) != 1 for f in prime_factors):
         g += 1
-    if e == 1:
-        return g
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
+    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
 
 
 class DirichletCharacter:
@@ -93,8 +87,11 @@ class DirichletCharacter:
         return complex(self.values[m % self.modulus_d])
 
     def periodic_values(self, length: int) -> np.ndarray:
-        """chi(0), chi(1), ..., chi(length-1) as a complex array."""
+        """chi(0), ..., chi(length-1) as a complex array, at most CONVOLUTION_BUDGET long."""
         length = as_int(length, "length", 0)
+        if length > CONVOLUTION_BUDGET:
+            raise BudgetExceeded(f"{count_g(length)} periodic values exceed the budget "
+                                 f"{CONVOLUTION_BUDGET:g}")
         out = np.empty(-(-length // self.modulus_d) * self.modulus_d, dtype=complex)
         out.reshape(-1, self.modulus_d)[...] = self.values
         return out[:length]
@@ -217,10 +214,14 @@ def _fold_macs(width: int, r: int, length: int) -> int:
 def _binomial_rows(r: int, length: int) -> np.ndarray:
     """The min(r, length) x length matrix whose row i holds
     C(j - i + r - 1, r - 1) at j >= i and 0 before, each entry the double
-    nearest its exact integer: by r - 1 running sums in int64 while
-    C(length + r - 2, r - 1) fits one, else by the integer recurrence
-    b_k = b_(k-1) (k + r - 1) / k, inf past the double range."""
-    if math.comb(length + r - 2, r - 1) < 2 ** 63:
+    nearest its exact integer: by r - 1 running sums in int64 while the
+    largest, C(length + r - 2, r - 1), fits one, else by the integer recurrence
+    b_k = b_(k-1) (k + r - 1) / k; one past a double raises BudgetExceeded."""
+    largest = math.comb(length + r - 2, r - 1)
+    if largest > _DOUBLE_MAX:
+        raise BudgetExceeded(f"{count_g(r)}-part composition sums over {count_g(length)} periods "
+                             f"take binomials past the double range")
+    if largest < 2 ** 63:
         row = np.ones(length, dtype=np.int64)
         for _ in range(r - 1):
             np.cumsum(row, out=row)
@@ -229,18 +230,19 @@ def _binomial_rows(r: int, length: int) -> np.ndarray:
         exact = [1]
         for k in range(1, length):
             exact.append(exact[-1] * (k + r - 1) // k)
-        row = np.array([float(b) if b <= _DOUBLE_MAX else math.inf for b in exact])
+        row = np.array([float(b) for b in exact])
     rows = np.zeros((min(r, length), length))
     for i in range(len(rows)):
         rows[i, i:] = row[:length - i]
     return rows
 
 
-def _g(count: int) -> str:
-    """An int in %g form, by Decimal past the double range, where float() raises."""
-    from decimal import Decimal
-
-    return f"{count:g}" if count <= _DOUBLE_MAX else f"{Decimal(count):.6g}"
+def _check_macs(r: int, below: int, macs: int) -> None:
+    """Refuse r-part composition sums below `below` of macs > CONVOLUTION_BUDGET multiply-adds."""
+    if macs > CONVOLUTION_BUDGET:
+        raise BudgetExceeded(f"{count_g(r)}-part composition sums below {count_g(below)} take "
+                             f"{count_g(macs)} multiply-adds, over the budget "
+                             f"{CONVOLUTION_BUDGET:g}")
 
 
 def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
@@ -264,16 +266,14 @@ def conv_power(chi: DirichletCharacter, r: int, M: int) -> np.ndarray:
     0, +-1 or +-i each product and partial sum is an integer below 2^53, so
     the c_m are exact; a prefix c_0..c_(k-1) is bit for bit the result at
     length k.  A product of more than CONVOLUTION_BUDGET multiply-adds,
-    rows J d, is refused before anything is formed.
+    rows J d, is refused before anything is formed, a binomial past a double
+    as it is formed.
     """
     r, M = as_int(r, "order r", 1, POSITIVE), as_int(M, "series length M", 1)
     d = chi.modulus_d
     J = -(-M // d)
     rows = min(r, J)
-    macs = rows * J * d
-    if macs > CONVOLUTION_BUDGET:
-        raise BudgetExceeded(f"{r}-part composition sums below {_g(M)} take {_g(macs)} "
-                             f"multiply-adds, over the budget {CONVOLUTION_BUDGET:g}")
+    _check_macs(r, M, rows * J * d)
     if r == 1:
         return chi.periodic_values(M)
     from .qnum import prefixes  # not at import: a character group loads no qnum
@@ -296,10 +296,5 @@ def bounded_composition_sums(chi: DirichletCharacter, r: int, upper: int) -> np.
     take more than CONVOLUTION_BUDGET multiply-adds.
     """
     r, upper = as_int(r, "order r", 1, POSITIVE), as_int(upper, "upper limit", 1)
-    macs = _fold_macs(upper, r, r * (upper - 1) + 1)
-    if macs > CONVOLUTION_BUDGET:
-        raise BudgetExceeded(
-            f"{r}-part composition sums below {upper} take {macs:g} multiply-adds, "
-            f"over the budget {CONVOLUTION_BUDGET:g}"
-        )
+    _check_macs(r, upper, _fold_macs(upper, r, r * (upper - 1) + 1))
     return _fold(chi.periodic_values(upper), r, r * (upper - 1) + 1)

@@ -85,3 +85,10 @@ def _parse(value, name: str, kind: type, noun: str):
     except OverflowError:
         raise DomainError(f"{name} must lie within the double range, got a value of type "
                           f"{type(value).__name__} past {sys.float_info.max!r}") from None
+
+
+def count_g(count: int) -> str:
+    """An int in %g form, by Decimal past the double range, where float() raises."""
+    from decimal import Decimal
+
+    return f"{count:g}" if count <= sys.float_info.max else f"{Decimal(count):.6g}"

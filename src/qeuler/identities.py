@@ -11,10 +11,10 @@ its two sides, and its default relative tolerance.  Every side evaluates a
 sweep line, the instances of a row equal in every field but the degree n (a
 repeated grid value repeats an instance), by the protocol stated at Side;
 its E_j and l(-j) come from one polynomials.degree_table.  One line checker,
-_line(), validates a line's instances, evaluates both sides and reports
+_line(), evaluates both sides over a line of validated instances and reports
 them: check() calls it on one instance, run_suite() once per sweep line of a
-SweepGrid, so a line refuses where check() would first refuse.  A line with
-a DomainError is checked one instance at a time, recording it in place.
+SweepGrid, so a line refuses where check() would first refuse.  An axis rule's
+DomainError is recorded at its instance, a side's at every instance of its line.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def power_sum(chi: DirichletCharacter, r: int, n: int, i: int, upper_a: int,
     an exact finite sum over the tuples grouped by their total |j|, with
     0^0 = 1 at |j| = 0, i = 0.  Requires 0 <= i <= n; a sum that is not a
     finite double raises PlanInfeasible."""
-    r, upper_a = as_int(r, "order r", rule=POSITIVE), as_int(upper_a, "upper limit")
+    r, upper_a = as_int(r, "order r", 1, POSITIVE), as_int(upper_a, "upper limit")
     n, i = as_int(n, "degree n"), as_int(i, "bracket power i")
     if not 0 <= i <= n:
         raise DomainError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -79,21 +79,19 @@ class SymmetryInstance(NamedTuple):
 
 # A side maps (the line's instance, its degrees, epsilon, max_terms) to an
 # iterator that yields one raw value per entry of the degrees (None in a row
-# without n), each bit for bit its one-instance value.  At the first degree whose one-degree evaluation refuses,
-# it raises that refusal (a QEulerError, or the OverflowError of a float
-# power) once it has yielded the degrees before it.  _values() collects a side
-# and owns both side rules: a value that is not a finite double, and a float
-# overflow, are refused as PlanInfeasible.
+# without n), each bit for bit its one-instance value: it does the line's shared
+# work, then each degree in order, and raises its first refusal (a QEulerError,
+# or a float power's OverflowError) after the degrees before it, a DomainError
+# (x = 0 in an l-function) before any.  _values() collects a side and owns both
+# side rules: a value not a finite double, and a float overflow, are PlanInfeasible.
 Side = Callable[[SymmetryInstance, list, float, int], Iterator[complex]]
 
 
 def _roles(side, mirrored: bool = False) -> Side:
     """A role-taking side in roles (a, b), or (b, a) when mirrored."""
-    if mirrored:
-        return lambda inst, ns, epsilon, max_terms: side(inst, ns, inst.b, inst.a, epsilon,
-                                                         max_terms)
-    return lambda inst, ns, epsilon, max_terms: side(inst, ns, inst.a, inst.b, epsilon,
-                                                     max_terms)
+    first, second = "ba" if mirrored else "ab"
+    return lambda inst, ns, epsilon, max_terms: side(inst, ns, getattr(inst, first),
+                                                     getattr(inst, second), epsilon, max_terms)
 
 
 def _cells(arg, *weighing) -> Side:
@@ -187,7 +185,7 @@ def _record(row: Identity, inst: SymmetryInstance) -> dict:
 def _validate(identity_id: str, row: Identity, inst: SymmetryInstance) -> SymmetryInstance:
     """Every axis rule of the row, checked before any side is evaluated, as a
     parse: r, a, b, m and n become ints, s a complex, and x and y floats."""
-    fields = {"r": as_int(inst.r, "order r", rule=POSITIVE)}
+    fields = {"r": as_int(inst.r, "order r", 1, POSITIVE)}
     for name in ("a", "b") if "ab" in row.axes else ():
         value = getattr(inst, name)
         fields[name] = as_int(value, name, 1, "must be a positive odd integer", ParityViolation)
@@ -228,14 +226,10 @@ def _values(identity_id: str, side: Side, inst: SymmetryInstance, ns: list, epsi
 
 def _line(identity_id: str, row: Identity, insts: list, epsilon: float, max_terms: int,
           rel_tol: float | None) -> tuple[list[IdentityReport], QEulerError | None]:
-    """(reports, refusal) of a sweep line: every instance's axis rules, then the
-    lhs over the line's degrees and the rhs over the degrees the lhs evaluated.
-    The refusal is the one check meets first, the rhs's if it has one, else
-    the lhs's, or None; the reports are those of the instances before it."""
-    try:
-        insts = [_validate(identity_id, row, inst) for inst in insts]
-    except DomainError as exc:
-        return [], exc
+    """(reports, refusal) of a sweep line of validated instances: the lhs over
+    the line's degrees, then the rhs over the degrees the lhs evaluated.  The
+    refusal is the one check meets first, the rhs's if it has one, else the
+    lhs's, or None; the reports are those of the instances before it."""
     ns = [inst.n for inst in insts]
     lhs, lhs_refusal = _values(identity_id, row.lhs, insts[0], ns, epsilon, max_terms)
     rhs, refusal = _values(identity_id, row.rhs, insts[0], ns[:len(lhs)], epsilon, max_terms)
@@ -253,6 +247,7 @@ def check(identity_id: str, inst: SymmetryInstance, epsilon: float = DEFAULT_EPS
     PlanInfeasible."""
     row, (epsilon, max_terms) = _row(identity_id), parse_budget(epsilon, max_terms)
     rel_tol = None if rel_tol is None else as_float(rel_tol, "rel_tol")
+    inst = _validate(identity_id, row, inst)
     reports, refusal = _line(identity_id, row, [inst], epsilon, max_terms, rel_tol)
     if refusal is not None:
         raise refusal
@@ -302,9 +297,7 @@ def _grid_instances(row: Identity, grid: SweepGrid):
     Before any table is built, a chi label outside [0, phi(d)) raises
     DomainError and a grid of more than SWEEP_BUDGET instances BudgetExceeded,
     both read from group_order and the axis lengths."""
-    values = {"ab": grid.ab_pairs, "s": grid.s_values, "m": grid.m_values,
-              "n": grid.n_values, "x": grid.x_values, "y": grid.y_values}
-    axes = [values[axis] for axis in row.axes]
+    axes = [getattr(grid, "ab_pairs" if axis == "ab" else f"{axis}_values") for axis in row.axes]
     labels = None if grid.chi_labels is None else [as_int(c, "chi label") for c in grid.chi_labels]
     grid = grid._replace(d_values=[as_int(d, "modulus") for d in grid.d_values], chi_labels=labels)
     orders = [group_order(d) for d in grid.d_values]
@@ -336,12 +329,13 @@ def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILO
     instances equal in every field but n share each side's evaluation.
 
     Reports come back in enumeration order, each equal to check's at its
-    instance.  An instance outside its identity's domain (DomainError) is
-    recorded in place as an error report, while a PlanInfeasible or
+    instance.  A DomainError is recorded in place as an error report: an
+    instance's, from the axis rules checked when its line is reached, or a
+    side's, at every instance of the line.  A PlanInfeasible or
     BudgetExceeded ends the sweep, as in every other command: the one check
-    meets first in enumeration order is raised.  An unknown identity id raises
-    DomainError, and a grid of more than SWEEP_BUDGET instances BudgetExceeded,
-    before anything is enumerated."""
+    meets first in enumeration order is raised.  An unknown identity id or a
+    bad budget raises DomainError, and a grid of more than SWEEP_BUDGET
+    instances BudgetExceeded, before anything is enumerated."""
     row, (epsilon, max_terms) = _row(identity_id), parse_budget(epsilon, max_terms)
     rel_tol = None if rel_tol is None else as_float(rel_tol, "rel_tol")
     instances = list(_grid_instances(row, grid))
@@ -350,25 +344,24 @@ def run_suite(identity_id: str, grid: SweepGrid, epsilon: float = DEFAULT_EPSILO
         lines.setdefault(inst._replace(n=None), []).append(position)
     reports, refusal = [None] * len(instances), None
     for positions in lines.values():  # in the order of their first instances
-        if refusal is not None:  # only an earlier instance can refuse first
-            positions = [p for p in positions if p < refusal[0]]
-            if not positions:
-                break
-        insts = [instances[p] for p in positions]
-        line, stop = _line(identity_id, row, insts, epsilon, max_terms, rel_tol)
-        if isinstance(stop, DomainError):  # check each instance, recording DomainErrors
-            line, stop = [], None
-            for inst in insts:
-                one, stop = _line(identity_id, row, [inst], epsilon, max_terms, rel_tol)
-                if isinstance(stop, DomainError):
-                    one, stop = [make_error_report(identity_id, _record(row, inst), stop)], None
-                line += one
-                if stop is not None:
-                    break
-        for position, report in zip(positions, line):
+        positions = [p for p in positions if refusal is None or p < refusal[0]]
+        if not positions:  # only an earlier instance can refuse first
+            break
+        line = {}  # the line's instances that pass the axis rules, by position
+        for p in positions:
+            try:
+                line[p] = _validate(identity_id, row, instances[p])
+            except DomainError as exc:
+                reports[p] = make_error_report(identity_id, _record(row, instances[p]), exc)
+        done, stop = (_line(identity_id, row, list(line.values()), epsilon, max_terms, rel_tol)
+                      if line else ([], None))
+        if isinstance(stop, DomainError):  # a side's, raised before its first value
+            done, stop = [make_error_report(identity_id, _record(row, instances[p]), stop)
+                          for p in line], None
+        for position, report in zip(line, done):
             reports[position] = report
         if stop is not None:
-            refusal = positions[len(line)], stop
+            refusal = list(line)[len(done)], stop
     if refusal is not None:
         raise refusal[1]
     return reports

@@ -76,7 +76,7 @@ class LfunSpec(NamedTuple):
                epsilon: float = DEFAULT_EPSILON,
                max_terms: int = DEFAULT_MAX_TERMS) -> LfunSpec:
         """Parse r, s and x, then build the truncation plan, which validates them."""
-        r, s, x = as_int(r, "order r", rule=POSITIVE), as_complex(s, "s"), as_float(x, "x")
+        r, s, x = as_int(r, "order r", 1, POSITIVE), as_complex(s, "s"), as_float(x, "x")
         weight = power_weight_bound(ctx, x, s)
         return cls(chi, r, s, x, ctx, plan_truncation_weighted(ctx, r, weight, epsilon, max_terms))
 
@@ -90,7 +90,7 @@ def lfun_values(chi: DirichletCharacter, r: int, s: complex, xs, ctx: QContext,
                 max_terms: int = DEFAULT_MAX_TERMS) -> list[complex]:
     """l_r(s, x) for every x in xs, each truncated exactly where lfun_value
     would truncate it: one column of polynomials.series_table."""
-    r, s = as_int(r, "order r", rule=POSITIVE), as_complex(s, "s")
+    r, s = as_int(r, "order r", 1, POSITIVE), as_complex(s, "s")
     (epsilon, max_terms), xs = parse_budget(epsilon, max_terms), [as_float(x, "x") for x in xs]
     bounds = power_weight_bounds(ctx, xs, s)
     plans = plan_cells(ctx, r, bounds, len(bounds), epsilon, max_terms)

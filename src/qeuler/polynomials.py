@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter, conv_power
-from .errors import POSITIVE, BudgetExceeded, DomainError, QEulerError, as_float, as_int
+from .errors import POSITIVE, BudgetExceeded, DomainError, QEulerError, as_float, as_int, count_g
 from .qnum import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_TERMS,
@@ -57,7 +57,7 @@ class QEulerSpec(NamedTuple):
                epsilon: float = DEFAULT_EPSILON,
                max_terms: int = DEFAULT_MAX_TERMS) -> QEulerSpec:
         """Parse r, n and x, then build the truncation plan, which validates them."""
-        r, n, x = as_int(r, "order r", rule=POSITIVE), as_int(n, "degree n"), as_float(x, "x")
+        r, n, x = as_int(r, "order r", 1, POSITIVE), as_int(n, "degree n"), as_float(x, "x")
         return cls(chi, r, n, x, ctx, plan_truncation(ctx, x, n, r, epsilon, max_terms))
 
 
@@ -103,9 +103,9 @@ def qeuler_table(chi: DirichletCharacter, r: int, xs, ns, ctx: QContext,
                  max_terms: int = DEFAULT_MAX_TERMS) -> list[list[complex]]:
     """E_n(x) for every argument in xs (rows) and degree in ns (columns), each
     cell as qeuler_value gives it: the one-span degree_table of ns, once every
-    (x, n) has its bound in that order; with no cell, every x, r, epsilon and
-    max_terms are still checked."""
-    r, (epsilon, max_terms) = as_int(r, "order r", rule=POSITIVE), parse_budget(epsilon, max_terms)
+    (x, n) has its bound in that order; with no cell, every x and the plan
+    of a cell of weight 0 are still checked."""
+    r, (epsilon, max_terms) = as_int(r, "order r", 1, POSITIVE), parse_budget(epsilon, max_terms)
     xs, ns = [as_float(x, "x") for x in xs], [as_int(n, "degree n") for n in ns]
     if not [degree_weight_bound(ctx, x, n) for x in xs for n in ns]:
         for x in xs:  # no degree: each x is still checked
@@ -127,6 +127,14 @@ def qeuler_poly(spec: QEulerSpec) -> complex:
     return value
 
 
+def _check_tuples(width: int, r: int) -> None:
+    """BudgetExceeded, in O(1), past TUPLE_BUDGET tuples (width^r, formed only below
+    r = 27, as 2^27 > TUPLE_BUDGET) or r - 1 passes of about 100 tuples' time each."""
+    if r - 1 > TUPLE_BUDGET // 100 or width > 1 and (r >= 27 or width ** r > TUPLE_BUDGET):
+        raise BudgetExceeded(f"enumerating {count_g(width)}^{count_g(r)} index tuples in "
+                             f"{count_g(r - 1)} passes exceeds the budget {TUPLE_BUDGET:g}")
+
+
 def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:
     """sum over all r-tuples (j_1,...,j_r) in [0, len(chiv))^r of
     chiv[j_1]...chiv[j_r] * weights[j_1+...+j_r].
@@ -141,10 +149,7 @@ def char_tuple_sum(chiv: np.ndarray, weights: np.ndarray, r: int) -> complex:
     if width < 1:
         raise DomainError("tuple enumeration needs a nonempty value range")
     r = as_int(r, "order r", 1, POSITIVE)
-    if width ** r > TUPLE_BUDGET:
-        raise BudgetExceeded(
-            f"enumerating {width}^{r} index tuples exceeds the budget {TUPLE_BUDGET:g}"
-        )
+    _check_tuples(width, r)
     rest_prod = np.ones(1, dtype=complex)
     rest_total = np.zeros(1, dtype=np.int64)
     for _ in range(r - 1):
@@ -167,6 +172,7 @@ def qeuler_poly_naive(spec: QEulerSpec, M: int) -> complex:
     r*(M-1)), so both routes agree only up to the certified tail bound at M.
     """
     M = as_int(M, "cutoff M", 1)
+    _check_tuples(M, spec.r)
     q = spec.ctx.q
     totals = np.arange(spec.r * (M - 1) + 1)
     signs = 1.0 - 2.0 * (totals % 2)
@@ -197,7 +203,7 @@ def qeuler_addition(chi: DirichletCharacter, r: int, n: int, ctx: QContext, x: f
     if inf in (x, y):
         raise DomainError(f"arguments must be finite, got x={x}, y={y}")
     pairs = [(as_int(n, "degree n", 0), 0)]
-    return next(shift_sums(chi, as_int(r, "order r", rule=POSITIVE), ctx, pairs, x, y,
+    return next(shift_sums(chi, as_int(r, "order r", 1, POSITIVE), ctx, pairs, x, y,
                            *parse_budget(epsilon, max_terms)))
 
 

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import POSITIVE, BudgetExceeded, DomainError, PlanInfeasible, as_float, as_int
+from .errors import (POSITIVE, BudgetExceeded, DomainError, PlanInfeasible, as_float, as_int,
+                     count_g)
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_MAX_TERMS = 20000
@@ -65,9 +66,10 @@ class QContext:
         """Derived context with q replaced by q^a (a positive integer); a q^a
         that underflows to zero raises PlanInfeasible."""
         a = as_int(a, "deformation exponent", 1, POSITIVE)
-        if self.q ** a == 0.0:
-            raise PlanInfeasible(f"q^a underflows to zero (q={self.q!r}, a={a})")
-        return QContext(self.q ** a)
+        power = self.q ** a if a.bit_length() < 1000 else 0.0  # a float(a) may overflow
+        if power == 0.0:
+            raise PlanInfeasible(f"q^a underflows to zero (q={self.q!r}, a={count_g(a)})")
+        return QContext(power)
 
 
 def q_number(x, ctx: QContext):
@@ -82,9 +84,12 @@ def q_number(x, ctx: QContext):
 
 
 def q_bracket_two_pow(r: int, ctx: QContext) -> float:
-    """[2]_q^r = (1 + q)^r, the prefactor of every order-r alternating series."""
+    """[2]_q^r = (1 + q)^r, the order-r series prefactor; PlanInfeasible past a double."""
     r = as_int(r, "order r", 1, POSITIVE)
-    return (1.0 + ctx.q) ** r
+    try:
+        return (1.0 + ctx.q) ** r
+    except OverflowError:
+        raise PlanInfeasible(f"[2]_q^r overflows a double (q={ctx.q!r}, r={count_g(r)})") from None
 
 
 class TruncationPlan(NamedTuple):
@@ -106,8 +111,11 @@ def _log_bound(q: float, r: int, M: int) -> float:
 
 def _first(q: float, r: int, terms: int) -> int:
     """The smallest M with rho_M < 1 by the float test, from just below
-    (q r - 1)/(1 - q), or terms + 1 if that is past terms."""
-    first = min(max(0, math.floor((q * r - 1.0) / (1.0 - q)) - 1), terms + 1)
+    (q r - 1)/(1 - q), or terms + 1 if that is past terms or past a double."""
+    try:
+        first = min(max(0, math.floor((q * r - 1.0) / (1.0 - q)) - 1), terms + 1)
+    except OverflowError:
+        return terms + 1
     while first <= terms and not q * (first + r) / (first + 1.0) < 1.0:
         first += 1
     return first
@@ -144,12 +152,6 @@ def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon:
     that misses it, then bisected between the two.  Memoized: W = (1-q)^(-n)
     does not depend on x or the character, so every E_n at one (q, r, n)
     repeats a plan.  A refusal raises and is not cached; callers parse r."""
-    if r < 1:
-        raise DomainError(f"order r {POSITIVE}, got {r}")
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    if max_terms < 0:
-        raise DomainError(f"max_terms must be nonnegative, got {max_terms}")
     if not weight_bound >= 0.0:
         raise DomainError(f"weight bound must be nonnegative, got {float(weight_bound)!r}")
     q, log_epsilon, widest = ctx.q, math.log(epsilon), float(weight_bound)
@@ -158,7 +160,7 @@ def plan_shared(ctx: QContext, r: int, weight_bound: float, cells: int, epsilon:
     terms, per_cell = min(max_terms, SERIES_BUDGET), SERIES_BUDGET // max(cells, 1)
 
     def problem() -> str:
-        return f"(q={q!r}, r={r}, weight bound {widest!r})"
+        return f"(q={q!r}, r={count_g(r)}, weight bound {widest!r})"
 
     def no_cutoff() -> PlanInfeasible:
         return PlanInfeasible(f"no cutoff within {terms} terms certifies error {epsilon!r} "
@@ -203,14 +205,16 @@ def plan_truncation_weighted(ctx: QContext, r: int, weight_bound: float, epsilon
                              max_terms: int = DEFAULT_MAX_TERMS) -> TruncationPlan:
     """Smallest cutoff M <= min(max_terms, SERIES_BUDGET) whose certified tail
     bound meets epsilon, with that bound: the one-cell plan of plan_shared."""
-    return TruncationPlan(*plan_shared(ctx, as_int(r, "order r", rule=POSITIVE),
+    return TruncationPlan(*plan_shared(ctx, as_int(r, "order r", 1, POSITIVE),
                                        as_float(weight_bound, "weight bound"), 1,
                                        *parse_budget(epsilon, max_terms)))
 
 
 def parse_budget(epsilon: float, max_terms: int) -> tuple[float, int]:
-    """A public entry's series budget epsilon and max_terms as a float and an int."""
-    return as_float(epsilon, "epsilon"), as_int(max_terms, "max_terms")
+    """A public entry's series budget as a positive float and a nonnegative int."""
+    if not (epsilon := as_float(epsilon, "epsilon")) > 0.0:
+        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    return epsilon, as_int(max_terms, "max_terms", 0)
 
 
 def plan_cells(ctx: QContext, r: int, weight_bounds, cells: int, epsilon: float,

@@ -18,15 +18,15 @@ the arguments, so instances with a = b agree bit for bit.
 
 A sweep line is a set of instances equal in every field but the degree n.
 Each form yields one value per degree of its line; the l-function form,
-with no degree, yields its value once per repeat of its one instance.  The
-tuple totals, shifted arguments and one polynomials.degree_table of the E_j
-a side needs depend on the line, not on n, so they are formed once, and so
-is each factor row of the power sums.  Each degree keeps its own plan and
-budget, and every t-sum and i-sum is a polynomials.ordered_sum, so every
-value is bit for bit the one-degree value.  The forms are generators that
-follow the protocol stated at identities.Side: a line that cannot be planned
-at some degree yields the degrees before it and then raises that degree's
-refusal.  A role a enters [a]_q as float(a), which overflows past a double.
+with no degree, yields its value once per repeat of its one instance.  A
+form first does its line's shared work, which refuses alike at every
+degree: the tuple totals or shifted arguments, q^a and [2]^r.  Then each
+degree in order: its own plan and budget in one polynomials.degree_table of
+the E_j the line needs, its own factors (each factor row of the power sums
+is formed once), and its value, summed by polynomials.ordered_sum, so every
+value is bit for bit the one-degree value and a refusal follows the degrees
+before it, the protocol stated at identities.Side.  A role a enters [a]_q
+as float(a), which overflows past a double.
 """
 
 from __future__ import annotations
@@ -123,39 +123,33 @@ def lfun_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms
 
 def poly_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
     """One side of the polynomial symmetry in roles (first, second), yielded
-    at every degree of ns.  The weights and arguments of the totals t and one
-    degree_table of E_n at every argument serve every degree; each degree keeps
-    the plan of its own len(args) cells and is summed over t from its own
-    column."""
+    at every degree of ns.  The weights and arguments of the totals t, [2]^r
+    and one degree_table of E_n at every argument serve every degree; each
+    keeps the plan of its own len(args) cells, summed over t from its column."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
-    for k, n in enumerate(ns):  # each step refuses where check would at that degree
-        prefactor = q_number(float(first), ctx) ** n
-        if k == 0:
-            weights, args = _shift_weights(inst, first, second)
-            tables = degree_table(chi, r, ctx.power(first), args, [(n,) for n in ns], epsilon,
-                                  max_terms)
-        terms = next(tables)[n]
-        if k == 0:
-            two = q_bracket_two_pow(r, ctx.power(second))
-        yield two * prefactor * ordered_sum(map(operator.mul, weights, terms))
+    bracket = q_number(float(first), ctx)
+    weights, args = _shift_weights(inst, first, second)
+    ctx_first, two = ctx.power(first), q_bracket_two_pow(r, ctx.power(second))
+    tables = degree_table(chi, r, ctx_first, args, [(n,) for n in ns], epsilon, max_terms)
+    for n, table in zip(ns, tables):
+        yield two * bracket ** n * ordered_sum(map(operator.mul, weights, table[n]))
 
 
 def power_sum_side(inst, ns: list, first: int, second: int, epsilon: float, max_terms: int):
     """One side of the power-sum expansion in roles (first, second), yielded
-    at every degree of ns: one degree_table of E_j(second x) at q^first, which
-    checks degree n by the widest of its n + 1 cells E_n, ..., E_0, and one
-    tuple-total histogram for every S_{n,i}.  Each degree is one ordered_sum
-    over i."""
+    at every degree of ns: one tuple-total histogram for every S_{n,i}, and
+    one degree_table of E_j(second x) at q^first, which checks degree n by
+    the widest of its n + 1 cells E_n, ..., E_0.  Each degree is one
+    ordered_sum over i."""
     chi, r, ctx = inst.chi, inst.r, inst.ctx
     ctx_second, ctx_first = ctx.power(second), ctx.power(first)
-    upper = first * chi.modulus_d
     bracket_first, bracket_second = q_number(float(first), ctx), q_number(float(second), ctx)
+    upper = first * chi.modulus_d
+    power_sums = PowerSums(tuple_totals(chi, r, upper, 1), upper, ctx_second)
+    two = q_bracket_two_pow(r, ctx_second)
     tables = degree_table(chi, r, ctx_first, [second * inst.x], [range(n + 1) for n in ns],
                           epsilon, max_terms)
-    for k, (n, table) in enumerate(zip(ns, tables)):
-        if k == 0:  # one histogram and its factor rows serve every S_{n,i}
-            power_sums = PowerSums(tuple_totals(chi, r, upper, n + 1), upper, ctx_second)
-        total = ordered_sum(math.comb(n, i) * bracket_first ** (n - i) * bracket_second ** i
-                            * table[n - i][0] * s_val
-                            for i, s_val in enumerate(power_sums(n, range(n + 1))))
-        yield q_bracket_two_pow(r, ctx_second) * total
+    for n, table in zip(ns, tables):
+        yield two * ordered_sum(math.comb(n, i) * bracket_first ** (n - i) * bracket_second ** i
+                                * table[n - i][0] * s_val
+                                for i, s_val in enumerate(power_sums(n, range(n + 1))))

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
+    BudgetExceeded,
     DomainError,
     LfunSpec,
     NegativeArgument,
@@ -232,7 +233,7 @@ def _stand_ins(draw, case):
         whole, bool(whole), np.int64(whole), np.uint8(abs(whole)), float(real),
         np.float32(real), Fraction(real), Decimal(repr(real)), complex(real),
         complex(real, 0.5), str(real), None, math.nan, math.inf, -math.inf, -1, 0, 2.5,
-        *[10 ** 400][:CASES[case][0] != "int"],  # past the double range
+        10 ** 400,  # past the double range
     ]))
 
 
@@ -263,6 +264,14 @@ _SUBSTITUTIONS = st.sampled_from(sorted(CASES)).flatmap(
 @example(substitution=("q_bracket_two_pow.r", np.int64(2)))
 @example(substitution=("qeuler_value.x", Decimal("0.5")))  # "x must be nonnegative, got 0.5"
 @example(substitution=("run_suite.x_values", np.float32(0.5)))  # an error record's float32
+# ints past the double range: a raw OverflowError, a RuntimeWarning or no return
+@example(substitution=("q_bracket_two_pow.r", 10 ** 400))
+@example(substitution=("qeuler_value.r", 10 ** 400))
+@example(substitution=("QContext.power.a", 10 ** 400))
+@example(substitution=("conv_power.r", 10 ** 400))
+@example(substitution=("char_tuple_sum.r", 10 ** 400))
+@example(substitution=("qeuler_poly_naive.M", 10 ** 400))
+@example(substitution=("periodic_values.length", 10 ** 400))
 def test_a_call_equals_its_call_at_canonical_arguments_or_is_refused(substitution):
     case, value = substitution
     kind, _, call = CASES[case]
@@ -310,6 +319,50 @@ def test_a_probe_that_raised_or_blamed_the_value_is_refused_by_its_type(call, er
     # string or a float cap, or refused a Decimal 0.5 as negative
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: q_bracket_two_pow(2000, _CTX), PlanInfeasible,
+     "[2]_q^r overflows a double (q=0.5, r=2000)"),
+    (lambda: q_bracket_two_pow(_HUGE, _CTX), PlanInfeasible,
+     "[2]_q^r overflows a double (q=0.5, r=1.00000e+400)"),
+    (lambda: _CTX.power(_HUGE), PlanInfeasible, "q^a underflows to zero (q=0.5, a=1.00000e+400)"),
+    (lambda: qeuler_value(_CHI, _HUGE, 2, 0.5, _CTX), PlanInfeasible,
+     "no cutoff within 20000 terms certifies error 1e-10 (q=0.5, r=1.00000e+400, "
+     "weight bound 4.0)"),
+    (lambda: qeuler_table(_CHI, _HUGE, [0.5], [2], _CTX), PlanInfeasible, "no cutoff"),
+    (lambda: qeuler_addition(_CHI, _HUGE, 2, _CTX, 0.5, 0.25), PlanInfeasible, "no cutoff"),
+    (lambda: lfun_value(_CHI, _HUGE, 1.5, 0.5, _CTX), PlanInfeasible, "no cutoff"),
+    (lambda: lfun_values(_CHI, _HUGE, 1.5, [0.5], _CTX), PlanInfeasible, "no cutoff"),
+    (lambda: plan_truncation(_CTX, 0.5, 2, _HUGE, 1e-10), PlanInfeasible, "no cutoff"),
+    (lambda: bounded_composition_sums(_CHI, _HUGE, 3), BudgetExceeded,
+     "1.00000e+400-part composition sums below 3 take 1.33333e+800 multiply-adds, "
+     "over the budget 1e+08"),
+    (lambda: bounded_composition_sums(_CHI, 2, _HUGE), BudgetExceeded,
+     "2-part composition sums below 1.00000e+400 take 1.00000e+800 multiply-adds, "
+     "over the budget 1e+08"),
+    (lambda: conv_power(_CHI, _HUGE, 7), BudgetExceeded,
+     "1.00000e+400-part composition sums over 3 periods take binomials past the double range"),
+    (lambda: char_tuple_sum(_CHI.periodic_values(3), np.ones(9), _HUGE), BudgetExceeded,
+     "enumerating 3^1.00000e+400 index tuples in 1.00000e+400 passes exceeds the budget 1e+08"),
+    (lambda: char_tuple_sum(build_character_group(1)[0].periodic_values(1), np.ones(3), 10 ** 7),
+     BudgetExceeded, "enumerating 1^1e+07 index tuples in 1e+07 passes exceeds the budget 1e+08"),
+    (lambda: qeuler_poly_naive(_SPEC, _HUGE), BudgetExceeded,
+     "enumerating 1.00000e+400^2 index tuples in 1 passes exceeds the budget 1e+08"),
+    (lambda: _CHI.periodic_values(_HUGE), BudgetExceeded,
+     "1.00000e+400 periodic values exceed the budget 1e+08"),
+])
+def test_an_int_past_the_double_range_is_refused_by_a_type_its_entry_has(call, error, message):
+    # each raised a raw OverflowError or ValueError, warned "invalid value
+    # encountered in matmul", or did not return; every refusal comes at once
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as refused:
+            call()
+    assert str(refused.value).startswith(message)
 
 
 def test_a_numpy_order_gives_the_result_types_of_an_int_order():

@@ -596,7 +596,7 @@ def test_side_budget_counts_the_work_done(groups, ctx):
 
 
 def test_overflowing_side_is_infeasible():
-    # [a]_q^n overflows in the side's prefactor before its planner runs
+    # [a]_q^n overflows in the side's prefactor, once its degree is planned
     inst = SymmetryInstance(chi=build_character_group(1)[0], r=1, ctx=QContext(0.9), a=5, b=1,
                             n=600, x=5.0)
     with pytest.raises(PlanInfeasible):
@@ -816,25 +816,106 @@ def test_a_sweep_refuses_at_the_instance_check_meets_first(identity_id, d, r, q,
         identity_id, grid, max_terms=max_terms)
 
 
-@pytest.mark.parametrize("identity_id", IDENTITY_IDS)
+@pytest.mark.parametrize("identity_id", ["T1", "EQ4"])
 def test_a_side_domain_error_is_recorded_at_every_instance(identity_id):
-    # r = 0 is refused inside the sides, not by the axis rules
+    # x = 0 passes the axis rules, and an l-function side refuses it, before
+    # its first value, at every degree of the line: T1's sides and EQ4's lhs
+    grid = SweepGrid(d_values=(3,), q_values=(0.5,), r_values=(2,), ab_pairs=((1, 3),),
+                     n_values=(0, 1, 2), s_values=(1.5,), x_values=(0.0, 0.5))
+    reports = run_suite(identity_id, grid)
+    assert [r.to_json_line() for r in reports] == _per_instance(identity_id, grid)
+    assert [r.error is not None for r in reports] == [r.instance["x"] == 0.0 for r in reports]
+    assert all(r.error == "DomainError: x must be strictly positive, got 0.0"
+               for r in reports if r.error is not None)
+    assert sum(r.error is not None for r in reports) == (2 if identity_id == "T1" else 6)
+
+
+@pytest.mark.parametrize("identity_id", IDENTITY_IDS)
+def test_an_order_below_one_is_an_axis_rule_recorded_at_every_instance(identity_id):
+    # r = 0 was refused inside the sides, and a line was then checked one
+    # instance at a time; now it is refused where r is parsed
     grid = SweepGrid(d_values=(3,), q_values=(0.5,), r_values=(0,), ab_pairs=((1, 3),),
                      n_values=(0, 1, 2), s_values=(1.5,), m_values=(0, 2), y_values=(0.25,))
     reports = run_suite(identity_id, grid)
     assert [r.to_json_line() for r in reports] == _per_instance(identity_id, grid)
-    assert all("order r must be a positive integer" in r.error for r in reports)
+    assert all(r.error == "DomainError: order r must be a positive integer, got 0"
+               for r in reports)
 
 
 def test_a_line_recorded_one_instance_at_a_time_still_refuses_where_check_does():
-    # r = 0 sends each line through check, which records the low degrees'
-    # DomainError; from n = 712 on the prefactor [3]_q^n overflows first
-    grid = SweepGrid(d_values=(3,), q_values=(0.9,), r_values=(0,), ab_pairs=((3, 1),),
+    # one pass over the line: the lhs in roles (3, 1) evaluates up to its
+    # first value that is not finite, at n = 315, and the rhs over those
+    # degrees refuses first, at n = 308, where the weight bound (1-q)^-n of
+    # its cells at q = 0.9 makes the dominating series overflow a double
+    grid = SweepGrid(d_values=(3,), q_values=(0.9,), r_values=(1,), ab_pairs=((3, 1),),
                      n_values=tuple(range(800)), x_values=(1.0, 0.5))
     refusal = _batched("T2", grid)
     assert refusal == _per_instance("T2", grid)
     assert refusal[0] is PlanInfeasible
-    assert refusal[1].startswith("a side of T2 overflows a double")
+    assert refusal[1].startswith("the dominating series overflows a double (q=0.9, r=1")
+
+
+def test_a_refusal_of_the_shared_work_precedes_a_refusal_of_the_degree():
+    # the lhs in roles (1, 99999) cannot plan E_n within 0 terms, and its
+    # [2]^r needs q^99999, which underflows: the line's shared work refuses
+    # first, at every degree, in check and in a sweep alike
+    chi = build_character_group(1)[0]
+    message = "q^a underflows to zero (q=0.5, a=99999)"
+    for n in (0, 5):
+        inst = SymmetryInstance(chi=chi, r=1, ctx=QContext(0.5), a=1, b=99999, n=n)
+        with pytest.raises(PlanInfeasible, match=f"^{re.escape(message)}$"):
+            check("T2", inst, max_terms=0)
+    grid = SweepGrid(d_values=(1,), q_values=(0.5,), ab_pairs=((1, 99999),), n_values=(0, 5))
+    assert _batched("T2", grid, max_terms=0) == (PlanInfeasible, message)
+
+
+@pytest.mark.parametrize("budget", [{"epsilon": 0.0}, {"epsilon": -1e-10},
+                                    {"epsilon": math.nan}, {"max_terms": -1}])
+def test_a_bad_budget_is_refused_before_anything_is_enumerated(monkeypatch, budget):
+    # a nonpositive epsilon or a negative max_terms was refused by the planner,
+    # so a sweep recorded it at each instance, or refused at a later degree
+    builds = []
+    build = identities.build_character_group
+    monkeypatch.setattr(identities, "build_character_group",
+                        lambda d: builds.append(d) or build(d))
+    [(name, value)] = budget.items()
+    message = (f"epsilon must be positive, got {value!r}" if name == "epsilon"
+               else "max_terms must be nonnegative, got -1")
+    grid = SweepGrid(d_values=(1,), q_values=(0.6,), n_values=(0, 800), x_values=(0.0,))
+    for identity_id in IDENTITY_IDS:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            run_suite(identity_id, grid, **budget)
+    assert builds == []
+    inst = SymmetryInstance(chi=build(1)[0], r=1, ctx=QContext(0.6), n=800, s=1.5, m=0, x=0.0)
+    for identity_id in IDENTITY_IDS:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check(identity_id, inst, **budget)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    identity_id=st.sampled_from(IDENTITY_IDS),
+    d=st.sampled_from([1, 3]),
+    r=st.integers(min_value=0, max_value=2),
+    q=st.sampled_from([0.3, 0.6, 0.9]),
+    pairs=st.lists(st.tuples(st.integers(min_value=-1, max_value=5),
+                             st.integers(min_value=-1, max_value=5)), min_size=1, max_size=2),
+    ns=st.lists(st.integers(min_value=-2, max_value=800), min_size=1, max_size=4),
+    ms=st.lists(st.integers(min_value=-1, max_value=4), min_size=1, max_size=2),
+    xs=st.lists(st.sampled_from([-0.5, 0.0, 0.5, 2.0]), min_size=1, max_size=2),
+    ys=st.lists(st.sampled_from([0.0, 0.25]), min_size=1, max_size=2),
+    max_terms=st.sampled_from([0, 40]),
+)
+def test_one_pass_per_line_records_and_refuses_as_check_does(identity_id, d, r, q, pairs, ns,
+                                                              ms, xs, ys, max_terms):
+    # orders below one, even and negative roles, negative degrees and
+    # arguments, x = 0 and degrees up to 800 at term caps that refuse: each
+    # line is evaluated once, and every report or refusal is check's
+    grid = SweepGrid(d_values=(d,), q_values=(q,), r_values=(r,), ab_pairs=tuple(pairs),
+                     n_values=tuple(ns), s_values=(1.5, -2.0), m_values=tuple(ms),
+                     x_values=tuple(xs), y_values=tuple(ys))
+    assert _batched(identity_id, grid, max_terms=max_terms) == _per_instance(
+        identity_id, grid, max_terms=max_terms)
 
 
 def test_a_wide_line_plans_each_degree_on_its_own():

@@ -95,8 +95,8 @@ VERIFY_JSON = [
     "T1 --d 15 --r 2 --q 0.7 --a 1 --b 5 --s=1.5,0.5 --x 0.75",
     # eval-deep's verify shape: every character reuses one bracket matrix
     "EQ4 --d 45 --r 2 --q 0.95 --n-max 2 --x 0.5",
-    # l(s, 0) is a DomainError: each character's line goes through check one
-    # instance at a time and records it at every degree
+    # l(s, 0) is a DomainError: the lhs refuses it before its first value, so
+    # each character's line records it at every degree
     "EQ4 --d 15 --r 1 --q 0.5 --n-max 3 --x 0",
     # shift-sum and interpolation lines that refuse in their middle, at degree 18
     "EQ15 --d 15 --r 2 --q 0.9 --m-max 3 --n-max 30 --x 0.5 --y 0.25 --max-terms 700",
@@ -193,6 +193,11 @@ EDGES = [
     # x = 1e-17 the scalar [3e-17]_q is zero (exit 3), at x = 3e-17 none is
     "verify --identity T1 --d 3 --q 0.5 --a 1 --b 3 --s 1.5 --x 1e-17 --output json",
     "verify --identity T1 --d 3 --q 0.5 --a 1 --b 3 --s 1.5 --x 3e-17 --output json",
+    # two refusals at one instance: the lhs's shared work, q^99999, underflows
+    # before its degree is planned within 0 terms
+    "verify --identity T2 --d 1 --q 0.5 --a 1 --b 99999 --max-terms 0",
+    # a side's DomainError (l(s, 0)) is recorded at every instance of its line
+    "verify --identity EQ4 --d 3 --q 0.5 --n-max 3 --x 0 --output json",
 ]
 
 ARGVS = (
